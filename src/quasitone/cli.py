@@ -30,6 +30,7 @@ from .render import (
     read_wav,
     render_sweep,
     stft_sonogram,
+    sweep_cfg,
     synth,
     write_sonogram_csv,
     write_wav,
@@ -50,6 +51,18 @@ from .textfmt import fmt17
 
 class UsageFault(Exception):
     """Grammar or config problem; maps to exit code 2."""
+
+
+def _checked(call, *args, **kwargs):
+    """Run a library call on command-line values.
+
+    The library checks its arguments with ValueError; here that is a usage
+    fault, so a bad value exits 2 with its message instead of a traceback.
+    """
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageFault(str(exc)) from exc
 
 
 def _parse_complex_pair(text, what):
@@ -121,16 +134,17 @@ def parse_grid(text, state):
     raise UsageFault(f"grid {text!r}: expected regular:<n>:<min>:<max> or gauss:<n>:<span>")
 
 
-def _load_cfg(args) -> MapConfig:
+def _load_cfg(args, base: MapConfig) -> MapConfig:
+    """The command's default config, overridden by --config when given."""
     if getattr(args, "config", None):
         try:
-            return load_map_config(args.config)
+            return load_map_config(args.config, base=base)
         except (OSError, ValueError) as exc:
             raise UsageFault(f"config: {exc}") from exc
-    return MapConfig()
+    return base
 
 
-def _gated_field(state, args, cfg_unused=None):
+def _gated_field(state, args):
     grid = parse_grid(args.grid, state) if args.grid else default_grid(state)
     field = sample_field(state, grid)
     cov = coverage(field)
@@ -148,7 +162,8 @@ def _bank_for(method, field, cfg, duration):
         return method2_extremes(field, cfg, duration=duration)
     if method == "III":
         return method3_sections(field, cfg, duration=duration)
-    return method4_moments(compute_moments(field), cfg, duration or cfg.event_duration)
+    duration = cfg.event_duration if duration is None else duration
+    return method4_moments(compute_moments(field), cfg, duration)
 
 
 def _parse_segments(text):
@@ -164,10 +179,7 @@ def _parse_segments(text):
         except ValueError as exc:
             raise UsageFault(f"segment {chunk!r}: {exc}") from exc
         segs.append((a, b, secs))
-    try:
-        return SweepTrajectory(tuple(segs))
-    except ValueError as exc:
-        raise UsageFault(str(exc)) from exc
+    return _checked(SweepTrajectory, tuple(segs))
 
 
 def _build_parser():
@@ -245,7 +257,7 @@ def _partial_gains(bank, field, channels):
 
 
 def _run(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args, sweep_cfg() if args.command == "sweep" else MapConfig())
 
     if args.command == "eval":
         state = parse_state(args.state)
@@ -267,7 +279,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "moments":
-        field = read_field(args.field)
+        field = _checked(read_field, args.field)
         moments = compute_moments(field)
         if args.out:
             write_moments(moments, args.out)
@@ -278,8 +290,9 @@ def _run(args) -> int:
     if args.command == "sonify":
         state = parse_state(args.state)
         field, _ = _gated_field(state, args)
-        bank = _bank_for(args.method, field, cfg, args.duration)
-        buffer = synth(bank, sample_rate=args.sr, gains=_partial_gains(bank, field, args.channels))
+        bank = _checked(_bank_for, args.method, field, cfg, args.duration)
+        gains = _partial_gains(bank, field, args.channels)
+        buffer = _checked(synth, bank, sample_rate=args.sr, gains=gains)
         write_wav(buffer, args.out)
         if args.score:
             write_score(bank_to_events(bank, field, cfg, channels=args.channels), args.score)
@@ -287,9 +300,10 @@ def _run(args) -> int:
 
     if args.command == "sweep":
         trajectory = _parse_segments(args.segments) if args.segments else None
-        buffer = render_sweep(
+        buffer = _checked(
+            render_sweep,
             trajectory=trajectory,
-            cfg=load_map_config(args.config) if args.config else None,
+            cfg=cfg,
             sample_rate=args.sr,
             frame_seconds=args.frame,
             channels=args.channels,
@@ -298,14 +312,14 @@ def _run(args) -> int:
         return 0
 
     if args.command == "sonogram":
-        sono = stft_sonogram(read_wav(args.audio), window=args.window, hop=args.hop)
+        sono = _checked(stft_sonogram, read_wav(args.audio), window=args.window, hop=args.hop)
         write_sonogram_csv(sono, args.out)
         return 0
 
     if args.command == "score":
         state = parse_state(args.state)
         field, _ = _gated_field(state, args)
-        bank = _bank_for(args.method, field, cfg, args.duration)
+        bank = _checked(_bank_for, args.method, field, cfg, args.duration)
         events = bank_to_events(
             bank, field, cfg, channels=args.channels, arpeggiate=args.arpeggiate
         )

@@ -187,10 +187,13 @@ def default_trajectory() -> SweepTrajectory:
     return SweepTrajectory(((0j, -1 + 0j, 91.0), (-1 + 0j, -2 + 0j, 91.0), (-2 + 0j, -3 + 0j, 91.0)))
 
 
-def _sweep_cfg() -> MapConfig:
-    # The sweep follows the envelope width, so its center frequency tracks
-    # sigma_r; anchoring on r0 would push the low envelope edge below zero
-    # for every state on the default path.
+def sweep_cfg() -> MapConfig:
+    """Default mapping config of render_sweep.
+
+    The sweep follows the envelope width, so its center frequency tracks
+    sigma_r; anchoring on r0 would push the low envelope edge below zero
+    for every state on the default path.
+    """
     return MapConfig(f0_mode="sigma_r")
 
 
@@ -217,7 +220,7 @@ def render_sweep(
     envelope so every partial stays inside the audible band end to end.
     """
     trajectory = trajectory or default_trajectory()
-    cfg = cfg or _sweep_cfg()
+    cfg = cfg or sweep_cfg()
     if frame_seconds <= 0:
         raise ValueError(f"frame_seconds must be positive, got {frame_seconds!r}")
     if channels not in (1, 2, 4):

@@ -235,6 +235,63 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestArgumentChecks:
+    """Bad values reach the library's checks and exit 2 with a message."""
+
+    @pytest.fixture
+    def wav(self, tmp_path):
+        from quasitone.render import AudioBuffer, write_wav
+
+        path = tmp_path / "in.wav"
+        write_wav(AudioBuffer(np.zeros(4096), 8000), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--frame", "0", "--out", "x.wav"],
+            ["score", "--state", "fock:1", "--method", "I", "--duration", "-1", "--out", "x.json"],
+            ["sonify", "--state", "fock:1", "--method", "IV", "--sr", "0", "--out", "x.wav"],
+            ["sonogram", "--audio", "{wav}", "--window", "4", "--out", "s.csv"],
+        ],
+        ids=["sweep-frame", "score-duration", "sonify-sr", "sonogram-window"],
+    )
+    def test_bad_value_is_2(self, argv, tmp_path, wav, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = [a.format(wav=wav) for a in argv]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.glob("x.*")) and not (tmp_path / "s.csv").exists()
+
+    def test_malformed_field_file_is_2(self, tmp_path, capsys):
+        fp = tmp_path / "f.csv"
+        assert cli_main(["field", "--state", "fock:0", "--out", str(fp)]) == 0
+        fp.write_text("r,p,val\n" + "\n".join(fp.read_text().splitlines()[1:]) + "\n")
+        capsys.readouterr()
+        assert cli_main(["moments", "--field", str(fp)]) == 2
+        assert "expected header" in capsys.readouterr().err
+
+    def test_zero_duration_is_not_replaced(self, tmp_path, capsys):
+        # 0 is a value, not a missing --duration; it must fail the check
+        out = tmp_path / "z.wav"
+        code = cli_main(
+            ["sonify", "--state", "fock:1", "--method", "IV", "--duration", "0", "--out", str(out)]
+        )
+        assert code == 2
+        assert "duration" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_config_keeps_sweep_defaults(self, tmp_path):
+        # a file restating the default n_osc must not change the sweep
+        cfg_path = tmp_path / "same.cfg"
+        cfg_path.write_text("n_osc=21\n")
+        base = ["sweep", "--segments", "0:-1:0.5", "--sr", "8000"]
+        plain, configured = tmp_path / "plain.wav", tmp_path / "cfg.wav"
+        assert cli_main(base + ["--out", str(plain)]) == 0
+        assert cli_main(base + ["--config", str(cfg_path), "--out", str(configured)]) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+
+
 class TestInstalledScript:
     def test_entry_point_exit_codes(self, tmp_path):
         res = subprocess.run(

@@ -16,6 +16,10 @@ from quasitone import (
     FockState,
     QuadratureSpanTooSmall,
     SampledState,
+    build_gaussian,
+    build_regular,
+    compute_moments,
+    default_grid,
     default_psi_grid,
     eval_cat,
     eval_coherent,
@@ -23,9 +27,11 @@ from quasitone import (
     evaluate,
     harmonic_eigenstate,
     laguerre,
+    sample_field,
     state_centroid,
     wigner_transform,
 )
+from quasitone.states import _CZT_MIN_POINTS, _p_lattice
 
 
 class TestLaguerre:
@@ -249,6 +255,63 @@ class TestClosedFormsMatchTransform:
             assert evaluate(FockState(0), rv, pv) == pytest.approx(
                 evaluate(CoherentState(0j), rv, pv), rel=0, abs=1e-15
             )
+
+
+def _dense(x, psi, r, p):
+    """Transform by the dense product alone: rows too short for chirp-z."""
+    r, p = np.broadcast_arrays(np.ravel(r), np.ravel(p))
+    k = _CZT_MIN_POINTS - 1
+    chunks = [wigner_transform(x, psi, r[i : i + k], p[i : i + k]) for i in range(0, r.size, k)]
+    return np.concatenate([np.atleast_1d(c) for c in chunks])
+
+
+class TestChirpZRows:
+    """Uniform p rows are summed by chirp-z; the dense product is the reference."""
+
+    @staticmethod
+    def _state(nodes, span):
+        # complex and off-center, so every row has real and imaginary parts
+        x = np.linspace(-span, span, nodes)
+        psi = harmonic_eigenstate(1, x) + 0.6j * _displaced_ground(x, 1.0 + 0.8j)
+        return SampledState(x, _normalized(x, psi))
+
+    @pytest.mark.parametrize("nodes, span", [(193, 10.5), (2049, 12.0)])
+    @pytest.mark.parametrize("cells, half_width, rows", [(64, 5.0, 64), (512, 10.0, 6)])
+    def test_rows_match_dense_product(self, nodes, span, cells, half_width, rows):
+        state = self._state(nodes, span)
+        r0, p0 = state_centroid(state)
+        grid = build_regular(
+            r0 - half_width, r0 + half_width, p0 - half_width, p0 + half_width, cells, cells
+        )
+        assert _p_lattice(grid.p_centers) is not None
+        w = sample_field(state, grid).values
+        # every row of the small grid; six of the large one, both edge rows included
+        picks = np.unique(np.linspace(0, cells - 1, rows).round().astype(int))
+        for i in picks:
+            want = _dense(state.x, state.psi, grid.r_centers[i], grid.p_centers)
+            assert np.max(np.abs(w[i] - want)) < 1e-12
+
+    def test_row_order_does_not_matter(self):
+        state = self._state(193, 10.5)
+        r = np.linspace(-3.0, 3.0, 9)
+        p = np.linspace(-4.0, 4.0, 33)
+        R, P = np.meshgrid(r, p, indexing="ij")
+        ordered = wigner_transform(state.x, state.psi, R, P)
+        descending = wigner_transform(state.x, state.psi, R[:, ::-1], P[:, ::-1])
+        np.testing.assert_array_equal(descending[:, ::-1], ordered)
+        perm = np.random.default_rng(7).permutation(R.size)
+        shuffled = wigner_transform(state.x, state.psi, R.ravel()[perm], P.ravel()[perm])
+        np.testing.assert_array_equal(shuffled, ordered.ravel()[perm])
+
+    def test_gaussian_grid_takes_dense_path(self):
+        x = default_psi_grid()
+        state = SampledState(x, harmonic_eigenstate(1, x))
+        moments = compute_moments(sample_field(state, default_grid(state)))
+        grid = build_gaussian(moments, 24, 24)
+        assert _p_lattice(grid.p_centers) is None
+        R, P = np.meshgrid(grid.r_centers, grid.p_centers, indexing="ij")
+        w = sample_field(state, grid).values
+        assert np.max(np.abs(w - eval_fock(1, R, P))) < 1e-6
 
 
 class TestEvaluateAndCentroid:
