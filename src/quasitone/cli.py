@@ -35,7 +35,7 @@ from .render import (
     write_sonogram_csv,
     write_wav,
 )
-from .score import bank_to_events, write_score
+from .score import bank_to_events, partial_gains, write_score
 from .sonify import (
     MapConfig,
     load_map_config,
@@ -43,7 +43,6 @@ from .sonify import (
     method2_extremes,
     method3_sections,
     method4_moments,
-    spatial_gains,
 )
 from .states import CatState, CoherentState, FockState, SampledState
 from .textfmt import fmt17
@@ -240,22 +239,6 @@ def _build_parser():
     return top
 
 
-def _partial_gains(bank, field, channels):
-    if channels == 1:
-        return None
-    bounds = field.grid.bounds
-    moments = None
-    rows = []
-    for partial in bank.partials:
-        if partial.source_r is not None:
-            rows.append(spatial_gains(partial.source_r, partial.source_p, bounds, channels))
-        else:
-            if moments is None:
-                moments = compute_moments(field)
-            rows.append(spatial_gains(moments.r0, moments.p0, bounds, channels))
-    return np.asarray(rows, dtype=float)
-
-
 def _run(args) -> int:
     cfg = _load_cfg(args, sweep_cfg() if args.command == "sweep" else MapConfig())
 
@@ -291,7 +274,7 @@ def _run(args) -> int:
         state = parse_state(args.state)
         field, _ = _gated_field(state, args)
         bank = _checked(_bank_for, args.method, field, cfg, args.duration)
-        gains = _partial_gains(bank, field, args.channels)
+        gains = None if args.channels == 1 else partial_gains(bank, field, args.channels)
         buffer = _checked(synth, bank, sample_rate=args.sr, gains=gains)
         write_wav(buffer, args.out)
         if args.score:

@@ -1,15 +1,18 @@
 """Audio rendering: additive synthesis, the long sweep, sonograms, WAV I/O.
 
-Everything here is deterministic. Partials are summed in bank order with
-float64 accumulation and only cast to float32 at the very end, so the same
-bank renders to the same bytes on every run.
+synth and every frame of render_sweep go through one oscillator kernel,
+_accumulate: each partial becomes sine components (a triangle becomes its
+odd harmonics below Nyquist), and the components are summed by block
+phasor rotation in float64, a fixed chunk of components at a time, then
+cast to float32 at the very end. The summation order depends only on the
+bank, so the same bank renders to the same bytes on every run.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,37 +66,80 @@ class AudioBuffer:
 # === additive synthesis ===
 
 
-def _partial_wave(partial, t, sample_rate):
-    """Time series of one unit partial; amp applied by the caller."""
-    theta = 2.0 * math.pi * partial.freq * t + partial.phase
-    if partial.waveform == WAVE_SINE:
-        return np.sin(theta)
-    # band-limited triangle: odd harmonics with alternating sign, 1/j^2
-    # rolloff, truncated strictly below the Nyquist frequency
-    wave = np.zeros_like(t)
-    j = 1
-    sign = 1.0
-    while partial.freq * j < 0.5 * sample_rate:
-        wave += sign * np.sin(j * theta) / j**2
-        sign = -sign
-        j += 2
-    return (8.0 / math.pi**2) * wave
+# Oscillators render in blocks of _BLOCK samples. Taking _CHUNK sine
+# components and _SPAN samples (256 blocks) at a time bounds the kernel's
+# working set to O(_CHUNK * _BLOCK * channels) arrays, whatever the bank
+# size or note length. Of 128, 256 and 512 for each, 256 and 256 rendered
+# 0.4 s and 4 s notes of 21 to 4600 components fastest (2-core x86-64
+# host, one BLAS thread).
+_BLOCK = 256
+_CHUNK = 256
+_SPAN = 256 * _BLOCK
 
 
-def _accumulate(partials, gains, out, sample_rate):
-    """Sum partials into out (n, channels), in order, float64."""
-    n = out.shape[0]
-    t = np.arange(n, dtype=float) / sample_rate
-    for k, partial in enumerate(partials):
-        if partial.freq >= 0.5 * sample_rate:
-            raise NyquistViolation(
-                f"partial at {partial.freq:.1f} Hz needs a rate above {2 * partial.freq:.0f} Hz"
-            )
-        wave = partial.amp * _partial_wave(partial, t, sample_rate)
-        for c in range(out.shape[1]):
-            g = gains[k, c]
-            if g != 0.0:
-                out[:, c] += g * wave
+def _components(partials, phases, sample_rate):
+    """The bank as sine components: owner partial, radians per sample,
+    amplitude and starting phase of each.
+
+    A sine partial is one component. A band-limited triangle is its odd
+    harmonics j with f * j strictly below the Nyquist frequency, each with
+    amplitude a * (8 / pi^2) * (-1)^((j - 1) / 2) / j^2 and phase j * phi.
+    """
+    nyquist = 0.5 * sample_rate
+    freqs = np.array([p.freq for p in partials], dtype=float)
+    too_high = freqs >= nyquist
+    if np.any(too_high):
+        f = float(freqs[np.argmax(too_high)])
+        raise NyquistViolation(f"partial at {f:.1f} Hz needs a rate above {2 * f:.0f} Hz")
+    triangle = np.array([p.waveform != WAVE_SINE for p in partials], dtype=bool)
+    # enough odd j to pass Nyquist; the exact cut is the f * j test below
+    counts = np.where(triangle, (np.floor(nyquist / freqs).astype(int) + 2) // 2, 1)
+    owner = np.repeat(np.arange(len(partials)), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    j = 2 * (np.arange(owner.size) - first) + 1
+    keep = freqs[owner] * j < nyquist
+    owner, j = owner[keep], j[keep]
+    harmonic = np.where((j // 2) % 2 == 0, 1.0, -1.0) * (8.0 / math.pi**2) / j.astype(float) ** 2
+    amps = np.array([p.amp for p in partials], dtype=float)[owner]
+    amps = amps * np.where(triangle[owner], harmonic, 1.0)
+    omega = 2.0 * math.pi * freqs[owner] * j / sample_rate
+    return owner, omega, amps, np.asarray(phases, dtype=float)[owner] * j
+
+
+def _accumulate(partials, phases, gains, out, sample_rate):
+    """Add the oscillator bank to out (n, channels), float64.
+
+    Partial k starts at phases[k] radians and reaches channel c with
+    gains[k, c]. Every sine component renders by block phasor rotation:
+    sample b * _BLOCK + i is Im(sum_k exp(i w_k i) * C[k, b, c]) with
+    C[k, b, c] = a_k g_kc exp(i (w_k b _BLOCK + phi_k)). The block-start
+    phases are computed directly, so no rounding error builds up from
+    block to block, and the sum over components is one real matrix
+    product per chunk. Raises NyquistViolation before anything is added.
+    """
+    owner, omega, amps, phi = _components(partials, phases, sample_rate)
+    n, n_ch = out.shape
+    i = np.arange(_BLOCK, dtype=float)
+    for lo in range(0, omega.size, _CHUNK):
+        w = omega[lo : lo + _CHUNK]
+        # Im(e^{i w i} A e^{i theta}) = A (sin(w i) cos(theta) + cos(w i) sin(theta))
+        wi = np.outer(i, w)
+        table = np.hstack([np.sin(wi), np.cos(wi)])
+        weights = amps[lo : lo + _CHUNK, None] * gains[owner[lo : lo + _CHUNK]]
+        weights = np.vstack([weights, weights])[:, None, :]
+        for start in range(0, n, _SPAN):
+            stop = min(start + _SPAN, n)
+            theta = np.outer(w, np.arange(start, stop, _BLOCK)) + phi[lo : lo + _CHUNK, None]
+            coef = np.vstack([np.cos(theta), np.sin(theta)])[:, :, None] * weights
+            block = table @ coef.reshape(coef.shape[0], -1)
+            block = block.reshape(_BLOCK, -1, n_ch).transpose(1, 0, 2).reshape(-1, n_ch)
+            out[start:stop] += block[: stop - start]
+
+
+def _check_rate(sample_rate):
+    """The kernel divides by the rate, so check it before anything else."""
+    if not sample_rate > 0:
+        raise ValueError(f"sample rate must be positive, got {sample_rate!r}")
 
 
 def _fade_window(n, sample_rate):
@@ -123,6 +169,7 @@ def synth(bank: PartialBank, sample_rate=DEFAULT_SAMPLE_RATE, gains=None) -> Aud
     peak 0.891 (-1 dBFS). Raises NyquistViolation if any partial reaches
     half the sample rate.
     """
+    _check_rate(sample_rate)
     n = int(round(bank.duration * sample_rate))
     if n < 1:
         raise ValueError("bank too short to render a single sample")
@@ -134,7 +181,7 @@ def synth(bank: PartialBank, sample_rate=DEFAULT_SAMPLE_RATE, gains=None) -> Aud
         if gains.shape[0] != n_partials or gains.ndim != 2:
             raise ValueError(f"gains must be (n_partials, channels), got {gains.shape}")
     out = np.zeros((n, gains.shape[1]), dtype=float)
-    _accumulate(bank.partials, gains, out, sample_rate)
+    _accumulate(bank.partials, [p.phase for p in bank.partials], gains, out, sample_rate)
     out *= _fade_window(n, sample_rate)[:, None]
     return AudioBuffer(_normalized_f32(out), sample_rate)
 
@@ -221,6 +268,7 @@ def render_sweep(
     """
     trajectory = trajectory or default_trajectory()
     cfg = cfg or sweep_cfg()
+    _check_rate(sample_rate)
     if frame_seconds <= 0:
         raise ValueError(f"frame_seconds must be positive, got {frame_seconds!r}")
     if channels not in (1, 2, 4):
@@ -255,22 +303,19 @@ def render_sweep(
         field = sample_field(state, grid if grid is not None else default_grid(state))
         moments = compute_moments(field)
         bank = method4_moments(moments, cfg, duration=frame_seconds)
-        partials = tuple(
-            replace(p, phase=(p.phase + phases[k]) % TAU)
-            for k, p in enumerate(bank.partials)
-        )
+        phases = (np.array([p.phase for p in bank.partials]) + phases) % TAU
         if channels == 1:
-            frame_gains = np.ones((len(partials), 1), dtype=float)
+            frame_gains = np.ones((cfg.n_osc, 1), dtype=float)
         else:
             g = spatial_gains(moments.r0, moments.p0, pan_bounds, channels)
-            frame_gains = np.tile(np.asarray(g, dtype=float), (len(partials), 1))
+            frame_gains = np.tile(np.asarray(g, dtype=float), (cfg.n_osc, 1))
         frame = np.zeros((n_frame, channels), dtype=float)
-        _accumulate(partials, frame_gains, frame, sample_rate)
+        _accumulate(bank.partials, phases, frame_gains, frame, sample_rate)
         frame *= window[:, None]
         stop = min(start + n_frame, n_total)
         out[start:stop] += frame[: stop - start]
-        for k, p in enumerate(partials):
-            phases[k] = (p.phase + TAU * p.freq * hop_seconds) % TAU
+        freqs = np.array([p.freq for p in bank.partials])
+        phases = (phases + TAU * freqs * hop_seconds) % TAU
         start += hop
     return AudioBuffer(_normalized_f32(out), sample_rate)
 
@@ -310,8 +355,10 @@ def stft_sonogram(buffer: AudioBuffer, window=2048, hop=512) -> Sonogram:
     for k in range(n_frames):
         seg = mono[k * hop : k * hop + window] * w
         mags[k] = np.abs(np.fft.rfft(seg)) * scale
-    floor_linear = 10.0 ** (DB_FLOOR / 20.0)
-    db = 20.0 * np.log10(np.maximum(mags, floor_linear))
+    # in place: a sweep-sized sonogram is 15 MB per temporary
+    db = np.maximum(mags, 10.0 ** (DB_FLOOR / 20.0), out=mags)
+    np.log10(db, out=db)
+    db *= 20.0
     times = (np.arange(n_frames) * hop + window / 2.0) / buffer.sample_rate
     freqs = np.fft.rfftfreq(window, 1.0 / buffer.sample_rate)
     return Sonogram(times=times, freqs=freqs, magnitude_db=db)
@@ -320,13 +367,15 @@ def stft_sonogram(buffer: AudioBuffer, window=2048, hop=512) -> Sonogram:
 def write_sonogram_csv(sono: Sonogram, path) -> None:
     """CSV with the frequency axis across the first row and times down the
     first column; the corner cell is empty."""
-    lines = ["," + ",".join(format(f, ".9g") for f in sono.freqs)]
-    for i in range(sono.times.size):
-        row = ",".join(format(v, ".9g") for v in sono.magnitude_db[i])
-        lines.append(format(sono.times[i], ".9g") + "," + row)
+    # "%.9g" % v is format(v, ".9g"); one format string per row is faster,
+    # and writing row by row keeps no copy of the whole text in memory
+    cells = ",".join(["%.9g"] * sono.freqs.size)
+    row_fmt = "%.9g," + cells + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("," + cells % tuple(sono.freqs.tolist()) + "\n")
+            for t, row in zip(sono.times.tolist(), sono.magnitude_db):
+                fh.write(row_fmt % (t, *row.tolist()))
     except OSError as exc:
         raise IoError(f"cannot write sonogram: {exc}") from exc
 

@@ -48,6 +48,27 @@ class PitchEvent:
             raise ValueError(f"dynamic must lie in [0, 1], got {self.dynamic!r}")
 
 
+def partial_gains(bank: PartialBank, field: WignerField, channels=2) -> np.ndarray:
+    """Equal-power channel gains of each partial, shape (n_partials, channels).
+
+    A partial born from a grid cell pans from its cell center; one without
+    a source cell pans from the field centroid, whose moments are taken
+    only when such a partial exists.
+    """
+    bounds = field.grid.bounds
+    centroid = None
+    rows = []
+    for partial in bank.partials:
+        if partial.source_r is not None:
+            rows.append(spatial_gains(partial.source_r, partial.source_p, bounds, channels))
+        else:
+            if centroid is None:
+                m = compute_moments(field)
+                centroid = (m.r0, m.p0)
+            rows.append(spatial_gains(centroid[0], centroid[1], bounds, channels))
+    return np.asarray(rows, dtype=float)
+
+
 def bank_to_events(
     bank: PartialBank,
     field: WignerField,
@@ -59,33 +80,26 @@ def bank_to_events(
 
     Frequencies snap to the quarter-tone lattice around cfg.ref_pitch.
     Per-cell partials keep their own technique (negative cells get the
-    configured negative-region bowing) and pan from their cell center;
-    partials without a source cell share the field's negativity flag and
-    pan from the field centroid. Events are sorted by onset, then pitch.
+    configured negative-region bowing); partials without a source cell
+    share the field's negativity flag. Gains come from partial_gains.
+    Events are sorted by onset, then pitch.
 
     arpeggiate staggers per-cell events by their p index: cells in the
     same p column share an onset and columns step across the bank
     duration, each event keeping the full duration.
     """
-    bounds = field.grid.bounds
     p_centers = field.grid.p_centers
     step = bank.duration / p_centers.size if arpeggiate else 0.0
-    centroid = None
     events = []
-    for partial in bank.partials:
+    for partial, gains in zip(bank.partials, partial_gains(bank, field, channels)):
         freq_q = quantize_quarter_tone(partial.freq, cfg.ref_pitch)
         idx = quarter_tone_index(partial.freq, cfg.ref_pitch)
         if partial.source_r is not None:
             negative = (partial.source_value or 0.0) < 0
-            gains = spatial_gains(partial.source_r, partial.source_p, bounds, channels)
             j_p = int(np.searchsorted(p_centers, partial.source_p))
             onset = step * min(j_p, p_centers.size - 1)
         else:
             negative = bank.negative
-            if centroid is None:
-                m = compute_moments(field)
-                centroid = (m.r0, m.p0)
-            gains = spatial_gains(centroid[0], centroid[1], bounds, channels)
             onset = 0.0
         events.append(
             PitchEvent(

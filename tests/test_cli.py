@@ -263,6 +263,21 @@ class TestArgumentChecks:
         assert capsys.readouterr().err.startswith("error: ")
         assert not any(tmp_path.glob("x.*")) and not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sonify", "--state", "fock:1", "--method", "IV", "--sr", "0"],
+            ["sonify", "--state", "fock:1", "--method", "I", "--sr", "-8000"],
+            ["sweep", "--segments", "0:-1:0.5", "--sr", "0"],
+        ],
+        ids=["sonify-zero", "sonify-negative", "sweep-zero"],
+    )
+    def test_bad_sample_rate_is_named(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.wav"
+        assert cli_main(argv + ["--out", str(out)]) == 2
+        assert "sample rate must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_field_file_is_2(self, tmp_path, capsys):
         fp = tmp_path / "f.csv"
         assert cli_main(["field", "--state", "fock:0", "--out", str(fp)]) == 0

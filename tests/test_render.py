@@ -26,8 +26,28 @@ from quasitone import (
     write_sonogram_csv,
     write_wav,
 )
+from quasitone import render
 
 TARGET_PEAK = 10.0 ** (-1.0 / 20.0)
+
+
+def reference_bank(partials, phases, gains, n, sample_rate):
+    """One np.sin over the whole note per partial and per triangle harmonic."""
+    t = np.arange(n, dtype=float) / sample_rate
+    out = np.zeros((n, gains.shape[1]))
+    for k, partial in enumerate(partials):
+        theta = 2.0 * math.pi * partial.freq * t + phases[k]
+        if partial.waveform == "sine":
+            wave = np.sin(theta)
+        else:
+            wave = np.zeros(n)
+            j, sign = 1, 1.0
+            while partial.freq * j < 0.5 * sample_rate:
+                wave += sign * np.sin(j * theta) / j**2
+                sign, j = -sign, j + 2
+            wave *= 8.0 / math.pi**2
+        out += partial.amp * wave[:, None] * gains[k][None, :]
+    return out
 
 
 def one_partial_bank(freq=440.0, amp=1.0, phase=0.0, waveform="sine", duration=0.5):
@@ -108,6 +128,77 @@ class TestSynth:
         b = synth(one_partial_bank(freq=100.0, phase=math.pi), sample_rate=8000)
         mid = slice(2000, 2100)
         assert np.allclose(a.samples[mid, 0], -b.samples[mid, 0], atol=1e-5)
+
+
+def random_bank(rng, n_partials, waveform, f_lo, f_hi):
+    return tuple(
+        Partial(freq=f, amp=a, phase=ph, waveform=w)
+        for f, a, ph, w in zip(
+            rng.uniform(f_lo, f_hi, n_partials),
+            rng.uniform(0.0, 1.0, n_partials),
+            rng.uniform(0.0, 2 * math.pi, n_partials),
+            [waveform] * n_partials if waveform != "mixed" else ["sine", "triangle"] * n_partials,
+        )
+    )
+
+
+class TestOscillatorKernel:
+    """_accumulate against one np.sin per partial and harmonic."""
+
+    @pytest.mark.parametrize(
+        "waveform, n_partials, f_lo, f_hi, n, channels",
+        [
+            ("sine", 9, 55.0, 3000.0, 3000, 1),
+            ("triangle", 3, 55.0, 300.0, 3000, 2),
+            ("mixed", 4, 30.0, 3000.0, 1000, 4),
+            ("sine", 300, 55.0, 3000.0, 700, 2),  # more components than one chunk
+            ("triangle", 2, 9.0, 12.0, 600, 1),  # 167-222 harmonics each: a chunk ends inside a partial
+            ("triangle", 1, 800.0, 800.0, 500, 1),  # harmonic 5 sits on Nyquist: dropped
+            ("sine", 5, 55.0, 3000.0, 100, 4),  # shorter than one block
+            ("sine", 3, 55.0, 3000.0, 70001, 1),  # more than one span, not a block multiple
+        ],
+    )
+    def test_matches_per_harmonic_sines(self, waveform, n_partials, f_lo, f_hi, n, channels):
+        sr = 8000
+        rng = np.random.default_rng(n_partials * 1000 + n)
+        partials = random_bank(rng, n_partials, waveform, f_lo, f_hi)
+        phases = rng.uniform(0.0, 2 * math.pi, len(partials))
+        gains = rng.uniform(0.0, 1.0, (len(partials), channels))
+        if channels > 1:
+            gains[::2, 0] = 0.0
+            gains[1::3, -1] = 0.0
+        out = np.zeros((n, channels))
+        render._accumulate(partials, phases, gains, out, sr)
+        ref = reference_bank(partials, phases, gains, n, sr)
+        assert float(np.max(np.abs(out - ref))) <= 1e-9
+
+    def test_renders_are_byte_identical(self):
+        rng = np.random.default_rng(7)
+        bank = PartialBank(
+            partials=random_bank(rng, 40, "mixed", 40.0, 3000.0),
+            duration=0.3,
+            method="IV",
+            negative=False,
+        )
+        gains = rng.uniform(0.0, 1.0, (40, 4))
+        a = synth(bank, sample_rate=16000, gains=gains)
+        b = synth(bank, sample_rate=16000, gains=gains)
+        assert a.samples.tobytes() == b.samples.tobytes()
+        traj = SweepTrajectory(((0j, -1.0 + 0j, 0.8),))
+        c = render_sweep(trajectory=traj, sample_rate=8000, channels=2)
+        d = render_sweep(trajectory=traj, sample_rate=8000, channels=2)
+        assert c.samples.tobytes() == d.samples.tobytes()
+
+    @pytest.mark.parametrize("waveform", ["sine", "triangle"])
+    def test_nyquist_raises_before_any_work(self, waveform):
+        # the offending fundamental sits last; nothing may be added first
+        partials = (Partial(freq=100.0, amp=1.0, phase=0.0, waveform=waveform),) * 300 + (
+            Partial(freq=4000.0, amp=1.0, phase=0.0, waveform=waveform),
+        )
+        out = np.full((1000, 2), 3.0)
+        with pytest.raises(NyquistViolation, match="4000.0 Hz"):
+            render._accumulate(partials, np.zeros(301), np.ones((301, 2)), out, 8000)
+        assert np.all(out == 3.0)
 
 
 class TestTrajectory:
@@ -228,6 +319,20 @@ class TestSonogram:
         assert lines[0].startswith(",")
         assert len(lines) == 1 + len(sono.times)
         assert len(lines[1].split(",")) == 1 + len(sono.freqs)
+
+    def test_csv_matches_per_value_format(self, tmp_path):
+        sr = 44100  # times with more than nine digits
+        x = np.zeros((4096, 1), dtype=np.float32)
+        x[2048:, 0] = 0.3 * np.sin(2 * np.pi * 700.0 * np.arange(2048) / sr)
+        sono = stft_sonogram(AudioBuffer(x, sr), window=256, hop=200)
+        assert float(sono.magnitude_db.min()) == -120.0
+        sono.magnitude_db[-1, :4] = [-0.0, 1e-300, 1e21, 123456789.123]
+        path = tmp_path / "sono.csv"
+        write_sonogram_csv(sono, path)
+        lines = ["," + ",".join(format(f, ".9g") for f in sono.freqs)]
+        for t, row in zip(sono.times, sono.magnitude_db):
+            lines.append(format(t, ".9g") + "," + ",".join(format(v, ".9g") for v in row))
+        assert path.read_text() == "\n".join(lines) + "\n"
 
 
 class TestWavIo:

@@ -11,6 +11,7 @@ from quasitone import (
     compute_moments,
     method1_grid,
     method4_moments,
+    partial_gains,
     quantize_quarter_tone,
     read_score,
     sample_field,
@@ -80,6 +81,14 @@ class TestBankToEvents:
         # centroid of the first excited state sits at the middle: equal power
         for ev in events:
             assert ev.gains[0] == pytest.approx(ev.gains[1], abs=1e-9)
+
+    def test_event_gains_are_partial_gains(self, fock1_30_field, cfg):
+        # the score and the sonify renderer pan through one function
+        bank = method1_grid(fock1_30_field, cfg)
+        rows = partial_gains(bank, fock1_30_field, channels=4)
+        assert rows.shape == (len(bank.partials), 4)
+        events = bank_to_events(bank, fock1_30_field, cfg, channels=4)
+        assert sorted(ev.gains for ev in events) == sorted(tuple(r) for r in rows.tolist())
 
     def test_events_sorted(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg, duration=2.0)
