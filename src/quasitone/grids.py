@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import CoverageError, DegenerateMoments, InvalidBounds, IoError
 from .states import StateSpec, evaluate, state_centroid
@@ -122,12 +123,16 @@ def build_regular(r_min, r_max, p_min, p_max, n_r, n_p) -> GridSpec:
 
 def _gaussian_edges(mu, sigma, n, span_sigmas):
     """Equal-probability quantile edges of N(mu, sigma^2) truncated at +-span."""
-    lo = ndtr(-span_sigmas)
-    hi = ndtr(span_sigmas)
-    q = lo + (hi - lo) * np.arange(n + 1) / n
-    edges = mu + sigma * ndtri(q)
-    # the end quantiles are the truncation points by construction
+    lo = 0.5 * math.erfc(span_sigmas / math.sqrt(2.0))
+    hi = 0.5 * math.erfc(-span_sigmas / math.sqrt(2.0))
+    # interior quantiles only: at wide spans the end ones round to 0 and 1,
+    # where the inverse CDF is infinite, and the ends are the truncation
+    # points by construction
+    q = lo + (hi - lo) * np.arange(1, n) / n
+    inv_cdf = statistics.NormalDist().inv_cdf
+    edges = np.empty(n + 1)
     edges[0] = mu - sigma * span_sigmas
+    edges[1:-1] = mu + sigma * np.array([inv_cdf(v) for v in q.tolist()])
     edges[-1] = mu + sigma * span_sigmas
     return edges
 

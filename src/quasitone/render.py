@@ -154,9 +154,14 @@ def _fade_window(n, sample_rate):
 
 
 def _normalized_f32(out):
-    peak = float(np.max(np.abs(out))) if out.size else 0.0
+    """The mix scaled to peak TARGET_PEAK, as float32.
+
+    Scales out in place: a long mix is the largest array of a render, and
+    a scaled copy (or an |out| copy for the peak) would double it.
+    """
+    peak = max(float(out.max()), -float(out.min())) if out.size else 0.0
     if peak > 0.0:
-        out = out * (TARGET_PEAK / peak)
+        out *= TARGET_PEAK / peak
     return out.astype(np.float32)
 
 

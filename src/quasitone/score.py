@@ -19,7 +19,7 @@ from .grids import WignerField
 from .sonify import (
     MapConfig,
     PartialBank,
-    quantize_quarter_tone,
+    quarter_tone_freq,
     quarter_tone_index,
     spatial_gains,
     technique_tag,
@@ -91,9 +91,11 @@ def bank_to_events(
     p_centers = field.grid.p_centers
     step = bank.duration / p_centers.size if arpeggiate else 0.0
     events = []
-    for partial, gains in zip(bank.partials, partial_gains(bank, field, channels)):
-        freq_q = quantize_quarter_tone(partial.freq, cfg.ref_pitch)
-        idx = quarter_tone_index(partial.freq, cfg.ref_pitch)
+    indices = quarter_tone_index([p.freq for p in bank.partials], cfg.ref_pitch)
+    freqs_q = quarter_tone_freq(indices, cfg.ref_pitch)
+    for partial, idx, freq_q, gains in zip(
+        bank.partials, indices.tolist(), freqs_q.tolist(), partial_gains(bank, field, channels)
+    ):
         if partial.source_r is not None:
             negative = (partial.source_value or 0.0) < 0
             j_p = int(np.searchsorted(p_centers, partial.source_p))
@@ -105,8 +107,8 @@ def bank_to_events(
             PitchEvent(
                 onset=float(onset),
                 duration=float(bank.duration),
-                pitch_index=int(idx),
-                freq_hz=float(freq_q),
+                pitch_index=idx,
+                freq_hz=freq_q,
                 dynamic=float(partial.amp),
                 technique=technique_tag(negative, cfg),
                 gains=tuple(float(g) for g in gains),

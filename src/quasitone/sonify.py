@@ -352,8 +352,12 @@ def quantize_quarter_tone(freq, ref_pitch=440.0):
     Applying the map twice returns the identical float: a lattice point
     measures an exactly integral step count, so it maps to itself.
     """
-    idx = np.asarray(quarter_tone_index(freq, ref_pitch), dtype=float)
-    out = ref_pitch * np.exp2(idx / 24.0)
+    return quarter_tone_freq(quarter_tone_index(freq, ref_pitch), ref_pitch)
+
+
+def quarter_tone_freq(idx, ref_pitch=440.0):
+    """Frequency ref_pitch * 2^(idx/24) of lattice index idx."""
+    out = ref_pitch * np.exp2(np.asarray(idx, dtype=float) / 24.0)
     return out if out.ndim else float(out)
 
 

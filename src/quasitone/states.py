@@ -6,11 +6,13 @@ wavefunctions go through the integral transform
 
     W(r, p) = (1/2 pi) Integral dy psi(r + y/2) conj(psi)(r - y/2) e^{-i p y}
 
-computed with composite Simpson quadrature on a spline of the samples.
-Points sharing r share one Simpson node vector; a row of them whose p
-values form a uniform lattice is summed by a chirp-z transform (Rabiner,
-Schafer & Rader 1969), any other point by the dense product with
-e^{-i p y}. Both sum over the same nodes and weights.
+computed with composite Simpson quadrature on a not-a-knot cubic spline
+of the samples. Points sharing r share one Simpson node vector; a row of
+them whose p values form a uniform lattice is summed by a chirp-z
+transform (Rabiner, Schafer & Rader 1969) on numpy's FFT, rows of equal
+length batched into one 2-d FFT, and any other point by the dense product
+with e^{-i p y}. Both sum over the same nodes and weights. Only numpy and
+the standard library are imported.
 
 Every distribution here is normalized to unit signed mass and bounded by
 |W| <= 1/pi, the extremal value reached by minimum-uncertainty states;
@@ -19,12 +21,11 @@ the vacuum is (1/pi) exp(-(r^2 + p^2)) whichever closed form draws it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateShift, QuadratureSpanTooSmall
 
@@ -48,6 +49,11 @@ _TAIL_MASS_LIMIT = 1e-6
 # sit from its uniform lattice point; grid cell centers sit within one.
 _CZT_MIN_POINTS = 8
 _LATTICE_ULPS = 8
+
+# Quadrature nodes per chunk of chirp-z rows: enough rows of a small
+# sample grid to spread numpy's per-call overhead over one 2-d FFT, few
+# enough rows of a large one that each array of the chunk stays in cache.
+_CZT_CHUNK_NODES = 1 << 15
 
 
 # === state descriptions ===
@@ -275,12 +281,14 @@ def wigner_transform(x, psi, r, p):
 
     The y integral runs over the overlap of the shifted copies of the
     sample span and uses composite Simpson weights on roughly twice the
-    sample resolution, with psi interpolated by a cubic spline. r and p
-    broadcast against each other; the result is real. Eight or more points
-    of one r whose p values, in any order, lie on a uniform lattice are
-    summed by chirp-z in O(n log n); other points, such as Gaussian-quantile
-    grids or a single point, by the dense product. The two agree to
-    rounding, a few 1e-15 on the grids this package builds.
+    sample resolution, with psi interpolated by a not-a-knot cubic spline
+    (extended beyond the samples by its end cubics). r and p broadcast
+    against each other; the result is real. Eight or more points of one r
+    whose p values, in any order, lie on a uniform lattice are summed by
+    chirp-z in O(n log n), rows of equal length batched through numpy's
+    FFT; other points, such as Gaussian-quantile grids or a single point,
+    by the dense product. The two agree to rounding, a few 1e-15 on the
+    grids this package builds.
 
     Raises QuadratureSpanTooSmall when more than 1e-6 of the probability
     sits in the outer 5 percent of the span on either side, a proxy for
@@ -300,21 +308,95 @@ def wigner_transform(x, psi, r, p):
     return out if out.ndim else float(out)
 
 
-def _czt(a, m, theta):
-    """Bluestein chirp-z transform X_j = sum_k a_k e^{-i theta j k}, j < m.
+def _spline_coefficients(x, y):
+    """Not-a-knot cubic spline through the samples (x, y), complex y.
 
-    With jk = (j^2 + k^2 - (j - k)^2) / 2 the sum becomes a convolution
-    with the chirp e^{i theta n^2 / 2}, done by FFT at a length of at least
-    n + m - 1 so the circular wrap never reaches the kept outputs.
+    Returns the coefficients of each interval's cubic in powers of
+    (t - x_i), highest first, as four arrays of length x.size - 1. The
+    knot slopes s solve a tridiagonal system: interior rows make the
+    second derivative continuous, the end rows make the third derivative
+    continuous across the second and the second-to-last knot. One forward
+    and one backward sweep (Thomas algorithm) solve it without pivoting.
     """
-    n = a.size
-    size = next_fast_len(n + m - 1)
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    sub = np.zeros(n)
+    diag = np.empty(n)
+    sup = np.zeros(n)
+    rhs = np.empty(n, dtype=complex)
+    # dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
+    #     = 3 (dx_i slope_{i-1} + dx_{i-1} slope_i)
+    sub[1:-1] = dx[1:]
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    sup[1:-1] = dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], sup[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    sub[-1], diag[-1] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    a, b, c, r = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    cp, rp = [0.0] * n, [0j] * n
+    cp[0], rp[0] = c[0] / b[0], r[0] / b[0]
+    for i in range(1, n):
+        w = b[i] - a[i] * cp[i - 1]
+        cp[i] = c[i] / w
+        rp[i] = (r[i] - a[i] * rp[i - 1]) / w
+    for i in range(n - 2, -1, -1):
+        rp[i] -= cp[i] * rp[i + 1]
+    s = np.array(rp)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+
+def _spline_at(x, coef, t):
+    """Evaluate the spline of _spline_coefficients at t, any shape.
+
+    x is uniform, so the interval of t is found by index arithmetic; points
+    outside [x_0, x_-1] take the end intervals' cubics.
+    """
+    step = (x[-1] - x[0]) / (x.size - 1)
+    # truncation rounds toward zero, so t < x_0 lands on 0 after the clip
+    i = np.clip(((t - x[0]) / step).astype(np.intp), 0, x.size - 2)
+    u = t - x[i]
+    c3, c2, c1, c0 = coef
+    return ((c3[i] * u + c2[i]) * u + c1[i]) * u + c0[i]
+
+
+@functools.lru_cache(maxsize=128)
+def _fast_len(target):
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= target, a length pocketfft does fast."""
+    n = target
+    while True:
+        rest = n
+        for f in (2, 3, 5, 7, 11):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _czt(a, m, theta):
+    """Bluestein chirp-z transform of each row of a.
+
+    X_j = sum_k a_k e^{-i theta j k} for j < m, with one theta per row
+    (shape (rows, 1)). With jk = (j^2 + k^2 - (j - k)^2) / 2 the sum becomes
+    a convolution with the chirp e^{i theta n^2 / 2}, done by FFT along the
+    rows at a length of at least n + m - 1 so the circular wrap never
+    reaches the kept outputs.
+    """
+    n = a.shape[-1]
+    size = _fast_len(n + m - 1)
     k = np.arange(max(n, m), dtype=float)
     chirp = np.exp(-0.5j * theta * (k * k))
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:m] = np.conj(chirp[:m])
-    kernel[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
-    return chirp[:m] * ifft(fft(a * chirp[:n], size) * fft(kernel))[:m]
+    kernel = np.zeros((a.shape[0], size), dtype=complex)
+    kernel[:, :m] = np.conj(chirp[:, :m])
+    kernel[:, size - n + 1 :] = np.conj(chirp[:, n - 1 : 0 : -1])
+    spectrum = np.fft.fft(a * chirp[:, :n], size) * np.fft.fft(kernel)
+    return chirp[:, :m] * np.fft.ifft(spectrum)[:, :m]
 
 
 def _p_lattice(ps):
@@ -334,13 +416,28 @@ def _p_lattice(ps):
     return None
 
 
+def _core(x, coef, simpson, r, half_span):
+    """Simpson nodes y over [-half_span, half_span] and the weighted
+    integrand psi(r + y/2) conj(psi)(r - y/2) at them.
+
+    For a batch of rows, r is a (rows, 1) column and half_span a (rows,)
+    vector, and y and the integrand have one row each.
+    """
+    y = np.linspace(-half_span, half_span, simpson.size, axis=-1)
+    h = y[..., 1:2] - y[..., :1]
+    core = _spline_at(x, coef, r + y / 2.0) * np.conj(_spline_at(x, coef, r - y / 2.0))
+    return y, core * (simpson * (h / 3.0))
+
+
 def _transform_points(x, psi, rs, ps):
     """Simpson quadrature of the y integral for flat point lists.
 
     Points sharing r share one Simpson core; see wigner_transform for when
-    a group is summed by chirp-z and when by the dense product.
+    a group is summed by chirp-z and when by the dense product. Lattice
+    rows are collected first, then transformed in chunks of rows of equal
+    length.
     """
-    spline = CubicSpline(x, psi)
+    coef = _spline_coefficients(x, psi)
     n_nodes = 2 * x.size + 1  # odd count, about half the sample spacing
     simpson = np.ones(n_nodes)
     simpson[1:-1:2] = 4.0
@@ -348,6 +445,7 @@ def _transform_points(x, psi, rs, ps):
     out = np.empty(rs.size, dtype=float)
     order = np.argsort(rs, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(rs[order])) + 1) if rs.size else []
+    lattice_rows = {}  # row length -> [(points in p order, r, half_span, p0, dp)]
     for idx in groups:
         r = rs[idx[0]]
         half_span = min(x[-1] - r, r - x[0])
@@ -355,23 +453,27 @@ def _transform_points(x, psi, rs, ps):
             raise QuadratureSpanTooSmall(
                 f"evaluation point r = {r:.4g} lies outside the sample span"
             )
-        y = np.linspace(-half_span, half_span, n_nodes)
-        h = y[1] - y[0]
-        core = spline(r + y / 2.0) * np.conj(spline(r - y / 2.0)) * (simpson * (h / 3.0))
         p = ps[idx]
         lattice = _p_lattice(p)
         if lattice is None:
-            sums = np.exp(-1j * np.outer(p, y)) @ core
+            y, core = _core(x, coef, simpson, r, half_span)
+            out[idx] = (np.exp(-1j * np.outer(p, y)) @ core).real / (2.0 * math.pi)
         else:
+            row, p0, dp = lattice
+            lattice_rows.setdefault(p.size, []).append((idx[row], r, half_span, p0, dp))
+    chunk = max(1, _CZT_CHUNK_NODES // n_nodes)
+    for m, rows in lattice_rows.items():
+        for start in range(0, len(rows), chunk):
+            points, r, half_span, p0, dp = zip(*rows[start : start + chunk])
+            y, core = _core(x, coef, simpson, np.array(r)[:, None], np.array(half_span))
+            half_span, p0, dp = (np.array(v)[:, None] for v in (half_span, p0, dp))
             # y_k = -H + k step, so e^{-i p_j y_k} with p_j = p0 + j dp is
             # e^{-i p0 y_k} e^{i j dp H} e^{-i dp step j k}
-            row, p0, dp = lattice
             step = 2.0 * half_span / (n_nodes - 1)
-            sums = np.empty(p.size, dtype=complex)
-            sums[row] = np.exp(1j * dp * half_span * np.arange(p.size)) * _czt(
-                core * np.exp(-1j * p0 * y), p.size, dp * step
+            sums = np.exp(1j * dp * half_span * np.arange(m)) * _czt(
+                core * np.exp(-1j * p0 * y), m, dp * step
             )
-        out[idx] = sums.real / (2.0 * math.pi)
+            out[np.array(points)] = sums.real / (2.0 * math.pi)
     return out
 
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quasitone
 from quasitone import read_field, read_score, read_wav
 from quasitone.cli import cli_main, parse_grid, parse_state
 from quasitone.states import CatState, CoherentState, FockState, SampledState
@@ -323,3 +326,17 @@ class TestInstalledScript:
             text=True,
         )
         assert res.returncode == 2
+
+    def test_import_leaves_scipy_out(self):
+        # every command pays for what importing the package imports
+        src = str(Path(quasitone.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, quasitone.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert res.stdout.strip() == "[]"

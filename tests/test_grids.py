@@ -90,6 +90,25 @@ class TestBuildGaussian:
         assert np.all(np.diff(g.p_edges) > 0)
         assert g.shape == (33, 17)
 
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_wide_span_ends_clamped(self, n):
+        # at 40 sigma the end quantiles round to 0 and 1, where the inverse
+        # CDF is infinite; only the interior ones may be inverted
+        class M:
+            r0 = 0.5
+            p0 = -1.0
+            sigma_r = 2.0
+            sigma_p = 0.25
+
+        g = build_gaussian(M(), n, n, span_sigmas=40.0)
+        for edges, mu, sigma in ((g.r_edges, M.r0, M.sigma_r), (g.p_edges, M.p0, M.sigma_p)):
+            assert np.all(np.isfinite(edges))
+            assert np.all(np.diff(edges) > 0)
+            assert edges[0] == mu - 40.0 * sigma
+            assert edges[-1] == mu + 40.0 * sigma
+            want = truncated_gaussian_edges(mu, sigma, n, 40.0)
+            assert np.allclose(edges, want, atol=1e-9)
+
     def test_rejects_bad_sigma(self):
         class M:
             r0 = 0.0

@@ -71,6 +71,26 @@ class TestSynth:
         buf = synth(one_partial_bank(), sample_rate=8000)
         assert float(np.max(np.abs(buf.samples))) == pytest.approx(TARGET_PEAK, abs=1e-6)
 
+    @pytest.mark.parametrize("kind", ["positive", "negative", "stereo", "silent", "empty"])
+    def test_normalization_bytes_match_copying_formula(self, kind):
+        # the in-place scaling must give the bytes of scaling a copy by the
+        # largest |sample|, whichever sign the peak has
+        rng = np.random.default_rng(5)
+        mix = {
+            "positive": rng.normal(size=(4001, 1)) + 0.3,
+            "negative": rng.normal(size=(4001, 1)) - 0.3,
+            "stereo": rng.normal(size=(3000, 2)) * np.array([1.0, 7.5]),
+            "silent": np.zeros((100, 1)),
+            "empty": np.zeros((0, 1)),
+        }[kind]
+        if kind == "negative":
+            assert -mix.min() > mix.max()
+        peak = float(np.max(np.abs(mix))) if mix.size else 0.0
+        want = (mix * (TARGET_PEAK / peak) if peak > 0.0 else mix).astype(np.float32)
+        got = render._normalized_f32(mix.copy())
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
     def test_silence_stays_silent(self):
         buf = synth(one_partial_bank(amp=0.0), sample_rate=8000)
         assert float(np.max(np.abs(buf.samples))) == 0.0

@@ -13,6 +13,7 @@ from quasitone import (
     method4_moments,
     partial_gains,
     quantize_quarter_tone,
+    quarter_tone_index,
     read_score,
     sample_field,
     score_to_json,
@@ -89,6 +90,18 @@ class TestBankToEvents:
         assert rows.shape == (len(bank.partials), 4)
         events = bank_to_events(bank, fock1_30_field, cfg, channels=4)
         assert sorted(ev.gains for ev in events) == sorted(tuple(r) for r in rows.tolist())
+
+    def test_lattice_pitch_is_per_partial_quantization(self, fock1_30_field, cfg):
+        # one vectorized pass over the bank gives what the per-partial
+        # functions give, to the bit
+        bank = method1_grid(fock1_30_field, cfg)
+        events = bank_to_events(bank, fock1_30_field, cfg)
+        want = sorted(
+            (quarter_tone_index(p.freq, cfg.ref_pitch), quantize_quarter_tone(p.freq, cfg.ref_pitch))
+            for p in bank.partials
+        )
+        assert sorted((ev.pitch_index, ev.freq_hz) for ev in events) == want
+        assert all(type(ev.pitch_index) is int and type(ev.freq_hz) is float for ev in events)
 
     def test_events_sorted(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg, duration=2.0)

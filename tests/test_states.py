@@ -31,7 +31,13 @@ from quasitone import (
     state_centroid,
     wigner_transform,
 )
-from quasitone.states import _CZT_MIN_POINTS, _p_lattice
+from quasitone.states import (
+    _CZT_MIN_POINTS,
+    _fast_len,
+    _p_lattice,
+    _spline_at,
+    _spline_coefficients,
+)
 
 
 class TestLaguerre:
@@ -312,6 +318,46 @@ class TestChirpZRows:
         R, P = np.meshgrid(grid.r_centers, grid.p_centers, indexing="ij")
         w = sample_field(state, grid).values
         assert np.max(np.abs(w - eval_fock(1, R, P))) < 1e-6
+
+
+class TestSpline:
+    """The not-a-knot spline the transform interpolates the samples with."""
+
+    @staticmethod
+    def _points(x):
+        # every knot, scattered interior points and a little beyond each end
+        h = x[1] - x[0]
+        inside = np.random.default_rng(3).uniform(x[0], x[-1], 5000)
+        return np.concatenate([x, inside, [x[0] - 0.7 * h, x[-1] + 0.7 * h]])
+
+    @pytest.mark.parametrize("nodes, span", [(257, 10.5), (2049, 12.0)])
+    def test_matches_scipy_cubic_spline(self, nodes, span):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        x = np.linspace(-span, span, nodes)
+        # a wavefunction plus a wave that does not decay, so the end
+        # conditions show in the end intervals
+        psi = harmonic_eigenstate(1, x) + 0.6j * _displaced_ground(x, 1.0 + 0.8j)
+        psi = psi + 0.3 * np.exp(0.7j * x) * np.cos(0.9 * x)
+        t = self._points(x)
+        want = interpolate.CubicSpline(x, psi)(t)
+        got = _spline_at(x, _spline_coefficients(x, psi), t)
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_reproduces_a_cubic(self):
+        # a cubic meets the not-a-knot conditions, so it is its own spline,
+        # and the end cubics extend it beyond the knots
+        def cubic(t):
+            return (0.5 - 2j) * t**3 + (1 + 1j) * t**2 - 3.0 * t + 0.25j
+
+        x = np.linspace(-3.0, 2.0, 11)
+        t = self._points(x)
+        got = _spline_at(x, _spline_coefficients(x, cubic(x)), t)
+        assert np.max(np.abs(got - cubic(t))) < 1e-12
+
+    def test_fft_lengths_match_scipy(self):
+        fft = pytest.importorskip("scipy.fft")
+        sizes = range(1, 5000)
+        assert [_fast_len(n) for n in sizes] == [fft.next_fast_len(n) for n in sizes]
 
 
 class TestEvaluateAndCentroid:
