@@ -68,7 +68,6 @@ from .score import PitchEvent, bank_to_events, partial_gains, read_score, score_
 from .sonify import (
     MAX_PARTIALS,
     MapConfig,
-    Partial,
     PartialBank,
     load_map_config,
     method1_grid,

@@ -83,7 +83,8 @@ def compute_moments(field: WignerField) -> MomentSet:
     the standardized third; kurtosis is the raw standardized fourth, so a
     Gaussian scores 3.
     """
-    weights = field.values * field.grid.cell_areas
+    areas = field.grid.cell_areas
+    weights = field.values * areas
     total = float(np.sum(weights))
     if not np.isfinite(total) or total <= MASS_FLOOR:
         raise MassTooLow(f"signed mass {total:.4f} is at or below {MASS_FLOOR}")
@@ -99,7 +100,7 @@ def compute_moments(field: WignerField) -> MomentSet:
         skew_p=skew_p,
         kurt_r=kurt_r,
         kurt_p=kurt_p,
-        negativity=negativity_volume(field),
+        negativity=_negative_mass(field.values, areas),
     )
 
 
@@ -109,7 +110,11 @@ def negativity_volume(field: WignerField) -> float:
     Equals (integral |W| - integral W) / 2 on the sampled mesh and is zero
     for any nonnegative distribution.
     """
-    return float(np.sum(np.maximum(0.0, -field.values) * field.grid.cell_areas))
+    return _negative_mass(field.values, field.grid.cell_areas)
+
+
+def _negative_mass(values, areas) -> float:
+    return float(np.sum(np.maximum(0.0, -values) * areas))
 
 
 def extremes(field: WignerField) -> FieldExtremes:
@@ -151,10 +156,10 @@ def segment_four(field: WignerField) -> ValueSegmentation:
         raise DegenerateRange(f"value range collapsed at {vmin!r}")
     boundaries = vmin + (vmax - vmin) * np.arange(5) / 4.0
     index = np.digitize(v, boundaries[1:4], right=False)
-    areas = field.grid.cell_areas
-    masses = np.array(
-        [float(np.sum(np.abs(v) * areas * (index == k))) for k in range(4)]
-    )
+    # one row per section, each summed pairwise like a full-array sum;
+    # np.bincount would sum sequentially and change the masses' last bits
+    one_hot = index.ravel() == np.arange(4)[:, None]
+    masses = np.sum((np.abs(v) * field.grid.cell_areas).ravel() * one_hot, axis=1)
     return ValueSegmentation(boundaries=boundaries, section_abs_mass=masses, section_index=index)
 
 

@@ -21,6 +21,7 @@ from .grids import (
     coverage,
     default_grid,
     read_field,
+    require_coverage,
     sample_field,
     write_field,
 )
@@ -143,26 +144,19 @@ def _load_cfg(args, base: MapConfig) -> MapConfig:
     return base
 
 
-def _gated_field(state, args):
+def _sampled_field(args):
+    """The --state field on the --grid grid, or on the state's default grid."""
+    state = parse_state(args.state)
     grid = parse_grid(args.grid, state) if args.grid else default_grid(state)
-    field = sample_field(state, grid)
-    cov = coverage(field)
-    if cov < COVERAGE_MIN:
-        raise CoverageError(
-            f"coverage {cov:.4f} below {COVERAGE_MIN}; refusing to render from this grid"
-        )
-    return field, cov
+    return sample_field(state, grid)
 
 
 def _bank_for(method, field, cfg, duration):
-    if method == "I":
-        return method1_grid(field, cfg, duration=duration)
-    if method == "II":
-        return method2_extremes(field, cfg, duration=duration)
-    if method == "III":
-        return method3_sections(field, cfg, duration=duration)
-    duration = cfg.event_duration if duration is None else duration
-    return method4_moments(compute_moments(field), cfg, duration)
+    if method == "IV":
+        return method4_moments(compute_moments(field), cfg, duration)
+    # looked up per call, so that wrappers replacing these names see it
+    mapping = {"I": method1_grid, "II": method2_extremes, "III": method3_sections}[method]
+    return mapping(field, cfg, duration)
 
 
 def _parse_segments(text):
@@ -250,9 +244,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "field":
-        state = parse_state(args.state)
-        grid = parse_grid(args.grid, state) if args.grid else default_grid(state)
-        field = sample_field(state, grid)
+        field = _sampled_field(args)
         cov = coverage(field)
         write_field(field, args.out)
         print(f"coverage {cov:.6f}")
@@ -271,8 +263,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "sonify":
-        state = parse_state(args.state)
-        field, _ = _gated_field(state, args)
+        field = _sampled_field(args)
+        require_coverage(field)
         bank = _checked(_bank_for, args.method, field, cfg, args.duration)
         gains = None if args.channels == 1 else partial_gains(bank, field, args.channels)
         buffer = _checked(synth, bank, sample_rate=args.sr, gains=gains)
@@ -300,8 +292,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "score":
-        state = parse_state(args.state)
-        field, _ = _gated_field(state, args)
+        field = _sampled_field(args)
+        require_coverage(field)
         bank = _checked(_bank_for, args.method, field, cfg, args.duration)
         events = bank_to_events(
             bank, field, cfg, channels=args.channels, arpeggiate=args.arpeggiate

@@ -1,10 +1,11 @@
 """Audio rendering: additive synthesis, the long sweep, sonograms, WAV I/O.
 
 synth and every frame of render_sweep go through one oscillator kernel,
-_accumulate: each partial becomes sine components (a triangle becomes its
-odd harmonics below Nyquist), and the components are summed by block
-phasor rotation in float64, a fixed chunk of components at a time, then
-cast to float32 at the very end. The summation order depends only on the
+_accumulate, which takes a bank's frequency, amplitude and triangle-flag
+arrays: each partial becomes sine components (a triangle becomes its odd
+harmonics below Nyquist), and the components are summed by block phasor
+rotation in float64, a fixed chunk of components at a time, then cast to
+float32 at the very end. The summation order depends only on the
 bank, so the same bank renders to the same bytes on every run.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from .analysis import compute_moments
 from .errors import BufferTooShort, IoError, NyquistViolation, UnsupportedFormat
 from .grids import GridSpec, default_grid, sample_field
-from .sonify import TAU, WAVE_SINE, MapConfig, PartialBank, method4_moments, spatial_gains
+from .sonify import TAU, MapConfig, PartialBank, method4_moments, spatial_gains
 from .states import EPS_SHIFT, CatState, FockState
 
 DEFAULT_SAMPLE_RATE = 48000
@@ -77,7 +78,7 @@ _CHUNK = 256
 _SPAN = 256 * _BLOCK
 
 
-def _components(partials, phases, sample_rate):
+def _components(freq, amp, triangle, phases, sample_rate):
     """The bank as sine components: owner partial, radians per sample,
     amplitude and starting phase of each.
 
@@ -86,38 +87,37 @@ def _components(partials, phases, sample_rate):
     amplitude a * (8 / pi^2) * (-1)^((j - 1) / 2) / j^2 and phase j * phi.
     """
     nyquist = 0.5 * sample_rate
-    freqs = np.array([p.freq for p in partials], dtype=float)
-    too_high = freqs >= nyquist
+    too_high = freq >= nyquist
     if np.any(too_high):
-        f = float(freqs[np.argmax(too_high)])
+        f = float(freq[np.argmax(too_high)])
         raise NyquistViolation(f"partial at {f:.1f} Hz needs a rate above {2 * f:.0f} Hz")
-    triangle = np.array([p.waveform != WAVE_SINE for p in partials], dtype=bool)
     # enough odd j to pass Nyquist; the exact cut is the f * j test below
-    counts = np.where(triangle, (np.floor(nyquist / freqs).astype(int) + 2) // 2, 1)
-    owner = np.repeat(np.arange(len(partials)), counts)
+    counts = np.where(triangle, (np.floor(nyquist / freq).astype(int) + 2) // 2, 1)
+    owner = np.repeat(np.arange(freq.size), counts)
     first = np.repeat(np.cumsum(counts) - counts, counts)
     j = 2 * (np.arange(owner.size) - first) + 1
-    keep = freqs[owner] * j < nyquist
+    keep = freq[owner] * j < nyquist
     owner, j = owner[keep], j[keep]
     harmonic = np.where((j // 2) % 2 == 0, 1.0, -1.0) * (8.0 / math.pi**2) / j.astype(float) ** 2
-    amps = np.array([p.amp for p in partials], dtype=float)[owner]
-    amps = amps * np.where(triangle[owner], harmonic, 1.0)
-    omega = 2.0 * math.pi * freqs[owner] * j / sample_rate
-    return owner, omega, amps, np.asarray(phases, dtype=float)[owner] * j
+    amps = amp[owner] * np.where(triangle[owner], harmonic, 1.0)
+    omega = 2.0 * math.pi * freq[owner] * j / sample_rate
+    return owner, omega, amps, phases[owner] * j
 
 
-def _accumulate(partials, phases, gains, out, sample_rate):
+def _accumulate(freq, amp, triangle, phases, gains, out, sample_rate):
     """Add the oscillator bank to out (n, channels), float64.
 
-    Partial k starts at phases[k] radians and reaches channel c with
-    gains[k, c]. Every sine component renders by block phasor rotation:
+    Partial k plays at freq[k] Hz and amplitude amp[k], as a triangle
+    where triangle[k] is true. It starts at phases[k] radians and reaches
+    channel c with gains[k, c]. Every sine component renders by block
+    phasor rotation:
     sample b * _BLOCK + i is Im(sum_k exp(i w_k i) * C[k, b, c]) with
     C[k, b, c] = a_k g_kc exp(i (w_k b _BLOCK + phi_k)). The block-start
     phases are computed directly, so no rounding error builds up from
     block to block, and the sum over components is one real matrix
     product per chunk. Raises NyquistViolation before anything is added.
     """
-    owner, omega, amps, phi = _components(partials, phases, sample_rate)
+    owner, omega, amps, phi = _components(freq, amp, triangle, phases, sample_rate)
     n, n_ch = out.shape
     i = np.arange(_BLOCK, dtype=float)
     for lo in range(0, omega.size, _CHUNK):
@@ -178,7 +178,7 @@ def synth(bank: PartialBank, sample_rate=DEFAULT_SAMPLE_RATE, gains=None) -> Aud
     n = int(round(bank.duration * sample_rate))
     if n < 1:
         raise ValueError("bank too short to render a single sample")
-    n_partials = len(bank.partials)
+    n_partials = bank.freq.size
     if gains is None:
         gains = np.ones((n_partials, 1), dtype=float)
     else:
@@ -186,7 +186,7 @@ def synth(bank: PartialBank, sample_rate=DEFAULT_SAMPLE_RATE, gains=None) -> Aud
         if gains.shape[0] != n_partials or gains.ndim != 2:
             raise ValueError(f"gains must be (n_partials, channels), got {gains.shape}")
     out = np.zeros((n, gains.shape[1]), dtype=float)
-    _accumulate(bank.partials, [p.phase for p in bank.partials], gains, out, sample_rate)
+    _accumulate(bank.freq, bank.amp, bank.triangle, bank.phase, gains, out, sample_rate)
     out *= _fade_window(n, sample_rate)[:, None]
     return AudioBuffer(_normalized_f32(out), sample_rate)
 
@@ -308,19 +308,18 @@ def render_sweep(
         field = sample_field(state, grid if grid is not None else default_grid(state))
         moments = compute_moments(field)
         bank = method4_moments(moments, cfg, duration=frame_seconds)
-        phases = (np.array([p.phase for p in bank.partials]) + phases) % TAU
+        phases = (bank.phase + phases) % TAU
         if channels == 1:
             frame_gains = np.ones((cfg.n_osc, 1), dtype=float)
         else:
             g = spatial_gains(moments.r0, moments.p0, pan_bounds, channels)
-            frame_gains = np.tile(np.asarray(g, dtype=float), (cfg.n_osc, 1))
+            frame_gains = np.broadcast_to(g, (cfg.n_osc, channels))
         frame = np.zeros((n_frame, channels), dtype=float)
-        _accumulate(bank.partials, phases, frame_gains, frame, sample_rate)
+        _accumulate(bank.freq, bank.amp, bank.triangle, phases, frame_gains, frame, sample_rate)
         frame *= window[:, None]
         stop = min(start + n_frame, n_total)
         out[start:stop] += frame[: stop - start]
-        freqs = np.array([p.freq for p in bank.partials])
-        phases = (phases + TAU * freqs * hop_seconds) % TAU
+        phases = (phases + TAU * bank.freq * hop_seconds) % TAU
         start += hop
     return AudioBuffer(_normalized_f32(out), sample_rate)
 

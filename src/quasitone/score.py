@@ -51,22 +51,16 @@ class PitchEvent:
 def partial_gains(bank: PartialBank, field: WignerField, channels=2) -> np.ndarray:
     """Equal-power channel gains of each partial, shape (n_partials, channels).
 
-    A partial born from a grid cell pans from its cell center; one without
-    a source cell pans from the field centroid, whose moments are taken
-    only when such a partial exists.
+    Partials born from grid cells pan from their cell centers; a bank
+    without source cells pans every partial from the field centroid,
+    whose moments are taken only then.
     """
-    bounds = field.grid.bounds
-    centroid = None
-    rows = []
-    for partial in bank.partials:
-        if partial.source_r is not None:
-            rows.append(spatial_gains(partial.source_r, partial.source_p, bounds, channels))
-        else:
-            if centroid is None:
-                m = compute_moments(field)
-                centroid = (m.r0, m.p0)
-            rows.append(spatial_gains(centroid[0], centroid[1], bounds, channels))
-    return np.asarray(rows, dtype=float)
+    if bank.source_r is not None:
+        r, p = bank.source_r, bank.source_p
+    else:
+        m = compute_moments(field)
+        r, p = np.broadcast_to(m.r0, bank.freq.shape), np.broadcast_to(m.p0, bank.freq.shape)
+    return spatial_gains(r, p, field.grid.bounds, channels)
 
 
 def bank_to_events(
@@ -82,40 +76,35 @@ def bank_to_events(
     Per-cell partials keep their own technique (negative cells get the
     configured negative-region bowing); partials without a source cell
     share the field's negativity flag. Gains come from partial_gains.
-    Events are sorted by onset, then pitch.
+    Events are sorted by onset, then pitch, then descending dynamic, then
+    gains; ties keep bank order.
 
     arpeggiate staggers per-cell events by their p index: cells in the
     same p column share an onset and columns step across the bank
     duration, each event keeping the full duration.
     """
-    p_centers = field.grid.p_centers
-    step = bank.duration / p_centers.size if arpeggiate else 0.0
-    events = []
-    indices = quarter_tone_index([p.freq for p in bank.partials], cfg.ref_pitch)
+    n = bank.freq.size
+    indices = quarter_tone_index(bank.freq, cfg.ref_pitch)
     freqs_q = quarter_tone_freq(indices, cfg.ref_pitch)
-    for partial, idx, freq_q, gains in zip(
-        bank.partials, indices.tolist(), freqs_q.tolist(), partial_gains(bank, field, channels)
-    ):
-        if partial.source_r is not None:
-            negative = (partial.source_value or 0.0) < 0
-            j_p = int(np.searchsorted(p_centers, partial.source_p))
-            onset = step * min(j_p, p_centers.size - 1)
-        else:
-            negative = bank.negative
-            onset = 0.0
-        events.append(
-            PitchEvent(
-                onset=float(onset),
-                duration=float(bank.duration),
-                pitch_index=idx,
-                freq_hz=freq_q,
-                dynamic=float(partial.amp),
-                technique=technique_tag(negative, cfg),
-                gains=tuple(float(g) for g in gains),
-            )
-        )
-    events.sort(key=lambda e: (e.onset, e.pitch_index, -e.dynamic, e.gains))
-    return tuple(events)
+    gains = partial_gains(bank, field, channels)
+    if bank.source_r is not None:
+        negative = bank.source_value < 0
+        p_centers = field.grid.p_centers
+        step = bank.duration / p_centers.size if arpeggiate else 0.0
+        column = np.minimum(np.searchsorted(p_centers, bank.source_p), p_centers.size - 1)
+        onset = step * column
+    else:
+        negative = np.full(n, bank.negative)
+        onset = np.zeros(n)
+    technique = np.where(negative, technique_tag(True, cfg), technique_tag(False, cfg))
+    # np.lexsort's last key is the primary one; it is stable, as list.sort is
+    order = np.lexsort((*gains.T[::-1], -bank.amp, indices, onset))
+    duration = float(bank.duration)
+    columns = (onset, indices, freqs_q, bank.amp, technique, gains)
+    return tuple(
+        PitchEvent(t, duration, idx, f, a, tech, tuple(g))
+        for t, idx, f, a, tech, g in zip(*(c[order].tolist() for c in columns))
+    )
 
 
 def _event_payload(event: PitchEvent) -> dict:

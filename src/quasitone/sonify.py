@@ -8,6 +8,10 @@ Four mappings are provided, ordered by how much structure they keep:
   IV   an odd count of partials under a Gaussian spectral envelope whose
        center and width follow the field's first and second moments
 
+A PartialBank holds its partials as parallel arrays (frequency,
+amplitude, phase, waveform flag and optional source cell), validated
+once when the bank is built; every consumer reads those arrays whole.
+
 Alongside the mappings live the quarter-tone quantizer, the technique tag
 for negative regions, and equal-power spatial panning, which the score
 layer combines into pitch events.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,45 +124,70 @@ def load_map_config(path, base: MapConfig | None = None) -> MapConfig:
     return replace(base or MapConfig(), **overrides)
 
 
-@dataclass(frozen=True)
-class Partial:
-    """One steady partial: frequency in Hz, amplitude in [0,1], phase in radians.
-
-    Partials born from a grid cell remember the cell center and sampled
-    value so the score layer can pan and tag them later.
-    """
+class Partial(NamedTuple):
+    """One unvalidated record of the PartialBank.partials view."""
 
     freq: float
     amp: float
     phase: float
-    waveform: str = WAVE_SINE
-    source_r: float | None = None
-    source_p: float | None = None
-    source_value: float | None = None
-
-    def __post_init__(self):
-        if not (np.isfinite(self.freq) and self.freq > 0):
-            raise ValueError(f"frequency must be positive and finite, got {self.freq!r}")
-        if not (0.0 <= self.amp <= 1.0):
-            raise ValueError(f"amplitude must lie in [0, 1], got {self.amp!r}")
-        if self.waveform not in (WAVE_SINE, WAVE_TRIANGLE):
-            raise ValueError(f"waveform must be 'sine' or 'triangle', got {self.waveform!r}")
+    waveform: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialBank:
-    """Partials plus the context needed to render or transcribe them."""
+    """Partials as arrays plus the context needed to render or transcribe them.
 
-    partials: tuple[Partial, ...]
+    Partial k plays at freq[k] Hz, amplitude amp[k] in [0, 1] and starting
+    phase phase[k] radians, as a band-limited triangle where triangle[k] is
+    true and as a sine otherwise. Banks born from grid cells also carry
+    each cell center (source_r, source_p) and sampled value (source_value)
+    so the score layer can pan and tag them; the three come together or
+    not at all.
+    """
+
+    freq: np.ndarray
+    amp: np.ndarray
+    phase: np.ndarray
+    triangle: np.ndarray
     duration: float
     method: str
     negative: bool
+    source_r: np.ndarray | None = None
+    source_p: np.ndarray | None = None
+    source_value: np.ndarray | None = None
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.method not in ("I", "II", "III", "IV"):
             raise ValueError(f"method must be I, II, III, or IV, got {self.method!r}")
+        names = ["freq", "amp", "phase", "triangle"]
+        sources = [self.source_r, self.source_p, self.source_value]
+        if any(s is not None for s in sources):
+            if any(s is None for s in sources):
+                raise ValueError("source_r, source_p and source_value come together")
+            names += ["source_r", "source_p", "source_value"]
+        for name in names:
+            a = np.array(getattr(self, name), dtype=bool if name == "triangle" else float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        shapes = {name: getattr(self, name).shape for name in names}
+        if self.freq.ndim != 1 or len(set(shapes.values())) != 1:
+            raise ValueError(f"partial arrays must be 1-D of one length, got {shapes}")
+        bad = self.freq[~(np.isfinite(self.freq) & (self.freq > 0))]
+        if bad.size:
+            raise ValueError(f"frequency must be positive and finite, got {float(bad[0])!r}")
+        bad = self.amp[~((self.amp >= 0.0) & (self.amp <= 1.0))]
+        if bad.size:
+            raise ValueError(f"amplitude must lie in [0, 1], got {float(bad[0])!r}")
+
+    @property
+    def partials(self) -> tuple[Partial, ...]:
+        """The bank as per-partial records; the benchmark's tracer reads them."""
+        waveform = np.where(self.triangle, WAVE_TRIANGLE, WAVE_SINE).tolist()
+        return tuple(
+            map(Partial, self.freq.tolist(), self.amp.tolist(), self.phase.tolist(), waveform)
+        )
 
 
 def _exp_freq_map(t, cfg: MapConfig):
@@ -174,6 +204,20 @@ def _normalize(coords):
     return (np.asarray(coords, dtype=float) - lo) / (hi - lo)
 
 
+def _uniform_bank(freq, amp, cfg: MapConfig, duration, method, negative) -> PartialBank:
+    """Bank of zero-phase partials in cfg's waveform."""
+    n = freq.size
+    return PartialBank(
+        freq=freq,
+        amp=amp,
+        phase=np.zeros(n),
+        triangle=np.full(n, cfg.waveform == WAVE_TRIANGLE),
+        duration=float(duration if duration is not None else cfg.event_duration),
+        method=method,
+        negative=bool(negative),
+    )
+
+
 def method1_grid(field: WignerField, cfg: MapConfig, duration: float | None = None) -> PartialBank:
     """One partial per cell: position sets pitch and phase, value sets level.
 
@@ -182,49 +226,42 @@ def method1_grid(field: WignerField, cfg: MapConfig, duration: float | None = No
     starting phase. Amplitude is |value| / max |value| and a negative cell
     flips its partial by half a cycle. When the grid holds more than 900
     cells only the 900 largest magnitudes survive, ties resolved toward
-    the lexicographically lowest (r, p).
+    the lexicographically lowest (r, p). Partials are always sines, in
+    row-major cell order.
     """
     v = field.values
     if v.size == 0:
         raise EmptyField("cannot map a field with no cells")
-    rc = field.grid.r_centers
-    pc = field.grid.p_centers
-    if cfg.freq_axis == "r":
-        f_of_cell = _exp_freq_map(_normalize(rc), cfg)[:, None] * np.ones((1, pc.size))
-        ph_of_cell = np.ones((rc.size, 1)) * (TAU * _normalize(pc))[None, :]
-    else:
-        f_of_cell = np.ones((rc.size, 1)) * _exp_freq_map(_normalize(pc), cfg)[None, :]
-        ph_of_cell = (TAU * _normalize(rc))[:, None] * np.ones((1, pc.size))
     vmax = float(np.max(np.abs(v)))
     if vmax == 0.0:
         raise EmptyField("cannot map a field whose values are all zero")
-    amp = np.abs(v) / vmax
-    phase = np.where(v < 0, ph_of_cell + math.pi, ph_of_cell) % TAU
+    rc = field.grid.r_centers
+    pc = field.grid.p_centers
 
     i_idx, j_idx = np.unravel_index(np.arange(v.size), v.shape)
     if v.size > MAX_PARTIALS:
         # primary key loudness, then ascending (r, p) for determinism
         order = np.lexsort((j_idx, i_idx, -np.abs(v).ravel()))[:MAX_PARTIALS]
         order = np.sort(order)  # keep row-major output order
+        i_idx, j_idx = i_idx[order], j_idx[order]
+    value = v[i_idx, j_idx]
+    if cfg.freq_axis == "r":
+        freq = _exp_freq_map(_normalize(rc), cfg)[i_idx]
+        phase = TAU * _normalize(pc)[j_idx]
     else:
-        order = np.arange(v.size)
-    partials = tuple(
-        Partial(
-            freq=float(np.clip(f_of_cell[i, j], cfg.f_lo, cfg.f_hi)),
-            amp=float(amp[i, j]),
-            phase=float(phase[i, j]),
-            waveform=WAVE_SINE,
-            source_r=float(rc[i]),
-            source_p=float(pc[j]),
-            source_value=float(v[i, j]),
-        )
-        for i, j in zip(i_idx[order], j_idx[order])
-    )
+        freq = _exp_freq_map(_normalize(pc), cfg)[j_idx]
+        phase = TAU * _normalize(rc)[i_idx]
     return PartialBank(
-        partials=partials,
+        freq=np.clip(freq, cfg.f_lo, cfg.f_hi),
+        amp=np.abs(value) / vmax,
+        phase=np.where(value < 0, phase + math.pi, phase) % TAU,
+        triangle=np.zeros(value.size, dtype=bool),
         duration=float(duration if duration is not None else cfg.event_duration),
         method="I",
         negative=bool(np.any(v < 0)),
+        source_r=rc[i_idx],
+        source_p=pc[j_idx],
+        source_value=value,
     )
 
 
@@ -242,23 +279,11 @@ def method2_extremes(field: WignerField, cfg: MapConfig, duration: float | None 
     if vmax <= vmin:
         raise DegenerateRange(f"field extremes coincide at {vmin!r}")
     bound = PEAK_BOUND
-    span = cfg.f_hi - cfg.f_lo
-
-    def freq_of(value):
-        t = (np.clip(value, -bound, bound) + bound) / (2.0 * bound)
-        return float(cfg.f_lo + span * t)
-
-    biggest = max(abs(vmin), abs(vmax))
-    partials = tuple(
-        Partial(freq=freq_of(v), amp=abs(v) / biggest, phase=0.0, waveform=cfg.waveform)
-        for v in (vmin, vmax)
-    )
-    return PartialBank(
-        partials=partials,
-        duration=float(duration if duration is not None else cfg.event_duration),
-        method="II",
-        negative=bool(vmin < 0),
-    )
+    extremes = np.array([vmin, vmax])
+    t = (np.clip(extremes, -bound, bound) + bound) / (2.0 * bound)
+    freq = cfg.f_lo + (cfg.f_hi - cfg.f_lo) * t
+    amp = np.abs(extremes) / max(abs(vmin), abs(vmax))
+    return _uniform_bank(freq, amp, cfg, duration, "II", vmin < 0)
 
 
 def method3_sections(field: WignerField, cfg: MapConfig, duration: float | None = None) -> PartialBank:
@@ -271,26 +296,13 @@ def method3_sections(field: WignerField, cfg: MapConfig, duration: float | None 
     """
     seg = segment_four(field)
     peak = float(np.max(seg.section_abs_mass))
-    freqs = _exp_freq_map(np.arange(4) / 3.0, cfg)
-    partials = tuple(
-        Partial(
-            freq=float(np.clip(freqs[k], cfg.f_lo, cfg.f_hi)),
-            amp=float(seg.section_abs_mass[k] / peak) if peak > 0 else 0.0,
-            phase=0.0,
-            waveform=cfg.waveform,
-        )
-        for k in range(4)
-    )
-    return PartialBank(
-        partials=partials,
-        duration=float(duration if duration is not None else cfg.event_duration),
-        method="III",
-        negative=bool(np.min(field.values) < 0),
-    )
+    freq = np.clip(_exp_freq_map(np.arange(4) / 3.0, cfg), cfg.f_lo, cfg.f_hi)
+    amp = seg.section_abs_mass / peak if peak > 0 else np.zeros(4)
+    return _uniform_bank(freq, amp, cfg, duration, "III", np.min(field.values) < 0)
 
 
 def method4_moments(
-    moments: MomentSet, cfg: MapConfig, duration: float, negative: bool | None = None
+    moments: MomentSet, cfg: MapConfig, duration: float | None = None, negative: bool | None = None
 ) -> PartialBank:
     """Odd bank of partials under a Gaussian spectral envelope.
 
@@ -302,7 +314,8 @@ def method4_moments(
 
     Nominal positions falling outside [f_lo, f_hi] are clipped to the
     band edge; amplitudes keep the nominal Gaussian profile so the
-    envelope stays symmetric.
+    envelope stays symmetric. duration defaults to cfg.event_duration and
+    negative to whether the moments report any negativity.
     """
     sigma_r = moments.sigma_r
     if not (np.isfinite(sigma_r) and sigma_r > 0):
@@ -312,23 +325,15 @@ def method4_moments(
     anchor = moments.r0 if cfg.f0_mode == "r0" else sigma_r
     f0 = cfg.f0_base + cfg.f0_slope * anchor
     spacing = 6.0 * sigma_f / (n - 1) if n > 1 else 0.0
-    half = (n - 1) // 2
-    partials = []
-    for k in range(n):
-        offset = (k - half) * spacing
-        partials.append(
-            Partial(
-                freq=float(np.clip(f0 + offset, cfg.f_lo, cfg.f_hi)),
-                amp=float(np.exp(-(offset**2) / (2.0 * sigma_f**2))),
-                phase=0.0,
-                waveform=cfg.waveform,
-            )
-        )
+    offset = (np.arange(n) - (n - 1) // 2) * spacing
+    freq = np.clip(f0 + offset, cfg.f_lo, cfg.f_hi)
+    # float_power squares through libm pow, as a Python float ** 2 does; the
+    # correctly rounded offset**2 differs from it in the last bit of some
+    # offsets, which would move a sweep's samples
+    amp = np.exp(-np.float_power(offset, 2) / (2.0 * sigma_f**2))
     if negative is None:
         negative = moments.negativity > 0
-    return PartialBank(
-        partials=tuple(partials), duration=float(duration), method="IV", negative=bool(negative)
-    )
+    return _uniform_bank(freq, amp, cfg, duration, "IV", negative)
 
 
 # === pitch lattice, technique, panning ===
@@ -367,33 +372,32 @@ def technique_tag(negative: bool, cfg: MapConfig) -> str:
 
 
 def spatial_gains(r, p, bounds, channels=2):
-    """Equal-power channel gains for a point in a bounding rectangle.
+    """Equal-power channel gains for points in a bounding rectangle.
 
-    bounds is (r_min, r_max, p_min, p_max). Stereo pans on r alone:
-    r_min is hard left. Quad places the point bilinearly with channel
-    order (r_min,p_min), (r_max,p_min), (r_min,p_max), (r_max,p_max).
-    The squared gains always sum to 1, so total power is position
-    independent.
+    r and p are scalars or arrays of one shape; the result has that shape
+    plus a trailing channel axis. bounds is (r_min, r_max, p_min, p_max).
+    Stereo pans on r alone: r_min is hard left. Quad places the point
+    bilinearly with channel order (r_min,p_min), (r_max,p_min),
+    (r_min,p_max), (r_max,p_max). The squared gains always sum to 1, so
+    total power is position independent.
     """
     r_min, r_max, p_min, p_max = (float(b) for b in bounds)
     if not (r_min < r_max and p_min < p_max):
         raise ValueError(f"degenerate bounds {bounds!r}")
-    if not (r_min <= r <= r_max and p_min <= p <= p_max):
-        raise OutOfBounds(f"point ({r}, {p}) outside {bounds}")
+    r, p = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(p, dtype=float))
+    outside = ~((r_min <= r) & (r <= r_max) & (p_min <= p) & (p <= p_max))
+    if np.any(outside):
+        k = np.argmax(outside)
+        raise OutOfBounds(f"point ({r.flat[k]}, {p.flat[k]}) outside {bounds}")
     u = (r - r_min) / (r_max - r_min)
     v = (p - p_min) / (p_max - p_min)
     if channels == 1:
-        return (1.0,)
+        return np.ones(u.shape + (1,))
+    a = 0.5 * math.pi * u
     if channels == 2:
-        a = 0.5 * math.pi * u
-        return (math.cos(a), math.sin(a))
+        return np.stack([np.cos(a), np.sin(a)], axis=-1)
     if channels == 4:
-        a = 0.5 * math.pi * u
         b = 0.5 * math.pi * v
-        return (
-            math.cos(a) * math.cos(b),
-            math.sin(a) * math.cos(b),
-            math.cos(a) * math.sin(b),
-            math.sin(a) * math.sin(b),
-        )
+        ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+        return np.stack([ca * cb, sa * cb, ca * sb, sa * sb], axis=-1)
     raise ValueError(f"channels must be 1, 2, or 4, got {channels!r}")

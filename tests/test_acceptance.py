@@ -173,8 +173,8 @@ def test_criterion_08_grid_method_cardinality():
     cfg = MapConfig()
     f30 = sample_field(FockState(1), build_regular(-5, 5, -5, 5, 30, 30))
     f64 = sample_field(FockState(1), build_regular(-5, 5, -5, 5, 64, 64))
-    n30 = len(method1_grid(f30, cfg).partials)
-    n64 = len(method1_grid(f64, cfg).partials)
+    n30 = method1_grid(f30, cfg).freq.size
+    n64 = method1_grid(f64, cfg).freq.size
     ok = n30 == 900 and n64 == 900
     report(8, ok, f"partials: 30x30 -> {n30}, 64x64 top-selection -> {n64}")
     assert n30 == 900
@@ -185,7 +185,7 @@ def test_criterion_09_envelope_method_shape():
     cfg = MapConfig()
     f1 = sample_field(FockState(1), build_regular(-6, 6, -6, 6, 256, 256))
     bank = method4_moments(compute_moments(f1), cfg, 4.0)
-    amps = [p.amp for p in bank.partials]
+    amps = bank.amp.tolist()
     n = len(amps)
     sym_err = max(abs(amps[k] - amps[n - 1 - k]) for k in range(n))
     center_ok = int(np.argmax(amps)) == n // 2
@@ -247,7 +247,7 @@ def _sweep_state_probe(delta_alpha):
     state = FockState(1) if abs(delta_alpha) <= 1e-3 else CatState(delta_alpha)
     moments = compute_moments(sample_field(state, default_grid(state)))
     bank = method4_moments(moments, MapConfig(f0_mode="sigma_r"), 1.0)
-    freqs = [p.freq for p in bank.partials]
+    freqs = bank.freq.tolist()
     f0 = 220.0 + 110.0 * moments.sigma_r
     sf = 80.0 * moments.sigma_r
     return freqs, (f0 - 3.5 * sf, f0 + 3.5 * sf)
@@ -311,10 +311,11 @@ def test_criterion_12_technique_tagging():
     bank = method1_grid(field, cfg)
     mismatch = 0
     n_inside = 0
-    for p in bank.partials:
-        inside = p.source_r**2 + p.source_p**2 < 0.5
+    cells = zip(bank.source_r.tolist(), bank.source_p.tolist(), bank.source_value.tolist())
+    for r, p, value in cells:
+        inside = r**2 + p**2 < 0.5
         n_inside += inside
-        if inside != (p.source_value < 0):
+        if inside != (value < 0):
             mismatch += 1
     events = bank_to_events(bank, field, cfg)
     n_sul = sum(1 for ev in events if ev.technique == "sul_ponticello")

@@ -310,6 +310,56 @@ class TestArgumentChecks:
         assert configured.read_bytes() == plain.read_bytes()
 
 
+def _traced_metrics(argv):
+    """Run one command with the benchmark's layer tracer installed in this
+    process; return its per-layer metrics and span names. The modules'
+    replaced names are put back afterwards."""
+    import importlib.util
+
+    from quasitone import cli, grids, render, score, states
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    modules = (cli, grids, render, score, states)
+    saved = [dict(vars(m)) for m in modules]
+    tracer = layers.Tracer()
+    try:
+        layers.install(tracer)
+        assert cli.cli_main(argv) == 0
+    finally:
+        for module, names in zip(modules, saved):
+            vars(module).update(names)
+    return layers.layer_metrics(tracer.spans), {span[0] for span in tracer.spans}
+
+
+class TestBenchmarkTracer:
+    """The benchmark counts partials and oscillator work through
+    PartialBank.partials; these runs keep that view working."""
+
+    def test_mapping_one_counts(self, tmp_path):
+        metrics, names = _traced_metrics(
+            ["sonify", "--state", "fock:1", "--method", "I", "--duration", "0.05",
+             "--sr", "16000", "--out", str(tmp_path / "one.wav")]
+        )
+        assert metrics["sonify.partials"] == 900
+        assert metrics["render.osc_sample_ops"] == 900 * 800
+        assert "render.synth_sine" in names
+
+    def test_triangle_counts(self, tmp_path):
+        cfg_path = tmp_path / "triangle.cfg"
+        cfg_path.write_text("waveform=triangle\n")
+        metrics, names = _traced_metrics(
+            ["sonify", "--state", "fock:1", "--method", "IV", "--config", str(cfg_path),
+             "--duration", "0.05", "--sr", "16000", "--out", str(tmp_path / "tri.wav")]
+        )
+        assert metrics["sonify.partials"] == 21
+        # each triangle adds its odd harmonics below Nyquist
+        assert metrics["render.osc_sample_ops"] > 21 * 800
+        assert "render.synth_triangle" in names
+
+
 class TestInstalledScript:
     def test_entry_point_exit_codes(self, tmp_path):
         res = subprocess.run(

@@ -10,7 +10,6 @@ from quasitone import (
     FockState,
     MapConfig,
     NyquistViolation,
-    Partial,
     PartialBank,
     SweepTrajectory,
     UnsupportedFormat,
@@ -31,28 +30,31 @@ from quasitone import render
 TARGET_PEAK = 10.0 ** (-1.0 / 20.0)
 
 
-def reference_bank(partials, phases, gains, n, sample_rate):
+def reference_bank(bank, phases, gains, n, sample_rate):
     """One np.sin over the whole note per partial and per triangle harmonic."""
     t = np.arange(n, dtype=float) / sample_rate
     out = np.zeros((n, gains.shape[1]))
-    for k, partial in enumerate(partials):
-        theta = 2.0 * math.pi * partial.freq * t + phases[k]
-        if partial.waveform == "sine":
+    for k, (freq, amp, triangle) in enumerate(zip(bank.freq, bank.amp, bank.triangle)):
+        theta = 2.0 * math.pi * freq * t + phases[k]
+        if not triangle:
             wave = np.sin(theta)
         else:
             wave = np.zeros(n)
             j, sign = 1, 1.0
-            while partial.freq * j < 0.5 * sample_rate:
+            while freq * j < 0.5 * sample_rate:
                 wave += sign * np.sin(j * theta) / j**2
                 sign, j = -sign, j + 2
             wave *= 8.0 / math.pi**2
-        out += partial.amp * wave[:, None] * gains[k][None, :]
+        out += amp * wave[:, None] * gains[k][None, :]
     return out
 
 
 def one_partial_bank(freq=440.0, amp=1.0, phase=0.0, waveform="sine", duration=0.5):
     return PartialBank(
-        partials=(Partial(freq=freq, amp=amp, phase=phase, waveform=waveform),),
+        freq=[freq],
+        amp=[amp],
+        phase=[phase],
+        triangle=[waveform == "triangle"],
         duration=duration,
         method="IV",
         negative=False,
@@ -151,14 +153,19 @@ class TestSynth:
 
 
 def random_bank(rng, n_partials, waveform, f_lo, f_hi):
-    return tuple(
-        Partial(freq=f, amp=a, phase=ph, waveform=w)
-        for f, a, ph, w in zip(
-            rng.uniform(f_lo, f_hi, n_partials),
-            rng.uniform(0.0, 1.0, n_partials),
-            rng.uniform(0.0, 2 * math.pi, n_partials),
-            [waveform] * n_partials if waveform != "mixed" else ["sine", "triangle"] * n_partials,
-        )
+    """Random partials; "mixed" alternates sine and triangle."""
+    if waveform == "mixed":
+        triangle = np.arange(n_partials) % 2 == 1
+    else:
+        triangle = np.full(n_partials, waveform == "triangle")
+    return PartialBank(
+        freq=rng.uniform(f_lo, f_hi, n_partials),
+        amp=rng.uniform(0.0, 1.0, n_partials),
+        phase=rng.uniform(0.0, 2 * math.pi, n_partials),
+        triangle=triangle,
+        duration=0.3,
+        method="IV",
+        negative=False,
     )
 
 
@@ -181,25 +188,20 @@ class TestOscillatorKernel:
     def test_matches_per_harmonic_sines(self, waveform, n_partials, f_lo, f_hi, n, channels):
         sr = 8000
         rng = np.random.default_rng(n_partials * 1000 + n)
-        partials = random_bank(rng, n_partials, waveform, f_lo, f_hi)
-        phases = rng.uniform(0.0, 2 * math.pi, len(partials))
-        gains = rng.uniform(0.0, 1.0, (len(partials), channels))
+        bank = random_bank(rng, n_partials, waveform, f_lo, f_hi)
+        phases = rng.uniform(0.0, 2 * math.pi, n_partials)
+        gains = rng.uniform(0.0, 1.0, (n_partials, channels))
         if channels > 1:
             gains[::2, 0] = 0.0
             gains[1::3, -1] = 0.0
         out = np.zeros((n, channels))
-        render._accumulate(partials, phases, gains, out, sr)
-        ref = reference_bank(partials, phases, gains, n, sr)
+        render._accumulate(bank.freq, bank.amp, bank.triangle, phases, gains, out, sr)
+        ref = reference_bank(bank, phases, gains, n, sr)
         assert float(np.max(np.abs(out - ref))) <= 1e-9
 
     def test_renders_are_byte_identical(self):
         rng = np.random.default_rng(7)
-        bank = PartialBank(
-            partials=random_bank(rng, 40, "mixed", 40.0, 3000.0),
-            duration=0.3,
-            method="IV",
-            negative=False,
-        )
+        bank = random_bank(rng, 40, "mixed", 40.0, 3000.0)
         gains = rng.uniform(0.0, 1.0, (40, 4))
         a = synth(bank, sample_rate=16000, gains=gains)
         b = synth(bank, sample_rate=16000, gains=gains)
@@ -212,12 +214,13 @@ class TestOscillatorKernel:
     @pytest.mark.parametrize("waveform", ["sine", "triangle"])
     def test_nyquist_raises_before_any_work(self, waveform):
         # the offending fundamental sits last; nothing may be added first
-        partials = (Partial(freq=100.0, amp=1.0, phase=0.0, waveform=waveform),) * 300 + (
-            Partial(freq=4000.0, amp=1.0, phase=0.0, waveform=waveform),
-        )
+        freq = np.array([100.0] * 300 + [4000.0])
+        triangle = np.full(301, waveform == "triangle")
         out = np.full((1000, 2), 3.0)
         with pytest.raises(NyquistViolation, match="4000.0 Hz"):
-            render._accumulate(partials, np.zeros(301), np.ones((301, 2)), out, 8000)
+            render._accumulate(
+                freq, np.ones(301), triangle, np.zeros(301), np.ones((301, 2)), out, 8000
+            )
         assert np.all(out == 3.0)
 
 
@@ -288,7 +291,7 @@ class TestRenderSweep:
         m = compute_moments(sample_field(state, default_grid(state)))
         cfg_sweep = MapConfig(f0_mode="sigma_r")
         bank = method4_moments(m, cfg_sweep, 1.0)
-        freqs = np.array([p.freq for p in bank.partials])
+        freqs = bank.freq
         idx = np.round(freqs * window / sr).astype(int)
         dbs = frame[idx]
         # parabola fit of dB against frequency recovers the Gaussian width

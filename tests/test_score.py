@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from quasitone import (
@@ -47,7 +48,7 @@ class TestBankToEvents:
     def test_negative_cells_marked(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg)
         events = bank_to_events(bank, fock1_30_field, cfg)
-        n_neg_cells = sum(1 for p in bank.partials if p.source_value < 0)
+        n_neg_cells = int(np.sum(bank.source_value < 0))
         n_neg_events = sum(1 for ev in events if ev.technique == "sul_ponticello")
         assert n_neg_events == n_neg_cells
         assert 0 < n_neg_events < len(events)
@@ -87,7 +88,7 @@ class TestBankToEvents:
         # the score and the sonify renderer pan through one function
         bank = method1_grid(fock1_30_field, cfg)
         rows = partial_gains(bank, fock1_30_field, channels=4)
-        assert rows.shape == (len(bank.partials), 4)
+        assert rows.shape == (bank.freq.size, 4)
         events = bank_to_events(bank, fock1_30_field, cfg, channels=4)
         assert sorted(ev.gains for ev in events) == sorted(tuple(r) for r in rows.tolist())
 
@@ -97,8 +98,8 @@ class TestBankToEvents:
         bank = method1_grid(fock1_30_field, cfg)
         events = bank_to_events(bank, fock1_30_field, cfg)
         want = sorted(
-            (quarter_tone_index(p.freq, cfg.ref_pitch), quantize_quarter_tone(p.freq, cfg.ref_pitch))
-            for p in bank.partials
+            (quarter_tone_index(f, cfg.ref_pitch), quantize_quarter_tone(f, cfg.ref_pitch))
+            for f in bank.freq.tolist()
         )
         assert sorted((ev.pitch_index, ev.freq_hz) for ev in events) == want
         assert all(type(ev.pitch_index) is int and type(ev.freq_hz) is float for ev in events)
@@ -107,6 +108,10 @@ class TestBankToEvents:
         bank = method1_grid(fock1_30_field, cfg, duration=2.0)
         events = bank_to_events(bank, fock1_30_field, cfg, arpeggiate=True)
         keys = [(ev.onset, ev.pitch_index, -ev.dynamic) for ev in events]
+        assert keys == sorted(keys)
+        # mirror cells +-p tie on onset, pitch and dynamic; quad gains order them
+        events = bank_to_events(bank, fock1_30_field, cfg, channels=4)
+        keys = [(ev.onset, ev.pitch_index, -ev.dynamic, ev.gains) for ev in events]
         assert keys == sorted(keys)
 
 

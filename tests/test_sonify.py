@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from quasitone import (
     MapConfig,
     OutOfBounds,
     PEAK_BOUND,
+    PartialBank,
     WignerField,
     build_regular,
     compute_moments,
@@ -84,42 +86,67 @@ class TestMapConfig:
             load_map_config(path)
 
 
+class TestPartialBank:
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("freq", [np.nan]),
+            ("freq", [0.0]),
+            ("freq", [-440.0]),
+            ("amp", [-0.1]),
+            ("amp", [1.5]),
+            ("amp", [np.nan]),
+            ("phase", [0.0, 1.0]),
+            ("triangle", [False, True]),
+            ("source_p", [0.0, 1.0]),
+            ("source_value", None),
+        ],
+    )
+    def test_rejects_bad_partials(self, name, values):
+        arrays = dict(
+            freq=[440.0], amp=[0.5], phase=[0.0], triangle=[False],
+            source_r=[0.0], source_p=[0.0], source_value=[0.1],
+        )
+        PartialBank(**arrays, duration=1.0, method="IV", negative=False)
+        arrays[name] = values
+        with pytest.raises(ValueError):
+            PartialBank(**arrays, duration=1.0, method="IV", negative=False)
+
+
 class TestMethod1:
     def test_exact_cell_count(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg)
-        assert len(bank.partials) == 900
+        assert bank.freq.size == 900
         assert bank.method == "I"
         assert bank.negative
 
     def test_top_selection_on_large_grid(self, cfg):
         f = sample_field(FockState(1), build_regular(-5, 5, -5, 5, 64, 64))
         bank = method1_grid(f, cfg)
-        assert len(bank.partials) == MAX_PARTIALS
-        kept = min(abs(p.source_value) for p in bank.partials)
+        assert bank.freq.size == MAX_PARTIALS
+        kept = np.min(np.abs(bank.source_value))
         dropped = sorted(np.abs(f.values).ravel())[::-1][MAX_PARTIALS:]
         assert kept >= max(dropped) - 1e-15
 
     def test_frequencies_span_band(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg)
-        freqs = [p.freq for p in bank.partials]
+        freqs = bank.freq
         assert min(freqs) == pytest.approx(cfg.f_lo, rel=1e-12)
         assert max(freqs) == pytest.approx(cfg.f_hi, rel=1e-12)
 
     def test_amplitude_normalized(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg)
-        amps = [p.amp for p in bank.partials]
+        amps = bank.amp
         assert max(amps) == pytest.approx(1.0, rel=1e-12)
         assert min(amps) >= 0.0
 
     def test_negative_cells_phase_flipped(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg)
-        for p in bank.partials:
-            if p.source_value < 0 and p.amp > 1e-6:
-                base = p.phase - math.pi
-                assert base >= -1e-12 or p.phase >= math.pi - 1e-12
-                break
-        else:
+        flipped = np.flatnonzero((bank.source_value < 0) & (bank.amp > 1e-6))
+        if flipped.size == 0:
             pytest.fail("no negative-sourced partial found")
+        phase = bank.phase[flipped[0]]
+        assert phase - math.pi >= -1e-12 or phase >= math.pi - 1e-12
 
     def test_axis_swap(self, fock1_30_field):
         c_r = MapConfig(freq_axis="r")
@@ -128,9 +155,7 @@ class TestMethod1:
         b_p = method1_grid(fock1_30_field, c_p)
         # the field is symmetric so the multisets of frequencies agree,
         # but cell-to-frequency assignment differs
-        same = all(
-            a.freq == b.freq and a.source_r == b.source_r for a, b in zip(b_r.partials, b_p.partials)
-        )
+        same = np.all((b_r.freq == b_p.freq) & (b_r.source_r == b_p.source_r))
         assert not same
 
     def test_zero_field_rejected(self, cfg):
@@ -142,19 +167,19 @@ class TestMethod1:
 class TestMethod2:
     def test_two_partials_affine(self, fock1_field, cfg):
         bank = method2_extremes(fock1_field, cfg)
-        assert len(bank.partials) == 2
-        lo, hi = bank.partials
+        assert bank.freq.size == 2
+        lo, hi = bank.freq
         span = 2.0 * PEAK_BOUND
         vmin = float(fock1_field.values.min())
         vmax = float(fock1_field.values.max())
         want_lo = cfg.f_lo + (vmin + PEAK_BOUND) / span * (cfg.f_hi - cfg.f_lo)
         want_hi = cfg.f_lo + (vmax + PEAK_BOUND) / span * (cfg.f_hi - cfg.f_lo)
-        assert lo.freq == pytest.approx(want_lo, rel=1e-12)
-        assert hi.freq == pytest.approx(want_hi, rel=1e-12)
+        assert lo == pytest.approx(want_lo, rel=1e-12)
+        assert hi == pytest.approx(want_hi, rel=1e-12)
 
     def test_amps_scaled_by_magnitude(self, fock1_field, cfg):
         bank = method2_extremes(fock1_field, cfg)
-        amps = sorted(p.amp for p in bank.partials)
+        amps = sorted(bank.amp)
         assert amps[1] == pytest.approx(1.0)
         assert 0.0 < amps[0] < 1.0
 
@@ -167,14 +192,14 @@ class TestMethod2:
 class TestMethod3:
     def test_four_geometric_frequencies(self, fock1_field, cfg):
         bank = method3_sections(fock1_field, cfg)
-        assert len(bank.partials) == 4
+        assert bank.freq.size == 4
         ratio = cfg.f_hi / cfg.f_lo
-        for k, p in enumerate(bank.partials):
-            assert p.freq == pytest.approx(cfg.f_lo * ratio ** (k / 3.0), rel=1e-12)
+        for k, freq in enumerate(bank.freq):
+            assert freq == pytest.approx(cfg.f_lo * ratio ** (k / 3.0), rel=1e-12)
 
     def test_amps_are_normalized_section_masses(self, fock1_field, cfg):
         bank = method3_sections(fock1_field, cfg)
-        amps = [p.amp for p in bank.partials]
+        amps = bank.amp
         assert max(amps) == pytest.approx(1.0, rel=1e-12)
         assert all(a >= 0 for a in amps)
 
@@ -183,8 +208,8 @@ class TestMethod4:
     def test_count_and_symmetry(self, fock1_field, cfg):
         m = compute_moments(fock1_field)
         bank = method4_moments(m, cfg, 4.0)
-        assert len(bank.partials) == cfg.n_osc
-        amps = [p.amp for p in bank.partials]
+        assert bank.freq.size == cfg.n_osc
+        amps = bank.amp
         for k in range(len(amps)):
             assert amps[k] == pytest.approx(amps[-1 - k], abs=1e-12)
         assert int(np.argmax(amps)) == len(amps) // 2
@@ -193,16 +218,15 @@ class TestMethod4:
         cfg = MapConfig(n_osc=1)
         m = compute_moments(fock0_field)
         bank = method4_moments(m, cfg, 4.0)
-        assert len(bank.partials) == 1
-        only = bank.partials[0]
-        assert only.amp == 1.0
-        assert only.freq == pytest.approx(cfg.f0_base + cfg.f0_slope * m.r0, abs=1e-9)
+        assert bank.freq.size == 1
+        assert bank.amp[0] == 1.0
+        assert bank.freq[0] == pytest.approx(cfg.f0_base + cfg.f0_slope * m.r0, abs=1e-9)
 
     def test_frequencies_clipped_to_band(self, fock1_field, cfg):
         m = compute_moments(fock1_field)
         bank = method4_moments(m, cfg, 4.0)
-        for p in bank.partials:
-            assert cfg.f_lo <= p.freq <= cfg.f_hi
+        for freq in bank.freq:
+            assert cfg.f_lo <= freq <= cfg.f_hi
 
     def test_width_scales_with_sigma(self, cfg):
         class M:
@@ -213,7 +237,7 @@ class TestMethod4:
             negativity = 0.0
 
         bank = method4_moments(M(), MapConfig(f0_base=3000.0, f0_slope=0.0), 1.0)
-        freqs = [p.freq for p in bank.partials]
+        freqs = bank.freq
         # ideal spacing: 6 sigma_f over 20 gaps, sigma_f = q_slope * sigma_r = 40
         assert freqs[1] - freqs[0] == pytest.approx(6.0 * 40.0 / 20.0, rel=1e-9)
 
@@ -221,8 +245,25 @@ class TestMethod4:
         m = compute_moments(fock1_field)
         c = MapConfig(f0_mode="sigma_r")
         bank = method4_moments(m, c, 1.0)
-        center = bank.partials[len(bank.partials) // 2]
-        assert center.freq == pytest.approx(c.f0_base + c.f0_slope * m.sigma_r, rel=1e-9)
+        center = bank.freq[bank.freq.size // 2]
+        assert center == pytest.approx(c.f0_base + c.f0_slope * m.sigma_r, rel=1e-9)
+
+    def test_matches_per_partial_formula(self):
+        # the per-partial scalar formula is the reference, to the bit: a
+        # sweep renders thousands of these banks into its WAV bytes
+        rng = np.random.default_rng(4)
+        c = MapConfig(f0_mode="sigma_r")
+        for sigma_r in rng.uniform(0.5, 1.5, 2000).tolist():
+            m = SimpleNamespace(r0=0.0, p0=0.0, sigma_r=sigma_r, negativity=0.0)
+            bank = method4_moments(m, c, 1.0)
+            sigma_f = c.q_slope * sigma_r
+            f0 = c.f0_base + c.f0_slope * sigma_r
+            spacing = 6.0 * sigma_f / (c.n_osc - 1)
+            offsets = [(k - c.n_osc // 2) * spacing for k in range(c.n_osc)]
+            freq = [float(np.clip(f0 + o, c.f_lo, c.f_hi)) for o in offsets]
+            amp = [float(np.exp(-(o**2) / (2.0 * sigma_f**2))) for o in offsets]
+            assert bank.freq.tolist() == freq
+            assert bank.amp.tolist() == amp
 
     def test_degenerate_sigma_rejected(self, cfg):
         class M:
@@ -289,6 +330,20 @@ class TestSpatialGains:
     def test_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
             spatial_gains(6.0, 0.0, self.bounds)
+        # one point outside the box fails a whole array
+        with pytest.raises(OutOfBounds):
+            spatial_gains(np.array([0.0, 1.0, -2.0]), np.array([0.0, 5.5, 1.0]), self.bounds)
+
+    @pytest.mark.parametrize("channels", [1, 2, 4])
+    def test_array_matches_per_point(self, channels):
+        rng = np.random.default_rng(channels)
+        r = np.append(rng.uniform(-5.0, 5.0, 30), [-5.0, 5.0])
+        p = np.append(rng.uniform(-5.0, 5.0, 30), [5.0, -5.0])
+        rows = spatial_gains(r, p, self.bounds, channels=channels)
+        assert rows.shape == (32, channels)
+        points = zip(r.tolist(), p.tolist())
+        want = np.array([spatial_gains(a, b, self.bounds, channels=channels) for a, b in points])
+        assert rows.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
