@@ -64,7 +64,7 @@ from .render import (
     write_sonogram_csv,
     write_wav,
 )
-from .score import PitchEvent, bank_to_events, partial_gains, read_score, score_to_json, write_score
+from .score import Score, bank_to_events, partial_gains, read_score, score_to_json, write_score
 from .sonify import (
     MAX_PARTIALS,
     MapConfig,

@@ -295,10 +295,8 @@ def _run(args) -> int:
         field = _sampled_field(args)
         require_coverage(field)
         bank = _checked(_bank_for, args.method, field, cfg, args.duration)
-        events = bank_to_events(
-            bank, field, cfg, channels=args.channels, arpeggiate=args.arpeggiate
-        )
-        write_score(events, args.out)
+        score = bank_to_events(bank, field, cfg, channels=args.channels, arpeggiate=args.arpeggiate)
+        write_score(score, args.out)
         return 0
 
     raise UsageFault(f"unknown command {args.command!r}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CoverageError, DegenerateMoments, InvalidBounds, IoError
 from .states import StateSpec, evaluate, state_centroid
-from .textfmt import fmt17, json_value
+from .textfmt import json_value
 
 KIND_REGULAR = "regular"
 KIND_GAUSSIAN = "gaussian"
@@ -219,11 +219,11 @@ def write_field(field: WignerField, path) -> None:
     sidecar records the grid kind, both edge arrays, and the source state.
     """
     grid = field.grid
-    rc, pc = grid.r_centers, grid.p_centers
-    lines = ["r,p,value"]
-    for i in range(rc.size):
-        for j in range(pc.size):
-            lines.append(f"{fmt17(rc[i])},{fmt17(pc[j])},{fmt17(field.values[i, j])}")
+    bad = field.values[~np.isfinite(field.values)]
+    if bad.size:
+        raise ValueError(f"non-finite value cannot be serialized: {float(bad[0])!r}")
+    r, p = np.meshgrid(grid.r_centers, grid.p_centers, indexing="ij")
+    cells = zip(r.ravel().tolist(), p.ravel().tolist(), field.values.ravel().tolist())
     sidecar = {
         "kind": grid.kind,
         "r_edges": [float(e) for e in grid.r_edges],
@@ -232,7 +232,7 @@ def write_field(field: WignerField, path) -> None:
     }
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("r,p,value\n" + "".join(map("%.17g,%.17g,%.17g\n".__mod__, cells)))
         with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
             fh.write(json_value(sidecar) + "\n")
     except OSError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import compute_moments
 from .errors import BufferTooShort, IoError, NyquistViolation, UnsupportedFormat
-from .grids import GridSpec, default_grid, sample_field
+from .grids import default_grid, sample_field
 from .sonify import TAU, MapConfig, PartialBank, method4_moments, spatial_gains
 from .states import EPS_SHIFT, CatState, FockState
 
@@ -255,18 +255,16 @@ def render_sweep(
     sample_rate=DEFAULT_SAMPLE_RATE,
     frame_seconds=0.25,
     channels=1,
-    grid: GridSpec | None = None,
 ) -> AudioBuffer:
     """Render a trajectory as overlapped envelope-bank frames.
 
     Every frame_seconds/2 the shift is advanced, the state sampled on its
-    default grid (or the given fixed grid), its moments taken, and an
-    envelope bank rendered for one frame. Frames carry a Hann window and
-    overlap 50 percent, which sums to unit gain; oscillator phases carry
-    over between frames so the crossfade stays beat-free. The master
-    normalization runs once over the whole piece. With channels 2 or 4 each
-    frame is panned equal-power from its centroid position within a fixed
-    box around the whole trajectory.
+    default grid, its moments taken, and an envelope bank rendered for one
+    frame. Frames carry a Hann window and overlap 50 percent, which sums to
+    unit gain; oscillator phases carry over between frames so the
+    crossfade stays beat-free. The master normalization runs once over the
+    whole piece. With channels 2 or 4 each frame is panned equal-power from
+    its centroid position within a fixed box around the whole trajectory.
 
     Defaults reproduce the 273 s path; cfg defaults to the sigma_r-anchored
     envelope so every partial stays inside the audible band end to end.
@@ -286,16 +284,9 @@ def render_sweep(
     hop_seconds = hop / sample_rate
     window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n_frame) / n_frame)
     out = np.zeros((n_total, channels), dtype=float)
-    if grid is not None:
-        pan_bounds = grid.bounds
-    else:
-        ends = [z for a, b, _ in trajectory.segments for z in (a, b)]
-        pan_bounds = (
-            min(z.real for z in ends) - _PAN_HALF_WIDTH,
-            max(z.real for z in ends) + _PAN_HALF_WIDTH,
-            min(z.imag for z in ends) - _PAN_HALF_WIDTH,
-            max(z.imag for z in ends) + _PAN_HALF_WIDTH,
-        )
+    ends = np.array([(z.real, z.imag) for a, b, _ in trajectory.segments for z in (a, b)])
+    lo, hi = ends.min(axis=0) - _PAN_HALF_WIDTH, ends.max(axis=0) + _PAN_HALF_WIDTH
+    pan_bounds = (lo[0], hi[0], lo[1], hi[1])
     # oscillator phases carried across frames: partial k of the next frame
     # picks up where partial k of this frame stands at the overlap start, so
     # the 50% crossfade blends nearly identical waveforms instead of beating
@@ -305,7 +296,7 @@ def render_sweep(
         t_frame = start / sample_rate
         shift = trajectory.delta_alpha_at(t_frame)
         state = FockState(1) if abs(shift) <= EPS_SHIFT else CatState(shift)
-        field = sample_field(state, grid if grid is not None else default_grid(state))
+        field = sample_field(state, default_grid(state))
         moments = compute_moments(field)
         bank = method4_moments(moments, cfg, duration=frame_seconds)
         phases = (bank.phase + phases) % TAU
@@ -407,7 +398,8 @@ def read_wav(path) -> AudioBuffer:
     """Read a 32-bit float WAV written by write_wav (or anything like it).
 
     Rejects every other encoding with UnsupportedFormat, including
-    truncated files and integer PCM.
+    truncated files, integer PCM, and data with no frame or with NaN or
+    infinite samples.
     """
     try:
         with open(path, "rb") as fh:
@@ -442,4 +434,6 @@ def read_wav(path) -> AudioBuffer:
     if n_ch < 1 or len(data) % (4 * n_ch):
         raise UnsupportedFormat(f"{path}: data size does not divide into {n_ch}-channel frames")
     samples = np.frombuffer(data, dtype="<f4").reshape(-1, n_ch)
+    if not (samples.size and np.isfinite(samples).all()):
+        raise UnsupportedFormat(f"{path}: need one or more frames of finite samples")
     return AudioBuffer(samples.copy(), sr)

@@ -1,9 +1,8 @@
-"""Pitch events: quantized, tagged, panned transcriptions of partial banks.
+"""Scores: quantized, tagged, panned transcriptions of partial banks.
 
-An event is what a score needs and a synthesizer does not: a lattice pitch
-instead of a free frequency, a playing technique instead of a sign bit,
-and channel gains instead of a cell coordinate. Event lists serialize to
-deterministic JSON, byte-identical across runs.
+A Score is one table, a column per event field and a row per note. It holds
+what a notation needs and a synthesizer does not: lattice pitches, playing
+techniques and channel gains. It serializes to byte-stable JSON.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from .analysis import compute_moments
 from .errors import IoError
 from .grids import WignerField
 from .sonify import (
+    TECHNIQUES,
     MapConfig,
     PartialBank,
     quarter_tone_freq,
@@ -25,27 +25,48 @@ from .sonify import (
     technique_tag,
 )
 
+# the per-event columns in JSON key order; gains follows as a list
+_COLUMNS = ("onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique")
 
-@dataclass(frozen=True)
-class PitchEvent:
-    """One note: onset and duration in seconds, pitch on the 24-step
-    lattice, dynamic in [0, 1], playing technique, channel gains."""
 
-    onset: float
-    duration: float
-    pitch_index: int
-    freq_hz: float
-    dynamic: float
-    technique: str
-    gains: tuple[float, ...]
+@dataclass(frozen=True, eq=False)
+class Score:
+    """Events as columns: row k is a note at onset[k] lasting duration[k]
+    seconds, on lattice step pitch_index[k] (freq_hz[k] Hz), at dynamic[k]
+    in [0, 1], played technique[k], panned by the gains[k] row of shape
+    (n, channels). len() is the event count."""
+
+    onset: np.ndarray
+    duration: np.ndarray
+    pitch_index: np.ndarray
+    freq_hz: np.ndarray
+    dynamic: np.ndarray
+    technique: np.ndarray
+    gains: np.ndarray
 
     def __post_init__(self):
-        if self.onset < 0 or self.duration <= 0:
-            raise ValueError("onset must be >= 0 and duration positive")
-        if not (np.isfinite(self.freq_hz) and self.freq_hz > 0):
-            raise ValueError(f"freq_hz must be positive and finite, got {self.freq_hz!r}")
-        if not (0.0 <= self.dynamic <= 1.0):
-            raise ValueError(f"dynamic must lie in [0, 1], got {self.dynamic!r}")
+        dtypes = {"pitch_index": np.int64, "technique": str}
+        for name in _COLUMNS + ("gains",):
+            a = np.array(getattr(self, name), dtype=dtypes.get(name, float))
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        shapes = [getattr(self, name).shape for name in _COLUMNS + ("gains",)]
+        if self.gains.ndim != 2 or set(shapes[:-1]) != {shapes[-1][:1]}:
+            raise ValueError(f"need 1-D columns and (n, channels) gains of one n, got {shapes}")
+        on, du, fr, dy, tech = self.onset, self.duration, self.freq_hz, self.dynamic, self.technique
+        for message, values, ok in (
+            ("onset must be finite and >= 0", on, np.isfinite(on) & (on >= 0)),
+            ("duration must be finite and positive", du, np.isfinite(du) & (du > 0)),
+            ("freq_hz must be positive and finite", fr, np.isfinite(fr) & (fr > 0)),
+            ("dynamic must lie in [0, 1]", dy, (dy >= 0) & (dy <= 1)),
+            ("gains must be finite", self.gains, np.isfinite(self.gains)),
+            (f"technique must be one of {TECHNIQUES}", tech, np.isin(tech, TECHNIQUES)),
+        ):
+            if not ok.all():
+                raise ValueError(f"{message}, got {values[~ok].flat[0].item()!r}")
+
+    def __len__(self) -> int:
+        return self.onset.size
 
 
 def partial_gains(bank: PartialBank, field: WignerField, channels=2) -> np.ndarray:
@@ -69,7 +90,7 @@ def bank_to_events(
     cfg: MapConfig,
     channels=2,
     arpeggiate=False,
-) -> tuple[PitchEvent, ...]:
+) -> Score:
     """Transcribe a bank against the field it came from.
 
     Frequencies snap to the quarter-tone lattice around cfg.ref_pitch.
@@ -99,56 +120,40 @@ def bank_to_events(
     technique = np.where(negative, technique_tag(True, cfg), technique_tag(False, cfg))
     # np.lexsort's last key is the primary one; it is stable, as list.sort is
     order = np.lexsort((*gains.T[::-1], -bank.amp, indices, onset))
-    duration = float(bank.duration)
-    columns = (onset, indices, freqs_q, bank.amp, technique, gains)
-    return tuple(
-        PitchEvent(t, duration, idx, f, a, tech, tuple(g))
-        for t, idx, f, a, tech, g in zip(*(c[order].tolist() for c in columns))
+    return Score(
+        onset[order], np.full(n, float(bank.duration)), indices[order], freqs_q[order],
+        bank.amp[order], technique[order], gains[order],
     )
 
 
-def _event_payload(event: PitchEvent) -> dict:
-    return {
-        "onset": event.onset,
-        "duration": event.duration,
-        "pitch_index": event.pitch_index,
-        "freq_hz": event.freq_hz,
-        "dynamic": event.dynamic,
-        "technique": event.technique,
-        "gains": list(event.gains),
-    }
+def score_to_json(score: Score) -> str:
+    """Deterministic JSON text for a score, one object per event line and
+    17 significant digits per float."""
+    if not len(score):
+        return "[]\n"
+    row = (
+        '  {"onset": %.17g, "duration": %.17g, "pitch_index": %d, "freq_hz": %.17g, '
+        '"dynamic": %.17g, "technique": "%s", "gains": ['
+        + ", ".join(["%.17g"] * score.gains.shape[1]) + "]}"
+    )
+    rows = zip(*(getattr(score, name).tolist() for name in _COLUMNS), *score.gains.T.tolist())
+    return "[\n" + ",\n".join(map(row.__mod__, rows)) + "\n]\n"
 
 
-def score_to_json(events) -> str:
-    """Deterministic JSON text for an event list, 17 digits per float."""
-    from .textfmt import json_value
-
-    return json_value([_event_payload(e) for e in events]) + "\n"
-
-
-def write_score(events, path) -> None:
+def write_score(score: Score, path) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(score_to_json(events))
+            fh.write(score_to_json(score))
     except OSError as exc:
         raise IoError(f"cannot write score: {exc}") from exc
 
 
-def read_score(path) -> tuple[PitchEvent, ...]:
+def read_score(path) -> Score:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read score: {exc}") from exc
-    return tuple(
-        PitchEvent(
-            onset=float(e["onset"]),
-            duration=float(e["duration"]),
-            pitch_index=int(e["pitch_index"]),
-            freq_hz=float(e["freq_hz"]),
-            dynamic=float(e["dynamic"]),
-            technique=str(e["technique"]),
-            gains=tuple(float(g) for g in e["gains"]),
-        )
-        for e in data
-    )
+    columns = {name: [e[name] for e in data] for name in _COLUMNS}
+    gains = np.array([e["gains"] for e in data], dtype=float)
+    return Score(**columns, gains=gains.reshape(len(data), -1) if data else np.zeros((0, 0)))

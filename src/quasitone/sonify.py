@@ -41,6 +41,7 @@ TECH_SUL_PONTICELLO = "sul_ponticello"
 TECH_RICOCHET = "ricochet"
 
 _NEGATIVE_TECHNIQUES = (TECH_SUL_PONTICELLO, TECH_RICOCHET)
+TECHNIQUES = (TECH_ORDINARIO, *_NEGATIVE_TECHNIQUES)
 
 TAU = 2.0 * math.pi
 

@@ -120,7 +120,7 @@ class CoherentState:
 class SampledState:
     """Wavefunction sampled on a uniform position grid.
 
-    The samples must carry unit probability: sum |psi|^2 dx = 1 within 1e-9.
+    The samples must be finite and carry unit probability: sum |psi|^2 dx = 1 within 1e-9.
     """
 
     x: np.ndarray
@@ -131,6 +131,8 @@ class SampledState:
         psi = np.asarray(self.psi, dtype=complex)
         if x.ndim != 1 or psi.shape != x.shape or x.size < 8:
             raise ValueError("x and psi must be equal-length 1-d arrays of 8+ samples")
+        if not (np.isfinite(x).all() and np.isfinite(psi).all()):
+            raise ValueError("x and psi must be finite")
         dx = np.diff(x)
         if not np.all(dx > 0):
             raise ValueError("sample grid must be strictly increasing")

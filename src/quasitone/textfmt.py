@@ -1,8 +1,9 @@
 """Deterministic text formatting for CSV and JSON artifacts.
 
-All numeric exports in this package go through fmt17 so that two runs with
-the same inputs produce byte-identical files and a parse of the text
-recovers the exact float64 bits.
+Every exported float has 17 significant digits, through fmt17 or the row
+formats ("%.17g", finiteness checked per array) of fields and scores, so
+two runs with the same inputs produce byte-identical files and a parse of
+the text recovers the exact float64 bits.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 
 def fmt17(x: float) -> str:
     """Render a float with 17 significant digits (lossless for float64)."""
-    if isinstance(x, bool):  # bools are ints; reject quietly by converting
-        x = float(x)
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"non-finite value cannot be serialized: {x!r}")
     return format(float(x), ".17g")

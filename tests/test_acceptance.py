@@ -317,10 +317,10 @@ def test_criterion_12_technique_tagging():
         n_inside += inside
         if inside != (value < 0):
             mismatch += 1
-    events = bank_to_events(bank, field, cfg)
-    n_sul = sum(1 for ev in events if ev.technique == "sul_ponticello")
-    n_ord = sum(1 for ev in events if ev.technique == "ordinario")
-    ok = mismatch == 0 and n_sul == n_inside and n_sul + n_ord == len(events)
+    score = bank_to_events(bank, field, cfg)
+    n_sul = int(np.sum(score.technique == "sul_ponticello"))
+    n_ord = int(np.sum(score.technique == "ordinario"))
+    ok = mismatch == 0 and n_sul == n_inside and n_sul + n_ord == len(score)
     report(
         12, ok,
         f"{n_inside} cells inside the zero circle, {n_sul} marked events, "
@@ -328,7 +328,7 @@ def test_criterion_12_technique_tagging():
     )
     assert mismatch == 0
     assert n_sul == n_inside
-    assert n_sul + n_ord == len(events)
+    assert n_sul + n_ord == len(score)
 
 
 def test_criterion_13_io_fidelity(tmp_path):

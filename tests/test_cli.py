@@ -154,9 +154,9 @@ class TestCommands:
             ]
         )
         assert code == 0
-        events = read_score(sp)
-        assert len(events) == 256
-        assert len({ev.onset for ev in events}) == 16
+        score = read_score(sp)
+        assert len(score) == 256
+        assert np.unique(score.onset).size == 16
 
     def test_sweep_and_sonogram(self, tmp_path):
         wav = tmp_path / "sw.wav"
@@ -237,6 +237,24 @@ class TestExitCodes:
         assert code == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize("empty", [False, True], ids=["nonfinite", "empty"])
+    def test_bad_wav_samples_are_4(self, tmp_path, capsys, empty):
+        # a NaN or an infinity is not a sample, and an empty data chunk
+        # holds no frame; no sonogram cell may come from either
+        from quasitone.render import AudioBuffer, write_wav
+
+        samples = np.zeros(4096)
+        samples[100], samples[2000] = np.nan, np.inf
+        wav, out = tmp_path / "bad.wav", tmp_path / "s.csv"
+        write_wav(AudioBuffer(samples, 8000), wav)
+        if empty:
+            # keep the header, with a zero-byte data chunk
+            blob = wav.read_bytes()
+            wav.write_bytes(blob[:4] + (36).to_bytes(4, "little") + blob[8:40] + bytes(4))
+        assert cli_main(["sonogram", "--audio", str(wav), "--out", str(out)]) == 4
+        assert "finite samples" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestArgumentChecks:
     """Bad values reach the library's checks and exit 2 with a message."""
@@ -288,6 +306,19 @@ class TestArgumentChecks:
         capsys.readouterr()
         assert cli_main(["moments", "--field", str(fp)]) == 2
         assert "expected header" in capsys.readouterr().err
+
+    def test_nonfinite_wavefunction_is_2(self, tmp_path, capsys):
+        # a NaN sample makes the norm NaN, which no tolerance test rejects
+        from quasitone import default_psi_grid, harmonic_eigenstate
+
+        x = default_psi_grid()
+        psi = harmonic_eigenstate(0, x)
+        rows = [f"{float(xv)!r},{float(pv)!r},0.0" for xv, pv in zip(x, psi)]
+        rows[x.size // 2] = f"{float(x[x.size // 2])!r},nan,0.0"
+        path = tmp_path / "psi.csv"
+        path.write_text("x,re,im\n" + "\n".join(rows) + "\n")
+        assert cli_main(["eval", "--state", f"psi:{path}", "--r", "0", "--p", "0"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_zero_duration_is_not_replaced(self, tmp_path, capsys):
         # 0 is a value, not a missing --duration; it must fail the check

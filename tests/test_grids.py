@@ -14,6 +14,7 @@ from quasitone import (
     KIND_GAUSSIAN,
     KIND_REGULAR,
     SampledState,
+    WignerField,
     build_gaussian,
     build_regular,
     compute_moments,
@@ -207,6 +208,37 @@ class TestFieldIo:
         back = read_field(path)
         assert back.state is None
         assert np.array_equal(back.values, f.values)
+
+    @pytest.mark.parametrize(
+        "state, grid",
+        [
+            (FockState(1), build_regular(-5, 5, -5, 5, 30, 30)),
+            (CatState(-1.5 + 0.25j), build_regular(-6, 4, -5, 5, 12, 20)),
+        ],
+        ids=["fock1", "cat"],
+    )
+    def test_rows_match_per_cell_fmt17(self, tmp_path, state, grid):
+        # the row format writes what three fmt17 calls per cell wrote
+        from quasitone.textfmt import fmt17
+
+        f = sample_field(state, grid)
+        path = tmp_path / "f.csv"
+        write_field(f, path)
+        rc, pc = grid.r_centers, grid.p_centers
+        want = ["r,p,value"] + [
+            f"{fmt17(rc[i])},{fmt17(pc[j])},{fmt17(f.values[i, j])}"
+            for i in range(rc.size)
+            for j in range(pc.size)
+        ]
+        assert path.read_text().split("\n") == want + [""]
+
+    def test_nonfinite_value_refused(self, tmp_path, fock1_30_field):
+        values = fock1_30_field.values.copy()
+        values[3, 4] = np.nan
+        f = WignerField(fock1_30_field.grid, values, fock1_30_field.state)
+        with pytest.raises(ValueError, match="non-finite"):
+            write_field(f, tmp_path / "f.csv")
+        assert not (tmp_path / "f.csv").exists()
 
     def test_missing_file_raises(self, tmp_path):
         from quasitone import IoError as QIoError

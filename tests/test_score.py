@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from quasitone import (
+    CatState,
+    CoherentState,
     FockState,
     MapConfig,
-    PitchEvent,
+    Score,
     bank_to_events,
     build_regular,
     compute_moments,
     method1_grid,
+    method2_extremes,
+    method3_sections,
     method4_moments,
     partial_gains,
     quantize_quarter_tone,
@@ -20,55 +24,99 @@ from quasitone import (
     score_to_json,
     write_score,
 )
+from quasitone.textfmt import json_value
 
 
-class TestPitchEvent:
-    def test_validation(self):
-        PitchEvent(0.0, 1.0, 0, 440.0, 0.5, "ordinario", (1.0,))
+def _columns(**changes):
+    cols = dict(
+        onset=[0.0, 0.5],
+        duration=[1.0, 1.0],
+        pitch_index=[0, 2],
+        freq_hz=[440.0, 466.16],
+        dynamic=[0.5, 1.0],
+        technique=["ordinario", "ricochet"],
+        gains=[[1.0], [1.0]],
+    )
+    cols.update(changes)
+    return cols
+
+
+class TestScore:
+    def test_valid_table(self):
+        score = Score(**_columns())
+        assert len(score) == 2
+        assert score.gains.shape == (2, 1)
+        empty = {name: [] for name in _columns()}
+        empty["gains"] = np.zeros((0, 2))
+        assert len(Score(**empty)) == 0
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(onset=[-0.5, 0.5]),
+            dict(duration=[0.0, 1.0]),
+            dict(freq_hz=[-5.0, 440.0]),
+            dict(freq_hz=[np.nan, 440.0]),
+            dict(freq_hz=[np.inf, 440.0]),
+            dict(dynamic=[1.5, 1.0]),
+            dict(dynamic=[-0.1, 1.0]),
+            dict(dynamic=[np.nan, 1.0]),
+            dict(onset=[0.0]),
+            dict(technique=["ordinario"]),
+            dict(gains=[[1.0]]),
+            dict(gains=[1.0, 1.0]),
+            dict(onset=[np.inf, 0.5]),
+            dict(onset=[np.nan, 0.5]),
+            dict(duration=[np.inf, 1.0]),
+            dict(gains=[[np.nan], [1.0]]),
+            dict(gains=[[1.0], [-np.inf]]),
+            dict(technique=["ordinario", "col_legno"]),
+        ],
+        ids=[
+            "negative-onset", "zero-duration", "negative-freq", "nan-freq", "inf-freq",
+            "loud-dynamic", "negative-dynamic", "nan-dynamic", "short-onset",
+            "short-technique", "short-gains", "flat-gains", "inf-onset", "nan-onset",
+            "inf-duration", "nan-gains", "inf-gains", "unknown-technique",
+        ],
+    )
+    def test_validation(self, changes):
         with pytest.raises(ValueError):
-            PitchEvent(-0.5, 1.0, 0, 440.0, 0.5, "ordinario", (1.0,))
-        with pytest.raises(ValueError):
-            PitchEvent(0.0, 0.0, 0, 440.0, 0.5, "ordinario", (1.0,))
-        with pytest.raises(ValueError):
-            PitchEvent(0.0, 1.0, 0, -5.0, 0.5, "ordinario", (1.0,))
+            Score(**_columns(**changes))
 
 
 class TestBankToEvents:
     def test_events_quantized_to_lattice(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg)
-        events = bank_to_events(bank, fock1_30_field, cfg)
-        for ev in events[:50]:
-            assert ev.freq_hz == pytest.approx(
-                float(quantize_quarter_tone(ev.freq_hz)), rel=1e-12
-            )
-            # index and frequency agree
-            want = cfg.ref_pitch * 2.0 ** (ev.pitch_index / 24.0)
-            assert ev.freq_hz == pytest.approx(want, rel=1e-9)
+        score = bank_to_events(bank, fock1_30_field, cfg)
+        freq, index = score.freq_hz[:50], score.pitch_index[:50]
+        assert freq == pytest.approx(quantize_quarter_tone(freq), rel=1e-12)
+        # index and frequency agree
+        assert freq == pytest.approx(cfg.ref_pitch * 2.0 ** (index / 24.0), rel=1e-9)
 
     def test_negative_cells_marked(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg)
-        events = bank_to_events(bank, fock1_30_field, cfg)
+        score = bank_to_events(bank, fock1_30_field, cfg)
         n_neg_cells = int(np.sum(bank.source_value < 0))
-        n_neg_events = sum(1 for ev in events if ev.technique == "sul_ponticello")
+        n_neg_events = int(np.sum(score.technique == "sul_ponticello"))
         assert n_neg_events == n_neg_cells
-        assert 0 < n_neg_events < len(events)
+        assert 0 < n_neg_events < len(score)
 
     def test_stereo_gains_unit_energy(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg)
-        events = bank_to_events(bank, fock1_30_field, cfg, channels=2)
-        for ev in events[:50]:
-            assert len(ev.gains) == 2
-            assert sum(g * g for g in ev.gains) == pytest.approx(1.0, abs=1e-9)
+        score = bank_to_events(bank, fock1_30_field, cfg, channels=2)
+        gains = score.gains[:50]
+        assert gains.shape == (50, 2)
+        assert np.sum(gains * gains, axis=1) == pytest.approx(np.ones(50), abs=1e-9)
 
     def test_onsets_zero_without_arpeggio(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg)
-        events = bank_to_events(bank, fock1_30_field, cfg)
-        assert all(ev.onset == 0.0 for ev in events)
+        score = bank_to_events(bank, fock1_30_field, cfg)
+        assert np.all(score.onset == 0.0)
 
     def test_arpeggio_staggers_by_momentum_column(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg, duration=3.0)
-        events = bank_to_events(bank, fock1_30_field, cfg, arpeggiate=True)
-        onsets = sorted({ev.onset for ev in events})
+        score = bank_to_events(bank, fock1_30_field, cfg, arpeggiate=True)
+        onsets = np.unique(score.onset)
         n_p = fock1_30_field.grid.shape[1]
         step = 3.0 / n_p
         assert len(onsets) == n_p
@@ -78,51 +126,63 @@ class TestBankToEvents:
     def test_moment_bank_uses_centroid_gains(self, fock1_field, cfg):
         m = compute_moments(fock1_field)
         bank = method4_moments(m, cfg, 2.0)
-        events = bank_to_events(bank, fock1_field, cfg, channels=2)
-        assert len(events) == cfg.n_osc
+        score = bank_to_events(bank, fock1_field, cfg, channels=2)
+        assert len(score) == cfg.n_osc
         # centroid of the first excited state sits at the middle: equal power
-        for ev in events:
-            assert ev.gains[0] == pytest.approx(ev.gains[1], abs=1e-9)
+        assert score.gains[:, 0] == pytest.approx(score.gains[:, 1], abs=1e-9)
 
     def test_event_gains_are_partial_gains(self, fock1_30_field, cfg):
         # the score and the sonify renderer pan through one function
         bank = method1_grid(fock1_30_field, cfg)
         rows = partial_gains(bank, fock1_30_field, channels=4)
         assert rows.shape == (bank.freq.size, 4)
-        events = bank_to_events(bank, fock1_30_field, cfg, channels=4)
-        assert sorted(ev.gains for ev in events) == sorted(tuple(r) for r in rows.tolist())
+        score = bank_to_events(bank, fock1_30_field, cfg, channels=4)
+        assert sorted(map(tuple, score.gains.tolist())) == sorted(map(tuple, rows.tolist()))
 
     def test_lattice_pitch_is_per_partial_quantization(self, fock1_30_field, cfg):
         # one vectorized pass over the bank gives what the per-partial
         # functions give, to the bit
         bank = method1_grid(fock1_30_field, cfg)
-        events = bank_to_events(bank, fock1_30_field, cfg)
+        score = bank_to_events(bank, fock1_30_field, cfg)
         want = sorted(
             (quarter_tone_index(f, cfg.ref_pitch), quantize_quarter_tone(f, cfg.ref_pitch))
             for f in bank.freq.tolist()
         )
-        assert sorted((ev.pitch_index, ev.freq_hz) for ev in events) == want
-        assert all(type(ev.pitch_index) is int and type(ev.freq_hz) is float for ev in events)
+        assert sorted(zip(score.pitch_index.tolist(), score.freq_hz.tolist())) == want
+        assert score.pitch_index.dtype == np.int64 and score.freq_hz.dtype == np.float64
 
     def test_events_sorted(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg, duration=2.0)
-        events = bank_to_events(bank, fock1_30_field, cfg, arpeggiate=True)
-        keys = [(ev.onset, ev.pitch_index, -ev.dynamic) for ev in events]
+        score = bank_to_events(bank, fock1_30_field, cfg, arpeggiate=True)
+        columns = (score.onset, score.pitch_index, -score.dynamic)
+        keys = list(zip(*(c.tolist() for c in columns)))
         assert keys == sorted(keys)
         # mirror cells +-p tie on onset, pitch and dynamic; quad gains order them
-        events = bank_to_events(bank, fock1_30_field, cfg, channels=4)
-        keys = [(ev.onset, ev.pitch_index, -ev.dynamic, ev.gains) for ev in events]
+        score = bank_to_events(bank, fock1_30_field, cfg, channels=4)
+        keys = list(
+            zip(
+                score.onset.tolist(),
+                score.pitch_index.tolist(),
+                (-score.dynamic).tolist(),
+                map(tuple, score.gains.tolist()),
+            )
+        )
         assert keys == sorted(keys)
 
 
 class TestScoreIo:
     def test_round_trip(self, tmp_path, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg)
-        events = bank_to_events(bank, fock1_30_field, cfg)
+        score = bank_to_events(bank, fock1_30_field, cfg)
         path = tmp_path / "score.json"
-        write_score(events, path)
+        write_score(score, path)
         back = read_score(path)
-        assert back == events
+        assert len(back) == len(score)
+        for name in ("onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique"):
+            column = getattr(back, name)
+            assert column.dtype.kind == getattr(score, name).dtype.kind
+            assert np.array_equal(column, getattr(score, name)), name
+        assert np.array_equal(back.gains, score.gains)
 
     def test_byte_stable_across_runs(self, tmp_path, cfg):
         # regenerate everything from scratch twice; bytes must match
@@ -143,3 +203,68 @@ class TestScoreIo:
         assert sorted(first) == sorted(
             ["onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique", "gains"]
         )
+
+    def test_read_validates(self, tmp_path, fock1_30_field, cfg):
+        # a score file is external input: every table rule applies to it
+        bank = method1_grid(fock1_30_field, cfg)
+        rows = json.loads(score_to_json(bank_to_events(bank, fock1_30_field, cfg)))
+        path = tmp_path / "bad.json"
+        for key, value in [("technique", "col_legno"), ("dynamic", 1.5), ("gains", [float("nan")])]:
+            bad = [dict(row) for row in rows]
+            bad[7][key] = value
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ValueError):
+                read_score(path)
+
+    def test_empty_score(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("[]\n")
+        score = read_score(path)
+        assert len(score) == 0
+        assert score_to_json(score) == "[]\n" == _reference_json(score)
+
+
+def _reference_json(score):
+    """The per-event writer the row format replaced: one dict per event,
+    serialized by json_value."""
+    rows = zip(
+        score.onset.tolist(),
+        score.duration.tolist(),
+        score.pitch_index.tolist(),
+        score.freq_hz.tolist(),
+        score.dynamic.tolist(),
+        score.technique.tolist(),
+        score.gains.tolist(),
+    )
+    keys = ("onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique", "gains")
+    return json_value([dict(zip(keys, row)) for row in rows]) + "\n"
+
+
+_BANKS = {
+    "I": method1_grid,
+    "II": method2_extremes,
+    "III": method3_sections,
+    "IV": lambda field, cfg, duration: method4_moments(compute_moments(field), cfg, duration),
+}
+_FIELDS = {
+    "fock1": (FockState(1), build_regular(-5, 5, -5, 5, 30, 30)),
+    "fock5": (FockState(5), build_regular(-6, 6, -6, 6, 24, 24)),
+    "cat": (CatState(-1.0 + 0.5j), build_regular(-7, 5, -5.5, 6.5, 20, 28)),
+    "coherent": (CoherentState(0.8 - 0.6j), build_regular(-4, 6, -6, 4, 16, 16)),
+}
+
+
+class TestRowWriter:
+    @pytest.mark.parametrize("arpeggiate", [False, True], ids=["chord", "arpeggio"])
+    @pytest.mark.parametrize("channels", [1, 2, 4])
+    @pytest.mark.parametrize("method", ["I", "II", "III", "IV"])
+    @pytest.mark.parametrize("state", sorted(_FIELDS))
+    def test_matches_per_event_writer(self, state, method, channels, arpeggiate):
+        cfg = MapConfig()
+        field = sample_field(*_FIELDS[state])
+        bank = _BANKS[method](field, cfg, 0.7)
+        score = bank_to_events(bank, field, cfg, channels=channels, arpeggiate=arpeggiate)
+        assert len(score) == bank.freq.size
+        # line lists keep a failure report short; the final newline is compared too
+        got, want = score_to_json(score), _reference_json(score)
+        assert got.split("\n") == want.split("\n")
