@@ -2,9 +2,9 @@
 
 Weighted moments treat each cell as a point mass value * area at the cell
 center and keep the sign, so interference fringes pull on the statistics
-exactly as they pull on the distribution. Sums run in fixed row-major
-order through numpy's pairwise accumulation, which makes every figure
-reproducible bit for bit on repeated runs.
+exactly as they pull on the distribution. A moment along one axis is a
+sum over that axis's marginal, the weights summed over the other axis, in
+an order fixed by the grid shape, so every figure repeats bit for bit.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ValueSegmentation:
 
 
 def _axis_stats(weights, coords, total):
-    """Center, spread, skewness, and kurtosis along one axis."""
+    """Center, spread, skewness, and kurtosis from one axis's marginal."""
     mean = float(np.sum(weights * coords) / total)
     d = coords - mean
     m2 = float(np.sum(weights * d**2) / total)
@@ -83,14 +83,13 @@ def compute_moments(field: WignerField) -> MomentSet:
     the standardized third; kurtosis is the raw standardized fourth, so a
     Gaussian scores 3.
     """
-    areas = field.grid.cell_areas
+    grid, areas = field.grid, field.grid.cell_areas
     weights = field.values * areas
     total = float(np.sum(weights))
     if not np.isfinite(total) or total <= MASS_FLOOR:
         raise MassTooLow(f"signed mass {total:.4f} is at or below {MASS_FLOOR}")
-    rr, pp = np.meshgrid(field.grid.r_centers, field.grid.p_centers, indexing="ij")
-    r0, sigma_r, skew_r, kurt_r = _axis_stats(weights, rr, total)
-    p0, sigma_p, skew_p, kurt_p = _axis_stats(weights, pp, total)
+    r0, sigma_r, skew_r, kurt_r = _axis_stats(weights.sum(axis=1), grid.r_centers, total)
+    p0, sigma_p, skew_p, kurt_p = _axis_stats(weights.sum(axis=0), grid.p_centers, total)
     return MomentSet(
         r0=r0,
         p0=p0,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DegenerateMoments, InvalidBounds, IoError
+from .errors import CoverageError, DegenerateMoments, DegenerateShift, InvalidBounds, IoError
 from .states import StateSpec, evaluate, state_centroid
 from .textfmt import json_value
 
@@ -161,8 +161,7 @@ def build_gaussian(moments, n_r, n_p, span_sigmas=3.0) -> GridSpec:
 
 def sample_field(state: StateSpec, grid: GridSpec) -> WignerField:
     """Evaluate the state's Wigner function at every cell center."""
-    rr, pp = np.meshgrid(grid.r_centers, grid.p_centers, indexing="ij")
-    values = np.asarray(evaluate(state, rr, pp), dtype=float)
+    values = np.asarray(evaluate(state, grid.r_centers[:, None], grid.p_centers), dtype=float)
     return WignerField(grid, values, state)
 
 
@@ -222,56 +221,76 @@ def write_field(field: WignerField, path) -> None:
     bad = field.values[~np.isfinite(field.values)]
     if bad.size:
         raise ValueError(f"non-finite value cannot be serialized: {float(bad[0])!r}")
-    r, p = np.meshgrid(grid.r_centers, grid.p_centers, indexing="ij")
-    cells = zip(r.ravel().tolist(), p.ravel().tolist(), field.values.ravel().tolist())
+    n_r, n_p = grid.shape
+    r, p = np.repeat(grid.r_centers, n_p), np.tile(grid.p_centers, n_r)
+    cells = zip(r.tolist(), p.tolist(), field.values.ravel().tolist())
     sidecar = {
         "kind": grid.kind,
         "r_edges": [float(e) for e in grid.r_edges],
         "p_edges": [float(e) for e in grid.p_edges],
         "state": field.state.describe() if field.state is not None else None,
     }
+    sidecar_text = json_value(sidecar) + "\n"  # before the CSV, so a failure writes neither
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("r,p,value\n" + "".join(map("%.17g,%.17g,%.17g\n".__mod__, cells)))
         with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-            fh.write(json_value(sidecar) + "\n")
+            fh.write(sidecar_text)
     except OSError as exc:
         raise IoError(f"cannot write field: {exc}") from exc
 
 
+def _complex_pair(pair) -> complex:
+    re, im = pair
+    return complex(float(re), float(im))
+
+
 def _state_from_sidecar(info):
+    """The state a sidecar's "state" entry describes, None for null or a
+    sampled wavefunction; KeyError, TypeError or ValueError when malformed."""
     from .states import CatState, CoherentState, FockState
 
     if info is None:
         return None
-    kind = info.get("kind")
+    kind = info["kind"]
     if kind == "fock":
         return FockState(info["m"])
     if kind == "cat":
-        da = complex(*info["delta_alpha"])
-        al = complex(*info.get("alpha", [0.0, 0.0]))
-        return CatState(da, al)
+        alpha = _complex_pair(info.get("alpha", (0, 0)))
+        return CatState(_complex_pair(info["delta_alpha"]), alpha)
     if kind == "coherent":
-        return CoherentState(complex(*info["alpha"]))
-    return None  # sampled wavefunctions are not reconstructible from metadata
+        return CoherentState(_complex_pair(info["alpha"]))
+    if kind == "psi":
+        return None  # sampled wavefunctions are not reconstructible from metadata
+    raise ValueError(f"unknown state kind {kind!r}")
 
 
 def read_field(path) -> WignerField:
-    """Read a field written by write_field; bit-exact round trip."""
+    """Read a field written by write_field; bit-exact round trip.
+
+    A malformed sidecar or CSV header raises ValueError naming the file.
+    """
+    side = _sidecar_path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().strip().split("\n")
-        with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
+        with open(side, "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read field: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{side}: not JSON: {exc}") from exc
     if not lines or lines[0] != "r,p,value":
         raise ValueError(f"{path}: expected header 'r,p,value'")
-    grid = GridSpec(
-        sidecar["kind"],
-        np.array(sidecar["r_edges"], dtype=float),
-        np.array(sidecar["p_edges"], dtype=float),
-    )
+    try:
+        grid = GridSpec(
+            sidecar["kind"],
+            np.array(sidecar["r_edges"], dtype=float),
+            np.array(sidecar["p_edges"], dtype=float),
+        )
+        state = _state_from_sidecar(sidecar.get("state"))
+    except (KeyError, TypeError, ValueError, InvalidBounds, DegenerateShift) as exc:
+        raise ValueError(f"{side}: malformed sidecar: {exc!r}") from exc
     n_r, n_p = grid.shape
     if len(lines) - 1 != n_r * n_p:
         raise ValueError(f"{path}: {len(lines) - 1} rows for a {n_r}x{n_p} grid")
@@ -281,4 +300,4 @@ def read_field(path) -> WignerField:
         if len(parts) != 3:
             raise ValueError(f"{path}: malformed row {k + 2}")
         values[k // n_p, k % n_p] = float(parts[2])
-    return WignerField(grid, values, _state_from_sidecar(sidecar.get("state")))
+    return WignerField(grid, values, state)

@@ -45,6 +45,7 @@ class Score:
     gains: np.ndarray
 
     def __post_init__(self):
+        pitch = np.array(self.pitch_index, dtype=float)  # the int64 cast below truncates
         dtypes = {"pitch_index": np.int64, "technique": str}
         for name in _COLUMNS + ("gains",):
             a = np.array(getattr(self, name), dtype=dtypes.get(name, float))
@@ -56,6 +57,7 @@ class Score:
         on, du, fr, dy, tech = self.onset, self.duration, self.freq_hz, self.dynamic, self.technique
         for message, values, ok in (
             ("onset must be finite and >= 0", on, np.isfinite(on) & (on >= 0)),
+            ("pitch_index must be integral", pitch, pitch == self.pitch_index),
             ("duration must be finite and positive", du, np.isfinite(du) & (du > 0)),
             ("freq_hz must be positive and finite", fr, np.isfinite(fr) & (fr > 0)),
             ("dynamic must lie in [0, 1]", dy, (dy >= 0) & (dy <= 1)),
@@ -154,6 +156,9 @@ def read_score(path) -> Score:
             data = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read score: {exc}") from exc
-    columns = {name: [e[name] for e in data] for name in _COLUMNS}
-    gains = np.array([e["gains"] for e in data], dtype=float)
+    try:
+        columns = {name: [e[name] for e in data] for name in _COLUMNS}
+        gains = np.array([e["gains"] for e in data], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"{path}: an event lacks the key {exc}") from exc
     return Score(**columns, gains=gains.reshape(len(data), -1) if data else np.zeros((0, 0)))

@@ -19,7 +19,10 @@ def fmt17(x: float) -> str:
 
 
 def json_scalar(value) -> str:
-    """One JSON scalar: floats via fmt17, strings escaped, ints verbatim."""
+    """One JSON scalar: floats via fmt17, strings escaped, ints verbatim,
+    None as null."""
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from quasitone import (
     CatState,
+    CoherentState,
     DegenerateMoments,
     DegenerateRange,
     FockState,
@@ -13,6 +15,7 @@ from quasitone import (
     WignerField,
     build_regular,
     compute_moments,
+    default_grid,
     extremes,
     moments_to_json,
     negativity_volume,
@@ -21,6 +24,8 @@ from quasitone import (
     segment_four,
     write_moments,
 )
+from quasitone.analysis import MomentSet
+from quasitone.cli import parse_grid
 
 
 class TestMoments:
@@ -61,6 +66,49 @@ class TestMoments:
         v[4, 4] = 1.0 / g.cell_areas[4, 4]
         with pytest.raises(DegenerateMoments):
             compute_moments(WignerField(g, v))
+
+
+def _meshgrid_moments(field):
+    """The 2-D formula the marginals replaced: weighted power sums against
+    (n_r, n_p) coordinate arrays."""
+    areas = field.grid.cell_areas
+    weights = field.values * areas
+    total = np.sum(weights)
+    rr, pp = np.meshgrid(field.grid.r_centers, field.grid.p_centers, indexing="ij")
+    stats = {"negativity": np.sum(np.maximum(0.0, -field.values) * areas)}
+    for axis, coords in (("r", rr), ("p", pp)):
+        mean = np.sum(weights * coords) / total
+        d = coords - mean
+        m2, m3, m4 = (np.sum(weights * d**k) / total for k in (2, 3, 4))
+        stats[f"{axis}0"] = mean
+        stats[f"sigma_{axis}"] = np.sqrt(m2)
+        stats[f"skew_{axis}"] = m3 / m2**1.5
+        stats[f"kurt_{axis}"] = m4 / m2**2
+    return stats
+
+
+class TestMarginalMoments:
+    @pytest.mark.parametrize(
+        "state, grid",
+        [
+            (FockState(0), None),
+            (FockState(1), None),
+            (FockState(5), None),
+            (CatState(-1.5 + 0.5j), None),
+            (CoherentState(0.8 - 0.6j), None),
+            (FockState(1), "regular:37:-6.5:3.5"),
+            (CatState(-1.0), "gauss:24:3"),
+        ],
+        ids=["fock0", "fock1", "fock5", "cat", "coherent", "off-centre", "gauss"],
+    )
+    def test_matches_meshgrid_reference(self, state, grid):
+        field = sample_field(state, parse_grid(grid, state) if grid else default_grid(state))
+        got, want = compute_moments(field), _meshgrid_moments(field)
+        assert set(want) == {f.name for f in fields(MomentSet)}
+        # relative to the value, or to 1 where a symmetric state's skew or
+        # centroid is zero up to rounding; the moments are O(1) in hbar = 1
+        for name, value in want.items():
+            assert abs(getattr(got, name) - value) <= 1e-12 * max(1.0, abs(value)), name
 
 
 class TestNegativity:

@@ -307,6 +307,27 @@ class TestArgumentChecks:
         assert cli_main(["moments", "--field", str(fp)]) == 2
         assert "expected header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "state, edit",
+        [
+            ("fock:0", lambda side: [side]),
+            ("fock:0", lambda side: {k: v for k, v in side.items() if k != "kind"}),
+            ("fock:0", lambda side: {k: v for k, v in side.items() if k != "r_edges"}),
+            ("fock:0", lambda side: {k: v for k, v in side.items() if k != "p_edges"}),
+            ("fock:1", lambda side: {**side, "state": {"kind": "fock"}}),
+            ("cat:-1", lambda side: {**side, "state": {**side["state"], "delta_alpha": [-1.0]}}),
+        ],
+        ids=["not-object", "no-kind", "no-r_edges", "no-p_edges", "fock-without-m", "short-shift"],
+    )
+    def test_malformed_sidecar_is_2(self, tmp_path, capsys, state, edit):
+        fp, side = tmp_path / "f.csv", tmp_path / "f.csv.json"
+        assert cli_main(["field", "--state", state, "--out", str(fp)]) == 0
+        side.write_text(json.dumps(edit(json.loads(side.read_text()))))
+        capsys.readouterr()
+        assert cli_main(["moments", "--field", str(fp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(side) in err
+
     def test_nonfinite_wavefunction_is_2(self, tmp_path, capsys):
         # a NaN sample makes the norm NaN, which no tolerance test rejects
         from quasitone import default_psi_grid, harmonic_eigenstate

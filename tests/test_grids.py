@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,13 @@ class TestFieldIo:
         back = read_field(path)
         assert back.state is None
         assert np.array_equal(back.values, f.values)
+        # a field with no state writes "state": null, and reads back the same
+        again = tmp_path / "again.csv"
+        write_field(back, again)
+        assert json.loads((tmp_path / "again.csv.json").read_text())["state"] is None
+        twice = read_field(again)
+        assert twice.state is None
+        assert np.array_equal(twice.values, f.values)
 
     @pytest.mark.parametrize(
         "state, grid",

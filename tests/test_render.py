@@ -300,7 +300,31 @@ class TestRenderSweep:
         assert sigma_f == pytest.approx(cfg_sweep.q_slope * m.sigma_r, rel=0.05)
 
 
+def reference_sonogram_db(buffer, window, hop):
+    """The per-frame loop the batched FFTs replaced: one rfft per frame."""
+    mono = np.mean(np.asarray(buffer.samples, dtype=float), axis=1)
+    w = np.hanning(window)
+    scale = 2.0 / float(np.sum(w))
+    n_frames = 1 + (mono.size - window) // hop
+    mags = np.empty((n_frames, window // 2 + 1))
+    for k in range(n_frames):
+        mags[k] = np.abs(np.fft.rfft(mono[k * hop : k * hop + window] * w)) * scale
+    return 20.0 * np.log10(np.maximum(mags, 10.0 ** (render.DB_FLOOR / 20.0)))
+
+
 class TestSonogram:
+    @pytest.mark.parametrize("channels", [1, 2, 4])
+    def test_matches_per_frame_reference(self, channels):
+        # 1300 frames: two full chunks of 512 and a partial one
+        window, hop, n_frames = 64, 16, 1300
+        n = window + hop * (n_frames - 1) + 7
+        x = np.random.default_rng(channels).uniform(-0.9, 0.9, (n, channels)).astype(np.float32)
+        x[: n // 3] *= 1e-7  # quiet enough to reach the dB floor
+        buf = AudioBuffer(x, 8000)
+        sono = stft_sonogram(buf, window=window, hop=hop)
+        assert render._STFT_CHUNK_SAMPLES // window == 512 and sono.times.size == n_frames
+        assert np.array_equal(sono.magnitude_db, reference_sonogram_db(buf, window, hop))
+
     def test_pure_tone_peak_bin(self):
         sr = 8000
         t = np.arange(sr) / sr

@@ -209,11 +209,20 @@ class TestScoreIo:
         bank = method1_grid(fock1_30_field, cfg)
         rows = json.loads(score_to_json(bank_to_events(bank, fock1_30_field, cfg)))
         path = tmp_path / "bad.json"
-        for key, value in [("technique", "col_legno"), ("dynamic", 1.5), ("gains", [float("nan")])]:
+        for key, value, match in [
+            ("technique", "col_legno", None),
+            ("dynamic", 1.5, None),
+            ("gains", [float("nan")], None),
+            # read as 3, it would be a silently substituted pitch
+            ("pitch_index", 3.7, "pitch_index must be integral, got 3.7"),
+            ("freq_hz", None, "lacks the key 'freq_hz'"),  # None deletes the key
+        ]:
             bad = [dict(row) for row in rows]
             bad[7][key] = value
+            if value is None:
+                del bad[7][key]
             path.write_text(json.dumps(bad))
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 read_score(path)
 
     def test_empty_score(self, tmp_path):
