@@ -1,13 +1,21 @@
 """Command line front end.
 
 Subcommands cover the whole pipeline: eval, field, moments, sonify, sweep,
-sonogram, score. Exit codes: 0 success, 2 argument or grammar errors, 3
-coverage below threshold, 4 numeric or I/O failures.
+sonogram, score; sonify, sweep and score also read a --config file of
+mapping constants. cli_main alone turns a fault into an exit code, by its
+exception class:
+
+  0  success
+  2  ValueError: an argument, grammar, config or out-of-range value,
+     including a non-finite one (UsageFault is a ValueError)
+  3  CoverageError: the grid captures too little of the state
+  4  any other QuasitoneError, or an OSError: numeric or I/O failures
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -49,20 +57,12 @@ from .states import CatState, CoherentState, FockState, SampledState
 from .textfmt import fmt17
 
 
-class UsageFault(Exception):
-    """Grammar or config problem; maps to exit code 2."""
+class UsageFault(ValueError):
+    """Grammar or config problem; exits 2 like every ValueError."""
 
 
-def _checked(call, *args, **kwargs):
-    """Run a library call on command-line values.
-
-    The library checks its arguments with ValueError; here that is a usage
-    fault, so a bad value exits 2 with its message instead of a traceback.
-    """
-    try:
-        return call(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageFault(str(exc)) from exc
+# Exit code of each fault class that cli_main reports; the first match wins.
+_EXIT_CODES = {ValueError: 2, CoverageError: 3, QuasitoneError: 4, OSError: 4}
 
 
 def _parse_complex_pair(text, what):
@@ -136,7 +136,7 @@ def parse_grid(text, state):
 
 def _load_cfg(args, base: MapConfig) -> MapConfig:
     """The command's default config, overridden by --config when given."""
-    if getattr(args, "config", None):
+    if args.config:
         try:
             return load_map_config(args.config, base=base)
         except (OSError, ValueError) as exc:
@@ -172,17 +172,17 @@ def _parse_segments(text):
         except ValueError as exc:
             raise UsageFault(f"segment {chunk!r}: {exc}") from exc
         segs.append((a, b, secs))
-    return _checked(SweepTrajectory, tuple(segs))
+    return SweepTrajectory(tuple(segs))
 
 
 def _build_parser():
-    top = argparse.ArgumentParser(prog="quasitone", description=__doc__)
+    top = argparse.ArgumentParser(
+        prog="quasitone", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key=value text file of mapping constants")
-        return p
+        return sub.add_parser(name, help=help_text)
 
     p = add("eval", "print one Wigner value")
     p.add_argument("--state", required=True)
@@ -230,14 +230,18 @@ def _build_parser():
     p.add_argument("--arpeggiate", action="store_true")
     p.add_argument("--out", required=True)
 
+    # only the commands that map a field to sound read a config
+    for name in ("sonify", "sweep", "score"):
+        sub.choices[name].add_argument("--config", help="key=value text file of mapping constants")
     return top
 
 
 def _run(args) -> int:
-    cfg = _load_cfg(args, sweep_cfg() if args.command == "sweep" else MapConfig())
-
     if args.command == "eval":
         state = parse_state(args.state)
+        for flag, value in (("--r", args.r), ("--p", args.p)):
+            if not math.isfinite(value):
+                raise UsageFault(f"{flag} must be finite, got {value!r}")
         from .states import evaluate
 
         print(fmt17(float(evaluate(state, args.r, args.p))))
@@ -254,7 +258,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "moments":
-        field = _checked(read_field, args.field)
+        field = read_field(args.field)
         moments = compute_moments(field)
         if args.out:
             write_moments(moments, args.out)
@@ -263,20 +267,21 @@ def _run(args) -> int:
         return 0
 
     if args.command == "sonify":
+        cfg = _load_cfg(args, MapConfig())
         field = _sampled_field(args)
         require_coverage(field)
-        bank = _checked(_bank_for, args.method, field, cfg, args.duration)
+        bank = _bank_for(args.method, field, cfg, args.duration)
         gains = None if args.channels == 1 else partial_gains(bank, field, args.channels)
-        buffer = _checked(synth, bank, sample_rate=args.sr, gains=gains)
+        buffer = synth(bank, sample_rate=args.sr, gains=gains)
         write_wav(buffer, args.out)
         if args.score:
             write_score(bank_to_events(bank, field, cfg, channels=args.channels), args.score)
         return 0
 
     if args.command == "sweep":
+        cfg = _load_cfg(args, sweep_cfg())
         trajectory = _parse_segments(args.segments) if args.segments else None
-        buffer = _checked(
-            render_sweep,
+        buffer = render_sweep(
             trajectory=trajectory,
             cfg=cfg,
             sample_rate=args.sr,
@@ -287,14 +292,15 @@ def _run(args) -> int:
         return 0
 
     if args.command == "sonogram":
-        sono = _checked(stft_sonogram, read_wav(args.audio), window=args.window, hop=args.hop)
+        sono = stft_sonogram(read_wav(args.audio), window=args.window, hop=args.hop)
         write_sonogram_csv(sono, args.out)
         return 0
 
     if args.command == "score":
+        cfg = _load_cfg(args, MapConfig())
         field = _sampled_field(args)
         require_coverage(field)
-        bank = _checked(_bank_for, args.method, field, cfg, args.duration)
+        bank = _bank_for(args.method, field, cfg, args.duration)
         score = bank_to_events(bank, field, cfg, channels=args.channels, arpeggiate=args.arpeggiate)
         write_score(score, args.out)
         return 0
@@ -310,15 +316,9 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except UsageFault as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CoverageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (QuasitoneError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def main() -> None:

@@ -27,6 +27,10 @@ KIND_GAUSSIAN = "gaussian"
 # command line front end agrees to render from it.
 COVERAGE_MIN = 0.99
 
+# Cells per axis and half width of the default grid around a centroid.
+DEFAULT_CELLS = 64
+DEFAULT_HALF_WIDTH = 5.0
+
 # Reference window for the coverage denominator: a half-width 10 square
 # around the state centroid at 512 cells per axis captures all but a
 # negligible sliver of every state this package evaluates.
@@ -165,10 +169,11 @@ def sample_field(state: StateSpec, grid: GridSpec) -> WignerField:
     return WignerField(grid, values, state)
 
 
-def default_grid(state: StateSpec, n=64, half_width=5.0) -> GridSpec:
-    """Regular n x n grid centered on the state's analytic centroid."""
+def default_grid(state: StateSpec) -> GridSpec:
+    """Regular DEFAULT_CELLS-square grid centered on the state's analytic centroid."""
     r0, p0 = state_centroid(state)
-    return build_regular(r0 - half_width, r0 + half_width, p0 - half_width, p0 + half_width, n, n)
+    h, n = DEFAULT_HALF_WIDTH, DEFAULT_CELLS
+    return build_regular(r0 - h, r0 + h, p0 - h, p0 + h, n, n)
 
 
 @functools.lru_cache(maxsize=16)
@@ -195,11 +200,11 @@ def coverage(field: WignerField) -> float:
     return float(min(1.0, field.abs_mass / ref))
 
 
-def require_coverage(field: WignerField, threshold=COVERAGE_MIN) -> float:
-    """Return coverage, raising CoverageError below the threshold."""
+def require_coverage(field: WignerField) -> float:
+    """Return coverage, raising CoverageError below COVERAGE_MIN."""
     cov = coverage(field)
-    if cov < threshold:
-        raise CoverageError(f"grid captures {cov:.4f} of the state's absolute mass; need >= {threshold}")
+    if cov < COVERAGE_MIN:
+        raise CoverageError(f"grid captures {cov:.4f} of the state's absolute mass; need >= {COVERAGE_MIN}")
     return cov
 
 
@@ -268,7 +273,7 @@ def _state_from_sidecar(info):
 def read_field(path) -> WignerField:
     """Read a field written by write_field; bit-exact round trip.
 
-    A malformed sidecar or CSV header raises ValueError naming the file.
+    A malformed sidecar, header or row raises ValueError naming the file.
     """
     side = _sidecar_path(path)
     try:
@@ -299,5 +304,8 @@ def read_field(path) -> WignerField:
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"{path}: malformed row {k + 2}")
-        values[k // n_p, k % n_p] = float(parts[2])
+        try:
+            values[k // n_p, k % n_p] = float(parts[2])
+        except ValueError:
+            raise ValueError(f"{path}: line {k + 2}: value {parts[2]!r} is not a number") from None
     return WignerField(grid, values, state)

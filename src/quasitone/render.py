@@ -11,6 +11,7 @@ bank, so the same bank renders to the same bytes on every run.
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .analysis import compute_moments
 from .errors import BufferTooShort, IoError, NyquistViolation, UnsupportedFormat
-from .grids import default_grid, sample_field
+from .grids import DEFAULT_HALF_WIDTH, default_grid, sample_field
 from .sonify import TAU, MapConfig, PartialBank, method4_moments, spatial_gains
 from .states import EPS_SHIFT, CatState, FockState
 
@@ -37,10 +38,6 @@ DB_FLOOR = -120.0
 # batches of 512 such frames ran no faster and raised the peak RSS of a
 # 20 s sweep's sonogram from 57 to 78 MB (2-core x86-64 host).
 _STFT_CHUNK_SAMPLES = 1 << 15
-
-# Spatial margin around the trajectory's endpoint centroids when panning a
-# sweep; matches the half width of the default analysis grid.
-_PAN_HALF_WIDTH = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +213,12 @@ class SweepTrajectory:
             raise ValueError("trajectory needs at least one segment")
         cleaned = []
         for seg in self.segments:
-            a, b, secs = seg
-            secs = float(secs)
+            a, b, secs = complex(seg[0]), complex(seg[1]), float(seg[2])
+            if not (cmath.isfinite(a) and cmath.isfinite(b)):
+                raise ValueError(f"segment endpoints must be finite, got {a!r} and {b!r}")
             if not (np.isfinite(secs) and secs > 0):
                 raise ValueError(f"segment duration must be positive, got {secs!r}")
-            cleaned.append((complex(a), complex(b), secs))
+            cleaned.append((a, b, secs))
         object.__setattr__(self, "segments", tuple(cleaned))
 
     @property
@@ -278,8 +276,8 @@ def render_sweep(
     trajectory = trajectory or default_trajectory()
     cfg = cfg or sweep_cfg()
     _check_rate(sample_rate)
-    if frame_seconds <= 0:
-        raise ValueError(f"frame_seconds must be positive, got {frame_seconds!r}")
+    if not (math.isfinite(frame_seconds) and frame_seconds > 0):
+        raise ValueError(f"frame_seconds must be positive and finite, got {frame_seconds!r}")
     if channels not in (1, 2, 4):
         raise ValueError(f"channels must be 1, 2, or 4, got {channels!r}")
     n_total = int(round(trajectory.total_seconds * sample_rate))
@@ -291,7 +289,8 @@ def render_sweep(
     window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n_frame) / n_frame)
     out = np.zeros((n_total, channels), dtype=float)
     ends = np.array([(z.real, z.imag) for a, b, _ in trajectory.segments for z in (a, b)])
-    lo, hi = ends.min(axis=0) - _PAN_HALF_WIDTH, ends.max(axis=0) + _PAN_HALF_WIDTH
+    # pan within the default grids of the endpoint states
+    lo, hi = ends.min(axis=0) - DEFAULT_HALF_WIDTH, ends.max(axis=0) + DEFAULT_HALF_WIDTH
     pan_bounds = (lo[0], hi[0], lo[1], hi[1])
     # oscillator phases carried across frames: partial k of the next frame
     # picks up where partial k of this frame stands at the overlap start, so
@@ -305,7 +304,6 @@ def render_sweep(
         field = sample_field(state, default_grid(state))
         moments = compute_moments(field)
         bank = method4_moments(moments, cfg, duration=frame_seconds)
-        phases = (bank.phase + phases) % TAU
         if channels == 1:
             frame_gains = np.ones((cfg.n_osc, 1), dtype=float)
         else:
@@ -406,8 +404,8 @@ def read_wav(path) -> AudioBuffer:
     """Read a 32-bit float WAV written by write_wav (or anything like it).
 
     Rejects every other encoding with UnsupportedFormat, including
-    truncated files, integer PCM, and data with no frame or with NaN or
-    infinite samples.
+    truncated files, integer PCM, a zero sample rate, and data with no
+    frame or with NaN or infinite samples.
     """
     try:
         with open(path, "rb") as fh:
@@ -439,6 +437,8 @@ def read_wav(path) -> AudioBuffer:
         raise UnsupportedFormat(
             f"{path}: need IEEE float 32 (format 3), got format {audio_format} at {bits} bits"
         )
+    if sr < 1:
+        raise UnsupportedFormat(f"{path}: sample rate must be positive, got {sr}")
     if n_ch < 1 or len(data) % (4 * n_ch):
         raise UnsupportedFormat(f"{path}: data size does not divide into {n_ch}-channel frames")
     samples = np.frombuffer(data, dtype="<f4").reshape(-1, n_ch)

@@ -158,7 +158,11 @@ def read_score(path) -> Score:
         raise IoError(f"cannot read score: {exc}") from exc
     try:
         columns = {name: [e[name] for e in data] for name in _COLUMNS}
-        gains = np.array([e["gains"] for e in data], dtype=float)
+        gains = [e["gains"] for e in data]
     except KeyError as exc:
         raise ValueError(f"{path}: an event lacks the key {exc}") from exc
-    return Score(**columns, gains=gains.reshape(len(data), -1) if data else np.zeros((0, 0)))
+    for k, row in enumerate(gains):
+        if np.shape(row) != np.shape(gains[0]):
+            raise ValueError(f"{path}: event {k} has gains {row!r}, event 0 has {gains[0]!r}")
+    gains = np.array(gains, dtype=float).reshape(len(data), -1) if data else np.zeros((0, 0))
+    return Score(**columns, gains=gains)

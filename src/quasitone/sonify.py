@@ -71,16 +71,16 @@ class MapConfig:
     event_duration: float = 4.0
 
     def __post_init__(self):
-        if not (0 < self.f_lo < self.f_hi):
-            raise ValueError(f"need 0 < f_lo < f_hi, got [{self.f_lo}, {self.f_hi}]")
+        if not (math.isfinite(self.f_hi) and 0 < self.f_lo < self.f_hi):
+            raise ValueError(f"need 0 < f_lo < f_hi, both finite, got [{self.f_lo}, {self.f_hi}]")
         if not (np.isfinite(self.q_slope) and self.q_slope > 0):
             raise ValueError(f"q_slope must be positive, got {self.q_slope!r}")
         if not (np.isfinite(self.f0_base) and np.isfinite(self.f0_slope)):
             raise ValueError("f0_base and f0_slope must be finite")
         if self.n_osc < 1 or self.n_osc % 2 == 0:
             raise ValueError(f"n_osc must be odd and positive, got {self.n_osc}")
-        if self.ref_pitch <= 0:
-            raise ValueError(f"ref_pitch must be positive, got {self.ref_pitch}")
+        if not (math.isfinite(self.ref_pitch) and self.ref_pitch > 0):
+            raise ValueError(f"ref_pitch must be positive and finite, got {self.ref_pitch!r}")
         if self.negative_technique not in _NEGATIVE_TECHNIQUES:
             raise ValueError(f"negative_technique must be one of {_NEGATIVE_TECHNIQUES}")
         if self.waveform not in (WAVE_SINE, WAVE_TRIANGLE):
@@ -89,8 +89,8 @@ class MapConfig:
             raise ValueError(f"freq_axis must be 'r' or 'p', got {self.freq_axis!r}")
         if self.f0_mode not in ("r0", "sigma_r"):
             raise ValueError(f"f0_mode must be 'r0' or 'sigma_r', got {self.f0_mode!r}")
-        if self.event_duration <= 0:
-            raise ValueError(f"event_duration must be positive, got {self.event_duration}")
+        if not (math.isfinite(self.event_duration) and self.event_duration > 0):
+            raise ValueError(f"event_duration must be positive and finite, got {self.event_duration!r}")
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(MapConfig)}
@@ -158,8 +158,8 @@ class PartialBank:
     source_value: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
         if self.method not in ("I", "II", "III", "IV"):
             raise ValueError(f"method must be I, II, III, or IV, got {self.method!r}")
         names = ["freq", "amp", "phase", "triangle"]
@@ -302,9 +302,7 @@ def method3_sections(field: WignerField, cfg: MapConfig, duration: float | None 
     return _uniform_bank(freq, amp, cfg, duration, "III", np.min(field.values) < 0)
 
 
-def method4_moments(
-    moments: MomentSet, cfg: MapConfig, duration: float | None = None, negative: bool | None = None
-) -> PartialBank:
+def method4_moments(moments: MomentSet, cfg: MapConfig, duration: float | None = None) -> PartialBank:
     """Odd bank of partials under a Gaussian spectral envelope.
 
     Center frequency f0 = f0_base + f0_slope * r0, or with sigma_r in
@@ -315,8 +313,8 @@ def method4_moments(
 
     Nominal positions falling outside [f_lo, f_hi] are clipped to the
     band edge; amplitudes keep the nominal Gaussian profile so the
-    envelope stays symmetric. duration defaults to cfg.event_duration and
-    negative to whether the moments report any negativity.
+    envelope stays symmetric. duration defaults to cfg.event_duration; the
+    bank is negative when the moments report any negativity.
     """
     sigma_r = moments.sigma_r
     if not (np.isfinite(sigma_r) and sigma_r > 0):
@@ -332,9 +330,7 @@ def method4_moments(
     # correctly rounded offset**2 differs from it in the last bit of some
     # offsets, which would move a sweep's samples
     amp = np.exp(-np.float_power(offset, 2) / (2.0 * sigma_f**2))
-    if negative is None:
-        negative = moments.negativity > 0
-    return _uniform_bank(freq, amp, cfg, duration, "IV", negative)
+    return _uniform_bank(freq, amp, cfg, duration, "IV", moments.negativity > 0)
 
 
 # === pitch lattice, technique, panning ===

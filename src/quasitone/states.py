@@ -21,6 +21,7 @@ the vacuum is (1/pi) exp(-(r^2 + p^2)) whichever closed form draws it.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -87,8 +88,11 @@ class CatState:
     alpha: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "delta_alpha", complex(self.delta_alpha))
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        for name in ("delta_alpha", "alpha"):
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if abs(self.delta_alpha) <= EPS_SHIFT:
             raise DegenerateShift(
                 f"|delta_alpha| = {abs(self.delta_alpha):.3g} <= {EPS_SHIFT}; "
@@ -111,6 +115,8 @@ class CoherentState:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
 
     def describe(self) -> dict:
         return {"kind": "coherent", "alpha": [self.alpha.real, self.alpha.imag]}

@@ -255,6 +255,18 @@ class TestExitCodes:
         assert "finite samples" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_wav_sample_rate_is_4(self, tmp_path, capsys):
+        from quasitone.render import AudioBuffer, write_wav
+
+        wav, out = tmp_path / "sr0.wav", tmp_path / "s.csv"
+        write_wav(AudioBuffer(np.zeros(4096), 8000), wav)
+        blob = wav.read_bytes()
+        wav.write_bytes(blob[:24] + bytes(4) + blob[28:])  # the fmt chunk's rate field
+        assert cli_main(["sonogram", "--audio", str(wav), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(wav) in err and "sample rate" in err
+        assert not out.exists()
+
 
 class TestArgumentChecks:
     """Bad values reach the library's checks and exit 2 with a message."""
@@ -299,6 +311,49 @@ class TestArgumentChecks:
         assert "sample rate must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, config, fragment",
+        [
+            (["score", "--state", "fock:1", "--method", "IV", "--out", "x.json"], "ref_pitch=nan",
+             "ref_pitch"),
+            (["sonify", "--state", "fock:1", "--method", "IV", "--out", "x.wav"],
+             "event_duration=nan", "event_duration"),
+            (["sonify", "--state", "fock:1", "--method", "IV", "--duration", "0.1", "--out", "x.wav"],
+             "f_hi=inf", "f_hi"),
+            (["sonify", "--state", "fock:1", "--method", "IV", "--duration", "inf", "--out", "x.wav"],
+             None, "duration"),
+            (["sonify", "--state", "fock:1", "--method", "IV", "--duration", "nan", "--out", "x.wav"],
+             None, "duration"),
+            (["sweep", "--segments", "0:-1:1", "--frame", "inf", "--out", "x.wav"], None, "frame"),
+            (["sweep", "--segments", "0:-1:1", "--frame", "nan", "--out", "x.wav"], None, "frame"),
+            (["score", "--state", "fock:1", "--method", "IV", "--duration", "nan", "--out", "x.json"],
+             None, "duration"),
+            (["score", "--state", "fock:1", "--method", "IV", "--duration", "inf", "--out", "x.json"],
+             None, "duration"),
+            (["field", "--state", "cat:nan", "--out", "x.csv"], None, "delta_alpha"),
+            (["sonify", "--state", "coherent:inf", "--method", "IV", "--out", "x.wav"], None, "alpha"),
+            (["sweep", "--segments", "0:nan:2", "--out", "x.wav"], None, "segment"),
+            (["eval", "--state", "fock:0", "--r", "nan", "--p", "0"], None, "--r"),
+            (["eval", "--state", "fock:0", "--r", "0", "--p", "inf"], None, "--p"),
+        ],
+        ids=[
+            "config-ref_pitch", "config-event_duration", "config-f_hi", "sonify-duration-inf",
+            "sonify-duration-nan", "sweep-frame-inf", "sweep-frame-nan", "score-duration-nan",
+            "score-duration-inf", "cat-shift", "coherent-alpha", "sweep-segment", "eval-r", "eval-p",
+        ],
+    )
+    def test_nonfinite_value_is_named(self, argv, config, fragment, tmp_path, capsys, monkeypatch):
+        # NaN and infinity pass every "<= 0" test; each must still exit 2
+        # with a message naming the key or flag, never a traceback
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "m.cfg").write_text(config + "\n")
+            argv = argv + ["--config", "m.cfg"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+        assert not any(tmp_path.glob("x.*"))
+
     def test_malformed_field_file_is_2(self, tmp_path, capsys):
         fp = tmp_path / "f.csv"
         assert cli_main(["field", "--state", "fock:0", "--out", str(fp)]) == 0
@@ -306,6 +361,30 @@ class TestArgumentChecks:
         capsys.readouterr()
         assert cli_main(["moments", "--field", str(fp)]) == 2
         assert "expected header" in capsys.readouterr().err
+
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path, capsys):
+        fp = tmp_path / "f.csv"
+        assert cli_main(["field", "--state", "fock:0", "--out", str(fp)]) == 0
+        lines = fp.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",abc"
+        fp.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["moments", "--field", str(fp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{fp}: line 6:" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("command", ["eval", "field", "moments", "sonogram"])
+    def test_config_only_where_read(self, command, tmp_path, capsys):
+        # these commands read no config, so they do not take the flag
+        argv = {
+            "eval": ["--state", "fock:0", "--r", "0", "--p", "0"],
+            "field": ["--state", "fock:0", "--out", str(tmp_path / "f.csv")],
+            "moments": ["--field", str(tmp_path / "f.csv")],
+            "sonogram": ["--audio", str(tmp_path / "a.wav"), "--out", str(tmp_path / "s.csv")],
+        }[command]
+        assert cli_main([command, *argv, "--config", str(tmp_path / "none.cfg")]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "state, edit",

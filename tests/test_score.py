@@ -216,6 +216,8 @@ class TestScoreIo:
             # read as 3, it would be a silently substituted pitch
             ("pitch_index", 3.7, "pitch_index must be integral, got 3.7"),
             ("freq_hz", None, "lacks the key 'freq_hz'"),  # None deletes the key
+            ("gains", [0.5, 0.5, 0.5], "bad.json: event 7 has gains"),
+            ("gains", [float("nan"), 1.0], "gains must be finite, got nan"),
         ]:
             bad = [dict(row) for row in rows]
             bad[7][key] = value

@@ -56,6 +56,12 @@ class TestMapConfig:
         with pytest.raises(ValueError):
             MapConfig(freq_axis="q")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["f_lo", "f_hi", "ref_pitch", "event_duration"])
+    def test_nonfinite_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            MapConfig(**{key: value})
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "map.cfg"
         path.write_text(
@@ -111,6 +117,12 @@ class TestPartialBank:
         arrays[name] = values
         with pytest.raises(ValueError):
             PartialBank(**arrays, duration=1.0, method="IV", negative=False)
+
+    @pytest.mark.parametrize("duration", [0.0, math.nan, math.inf])
+    def test_rejects_bad_duration(self, duration):
+        arrays = dict(freq=[440.0], amp=[0.5], phase=[0.0], triangle=[False])
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            PartialBank(**arrays, duration=duration, method="IV", negative=False)
 
 
 class TestMethod1:

@@ -126,6 +126,19 @@ class TestCat:
         # just above the floor is fine
         CatState(EPS_SHIFT * 2.0)
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: CatState(complex(math.nan, 0.0)), "delta_alpha"),
+            (lambda: CatState(-1.0, complex(0.0, math.inf)), "alpha"),
+            (lambda: CoherentState(complex(math.inf, 0.0)), "alpha"),
+        ],
+        ids=["cat-shift", "cat-carrier", "coherent"],
+    )
+    def test_nonfinite_displacement_raises(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make()
+
     def test_carrier_shifts_rigidly(self):
         base = eval_cat(-1.0, -1.3, 0.4)
         moved = eval_cat(-1.0, -1.3 + 2.0, 0.4 - 1.0, alpha=2.0 - 1.0j)
