@@ -273,7 +273,8 @@ def _state_from_sidecar(info):
 def read_field(path) -> WignerField:
     """Read a field written by write_field; bit-exact round trip.
 
-    A malformed sidecar, header or row raises ValueError naming the file.
+    A malformed sidecar, header or row, or a cell that is not a finite
+    number, raises ValueError naming the file.
     """
     side = _sidecar_path(path)
     try:
@@ -308,4 +309,9 @@ def read_field(path) -> WignerField:
             values[k // n_p, k % n_p] = float(parts[2])
         except ValueError:
             raise ValueError(f"{path}: line {k + 2}: value {parts[2]!r} is not a number") from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0])
+        cell = lines[k + 1].split(",")[2]
+        raise ValueError(f"{path}: line {k + 2}: value {cell!r} is not finite")
     return WignerField(grid, values, state)

@@ -367,16 +367,31 @@ def stft_sonogram(buffer: AudioBuffer, window=2048, hop=512) -> Sonogram:
 
 def write_sonogram_csv(sono: Sonogram, path) -> None:
     """CSV with the frequency axis across the first row and times down the
-    first column; the corner cell is empty."""
-    # "%.9g" % v is format(v, ".9g"); one format string per row is faster,
-    # and writing row by row keeps no copy of the whole text in memory
-    cells = ",".join(["%.9g"] * sono.freqs.size)
-    row_fmt = "%.9g," + cells + "\n"
+    first column; the corner cell is empty.
+
+    Every value is written as format(v, ".9g"). Most cells of a sweep's
+    sonogram sit exactly at DB_FLOOR, whose text is "-120", so each row
+    formats only the cells that differ from the floor and fills every run
+    of floor cells with a slice of one precomputed ",-120" * n_freqs string.
+    """
+    floor_cell = "," + format(DB_FLOOR, ".9g")
+    width = len(floor_cell)
+    floor_run = floor_cell * sono.freqs.size
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("," + cells % tuple(sono.freqs.tolist()) + "\n")
+            fh.write("," + ",".join(["%.9g" % f for f in sono.freqs.tolist()]) + "\n")
+            # row by row, so no copy of the whole text is held in memory
             for t, row in zip(sono.times.tolist(), sono.magnitude_db):
-                fh.write(row_fmt % (t, *row.tolist()))
+                live = np.flatnonzero(row != DB_FLOOR)
+                parts = ["%.9g" % t]
+                start = 0
+                for k, v in zip(live.tolist(), row[live].tolist()):
+                    parts.append(floor_run[: width * (k - start)])
+                    parts.append(",%.9g" % v)
+                    start = k + 1
+                parts.append(floor_run[: width * (row.size - start)])
+                parts.append("\n")
+                fh.write("".join(parts))
     except OSError as exc:
         raise IoError(f"cannot write sonogram: {exc}") from exc
 

@@ -93,7 +93,7 @@ class MapConfig:
             raise ValueError(f"event_duration must be positive and finite, got {self.event_duration!r}")
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(MapConfig)}
+_CONFIG_TYPES = {f.name: f.type for f in fields(MapConfig)}  # type names: annotations are strings
 
 
 def load_map_config(path, base: MapConfig | None = None) -> MapConfig:
@@ -116,12 +116,10 @@ def load_map_config(path, base: MapConfig | None = None) -> MapConfig:
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             kind = _CONFIG_TYPES[key]
-            if kind in ("int", int):
-                overrides[key] = int(value)
-            elif kind in ("float", float):
-                overrides[key] = float(value)
-            else:
-                overrides[key] = value
+            try:
+                overrides[key] = int(value) if kind == "int" else float(value) if kind == "float" else value
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be {kind}, got {value!r}") from None
     return replace(base or MapConfig(), **overrides)
 
 

@@ -1,9 +1,12 @@
 """Deterministic text formatting for CSV and JSON artifacts.
 
-Every exported float has 17 significant digits, through fmt17 or the row
-formats ("%.17g", finiteness checked per array) of fields and scores, so
-two runs with the same inputs produce byte-identical files and a parse of
-the text recovers the exact float64 bits.
+Every exported float of a field, moments or score file has 17 significant
+digits, through fmt17 or the row formats ("%.17g", finiteness checked per
+array) of fields and scores, so two runs with the same inputs produce
+byte-identical files and a parse of the text recovers the exact float64
+bits. The one exception is the sonogram CSV (render.write_sonogram_csv):
+it writes "%.9g", nine significant digits, which is deterministic too but
+not lossless.
 """
 
 from __future__ import annotations

@@ -373,6 +373,19 @@ class TestArgumentChecks:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{fp}: line 6:" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_file_and_line(self, cell, tmp_path, capsys):
+        fp = tmp_path / "f.csv"
+        assert cli_main(["field", "--state", "fock:0", "--out", str(fp)]) == 0
+        lines = fp.read_text().splitlines()
+        for k in (7, 9):
+            lines[k] = lines[k].rsplit(",", 1)[0] + "," + cell
+        fp.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["moments", "--field", str(fp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{fp}: line 8:" in err and repr(cell) in err
+
     @pytest.mark.parametrize("command", ["eval", "field", "moments", "sonogram"])
     def test_config_only_where_read(self, command, tmp_path, capsys):
         # these commands read no config, so they do not take the flag

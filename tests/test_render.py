@@ -26,6 +26,7 @@ from quasitone import (
     write_wav,
 )
 from quasitone import render
+from quasitone.render import DB_FLOOR, Sonogram
 
 TARGET_PEAK = 10.0 ** (-1.0 / 20.0)
 
@@ -380,6 +381,36 @@ class TestSonogram:
         for t, row in zip(sono.times, sono.magnitude_db):
             lines.append(format(t, ".9g") + "," + ",".join(format(v, ".9g") for v in row))
         assert path.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [-3.5, -60.25, 0.0, -150.25, 12.0],  # one cell below the floor
+            [DB_FLOOR] * 5,
+            [DB_FLOOR, -1.0, -2.0, -3.0, -4.0],
+            [-1.0, -2.0, -3.0, -4.0, DB_FLOOR],
+            [DB_FLOOR, DB_FLOOR, -7.125, DB_FLOOR, DB_FLOOR],
+            [DB_FLOOR, -119.9999999999, DB_FLOOR, DB_FLOOR, -120.0000000001],
+        ],
+        ids=["no-floor", "all-floor", "floor-first", "floor-last", "live-between-runs", "live-as-floor-text"],
+    )
+    def test_csv_floor_runs_match_per_value_format(self, row, tmp_path):
+        sono = Sonogram(
+            times=np.array([0.0232199546, 1.0 / 3.0]),
+            freqs=np.linspace(0.0, 4000.0, len(row)),
+            magnitude_db=np.array([row, row[::-1]]),
+        )
+        path = tmp_path / "sono.csv"
+        write_sonogram_csv(sono, path)
+        assert path.read_text() == per_value_sonogram_csv(sono)
+
+
+def per_value_sonogram_csv(sono):
+    """The sonogram CSV text with format(v, ".9g") called on every value."""
+    lines = ["," + ",".join(format(f, ".9g") for f in sono.freqs)]
+    for t, row in zip(sono.times, sono.magnitude_db):
+        lines.append(format(t, ".9g") + "," + ",".join(format(v, ".9g") for v in row))
+    return "\n".join(lines) + "\n"
 
 
 class TestWavIo:

@@ -85,6 +85,15 @@ class TestMapConfig:
         assert c.f0_base == 440.0
         assert c.n_osc == 11
 
+    @pytest.mark.parametrize("key, value", [("n_osc", "3.5"), ("n_osc", "many"), ("f_lo", "low")])
+    def test_non_numeric_value_names_line_key_and_value(self, key, value, tmp_path):
+        path = tmp_path / "map.cfg"
+        path.write_text(f"# constants\n{key} = {value}\n")
+        with pytest.raises(ValueError) as info:
+            load_map_config(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}:2: ") and key in message and repr(value) in message
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "map.cfg"
         path.write_text("volume=11\n")
