@@ -7,16 +7,11 @@ The pipeline: build a state (states), evaluate its Wigner function on a grid
 """
 
 from .analysis import (
-    GAUSSIAN_KURTOSIS,
     MASS_FLOOR,
-    FieldExtremes,
     MomentSet,
     ValueSegmentation,
     compute_moments,
-    extremes,
     moments_to_json,
-    negativity_volume,
-    read_moments,
     segment_four,
     write_moments,
 )

@@ -9,7 +9,6 @@ an order fixed by the grid shape, so every figure repeats bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,9 +19,6 @@ from .textfmt import json_value
 
 # Signed mass below this is too cancelled to normalize reliably.
 MASS_FLOOR = 0.5
-
-# Gaussian reference value for the raw kurtosis reported here.
-GAUSSIAN_KURTOSIS = 3.0
 
 
 @dataclass(frozen=True)
@@ -38,16 +34,6 @@ class MomentSet:
     kurt_r: float
     kurt_p: float
     negativity: float
-
-
-@dataclass(frozen=True)
-class FieldExtremes:
-    """Most negative and most positive samples with their cell centers."""
-
-    min_value: float
-    min_point: tuple[float, float]
-    max_value: float
-    max_point: tuple[float, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +67,8 @@ def compute_moments(field: WignerField) -> MomentSet:
 
     Spread is the square root of the second central moment; skewness is
     the standardized third; kurtosis is the raw standardized fourth, so a
-    Gaussian scores 3.
+    Gaussian scores 3. Negativity is the sum of max(0, -value) * area,
+    which is zero for any nonnegative field.
     """
     grid, areas = field.grid, field.grid.cell_areas
     weights = field.values * areas
@@ -99,44 +86,7 @@ def compute_moments(field: WignerField) -> MomentSet:
         skew_p=skew_p,
         kurt_r=kurt_r,
         kurt_p=kurt_p,
-        negativity=_negative_mass(field.values, areas),
-    )
-
-
-def negativity_volume(field: WignerField) -> float:
-    """Absolute mass of the negative part: sum of max(0, -value) * area.
-
-    Equals (integral |W| - integral W) / 2 on the sampled mesh and is zero
-    for any nonnegative distribution.
-    """
-    return _negative_mass(field.values, field.grid.cell_areas)
-
-
-def _negative_mass(values, areas) -> float:
-    return float(np.sum(np.maximum(0.0, -values) * areas))
-
-
-def extremes(field: WignerField) -> FieldExtremes:
-    """Global min and max samples; ties resolve to the lowest (r, p).
-
-    The row-major scan order makes the first occurrence the winner, and
-    rows ascend in r while columns ascend in p, so the first occurrence is
-    lexicographically smallest.
-    """
-    v = field.values
-    imin = int(np.argmin(v))
-    imax = int(np.argmax(v))
-    n_p = v.shape[1]
-    rc, pc = field.grid.r_centers, field.grid.p_centers
-
-    def point(flat):
-        return (float(rc[flat // n_p]), float(pc[flat % n_p]))
-
-    return FieldExtremes(
-        min_value=float(v.flat[imin]),
-        min_point=point(imin),
-        max_value=float(v.flat[imax]),
-        max_point=point(imax),
+        negativity=float(np.sum(np.maximum(0.0, -field.values) * areas)),
     )
 
 
@@ -177,12 +127,3 @@ def write_moments(moments: MomentSet, path) -> None:
             fh.write(moments_to_json(moments))
     except OSError as exc:
         raise IoError(f"cannot write moments: {exc}") from exc
-
-
-def read_moments(path) -> MomentSet:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read moments: {exc}") from exc
-    return MomentSet(**{f.name: float(data[f.name]) for f in fields(MomentSet)})

@@ -18,8 +18,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .analysis import compute_moments, moments_to_json, write_moments
 from .errors import CoverageError, QuasitoneError
 from .grids import (
@@ -54,7 +52,7 @@ from .sonify import (
     method4_moments,
 )
 from .states import CatState, CoherentState, FockState, SampledState
-from .textfmt import fmt17
+from .textfmt import fmt17, read_csv_table
 
 
 class UsageFault(ValueError):
@@ -101,17 +99,11 @@ def parse_state(text):
 def _read_psi_csv(path):
     """Wavefunction CSV with header x,re,im and one sample per row."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        x, re, im = read_csv_table(path, "x,re,im").T.copy()  # contiguous columns
     except OSError as exc:
         raise UsageFault(f"cannot read wavefunction: {exc}") from exc
-    if not lines or lines[0] != "x,re,im":
-        raise UsageFault(f"{path}: expected header 'x,re,im'")
-    rows = [ln.split(",") for ln in lines[1:]]
-    if any(len(r) != 3 for r in rows):
-        raise UsageFault(f"{path}: every row needs x,re,im")
-    x = np.array([float(r[0]) for r in rows])
-    psi = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+    psi = re.astype(complex)  # re + 1j * im would turn a real part of -0.0 into 0.0
+    psi.imag = im
     return SampledState(x, psi)
 
 

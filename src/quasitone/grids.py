@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CoverageError, DegenerateMoments, DegenerateShift, InvalidBounds, IoError
 from .states import StateSpec, evaluate, state_centroid
-from .textfmt import json_value
+from .textfmt import json_value, read_csv_table
 
 KIND_REGULAR = "regular"
 KIND_GAUSSIAN = "gaussian"
@@ -278,16 +278,13 @@ def read_field(path) -> WignerField:
     """
     side = _sidecar_path(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().strip().split("\n")
+        table = read_csv_table(path, "r,p,value")
         with open(side, "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read field: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{side}: not JSON: {exc}") from exc
-    if not lines or lines[0] != "r,p,value":
-        raise ValueError(f"{path}: expected header 'r,p,value'")
     try:
         grid = GridSpec(
             sidecar["kind"],
@@ -298,20 +295,6 @@ def read_field(path) -> WignerField:
     except (KeyError, TypeError, ValueError, InvalidBounds, DegenerateShift) as exc:
         raise ValueError(f"{side}: malformed sidecar: {exc!r}") from exc
     n_r, n_p = grid.shape
-    if len(lines) - 1 != n_r * n_p:
-        raise ValueError(f"{path}: {len(lines) - 1} rows for a {n_r}x{n_p} grid")
-    values = np.empty((n_r, n_p), dtype=float)
-    for k, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: malformed row {k + 2}")
-        try:
-            values[k // n_p, k % n_p] = float(parts[2])
-        except ValueError:
-            raise ValueError(f"{path}: line {k + 2}: value {parts[2]!r} is not a number") from None
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        k = int(bad[0])
-        cell = lines[k + 1].split(",")[2]
-        raise ValueError(f"{path}: line {k + 2}: value {cell!r} is not finite")
-    return WignerField(grid, values, state)
+    if len(table) != n_r * n_p:
+        raise ValueError(f"{path}: {len(table)} rows for a {n_r}x{n_p} grid")
+    return WignerField(grid, np.ascontiguousarray(table[:, 2]).reshape(n_r, n_p), state)

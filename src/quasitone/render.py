@@ -344,7 +344,7 @@ def stft_sonogram(buffer: AudioBuffer, window=2048, hop=512) -> Sonogram:
     """
     if window < 8 or hop < 1:
         raise ValueError("window must be >= 8 samples and hop >= 1")
-    mono = np.mean(np.asarray(buffer.samples, dtype=float), axis=1)
+    mono = buffer.samples.mean(axis=1, dtype=np.float64)
     if mono.size < window:
         raise BufferTooShort(f"{mono.size} samples but the window needs {window}")
     w = np.hanning(window)

@@ -1,4 +1,5 @@
-"""Deterministic text formatting for CSV and JSON artifacts.
+"""Deterministic text formats for CSV and JSON artifacts, and the one
+reader of numeric CSV files.
 
 Every exported float of a field, moments or score file has 17 significant
 digits, through fmt17 or the row formats ("%.17g", finiteness checked per
@@ -7,11 +8,17 @@ byte-identical files and a parse of the text recovers the exact float64
 bits. The one exception is the sonogram CSV (render.write_sonogram_csv):
 it writes "%.9g", nine significant digits, which is deterministic too but
 not lossless.
+
+read_csv_table reads the field CSV (r,p,value) and the wavefunction CSV
+(x,re,im) alike: one parse of the whole text, and a line-by-line rescan
+only to name the file, line and cell of a fault.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def fmt17(x: float) -> str:
@@ -26,8 +33,6 @@ def json_scalar(value) -> str:
     None as null."""
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -38,24 +43,56 @@ def json_scalar(value) -> str:
     raise TypeError(f"unsupported scalar type: {type(value)!r}")
 
 
-def json_value(value, indent: int = 0) -> str:
-    """Serialize nested dicts, lists, and scalars deterministically.
-
-    Dicts keep insertion order. Lists of scalars stay on one line; lists of
-    dicts get one element per line for readable score files.
-    """
-    pad = " " * indent
+def json_value(value) -> str:
+    """Serialize nested dicts, lists, and scalars deterministically on one
+    line; dicts keep insertion order."""
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [f'"{k}": {json_value(v, indent)}' for k, v in value.items()]
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join(f'"{k}": {json_value(v)}' for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if all(isinstance(v, dict) for v in items):
-            inner = ",\n".join(pad + "  " + json_value(v, indent + 2) for v in items)
-            return "[\n" + inner + "\n" + pad + "]"
-        return "[" + ", ".join(json_value(v, indent) for v in items) + "]"
+        return "[" + ", ".join(map(json_value, value)) + "]"
     return json_scalar(value)
+
+
+def read_csv_table(path, header: str) -> np.ndarray:
+    """The rows under the exact header line of a numeric CSV file, as a
+    (rows, columns) float64 array; empty lines are skipped.
+
+    Raises OSError when the file cannot be read, and ValueError naming
+    the file, and the line where there is one, for a wrong header, a row
+    whose width differs from the header's, or a cell that is not a finite
+    number.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"{path}: expected header {header!r}")
+    rows, width = lines[1:], header.count(",") + 1
+    if not any(rows):
+        return np.empty((0, width))
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        _raise_first_bad_row(path, rows, width)
+        # only a cell that float() reads and numpy does not, such as "1_0"
+        raise ValueError(f"{path}: {exc}") from None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        _raise_first_bad_row(path, rows, width)
+    return table
+
+
+def _raise_first_bad_row(path, rows, width):
+    """Raise ValueError for the first row, line 2 of the file onward, of
+    the wrong width or with a cell that is not a finite number."""
+    for n, line in enumerate(rows, start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError(f"{path}: line {n}: expected {width} cells, got {len(cells)}")
+        for cell in cells:
+            try:
+                x = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: line {n}: value {cell!r} is not a number") from None
+            if not math.isfinite(x):
+                raise ValueError(f"{path}: line {n}: value {cell!r} is not finite")

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 
@@ -10,16 +11,12 @@ from quasitone import (
     DegenerateMoments,
     DegenerateRange,
     FockState,
-    GAUSSIAN_KURTOSIS,
     MassTooLow,
     WignerField,
     build_regular,
     compute_moments,
     default_grid,
-    extremes,
     moments_to_json,
-    negativity_volume,
-    read_moments,
     sample_field,
     segment_four,
     write_moments,
@@ -36,7 +33,8 @@ class TestMoments:
         assert m.sigma_r == pytest.approx(math.sqrt(0.5), abs=1e-3)
         assert m.sigma_p == pytest.approx(math.sqrt(0.5), abs=1e-3)
         assert m.skew_r == pytest.approx(0.0, abs=1e-9)
-        assert m.kurt_r == pytest.approx(GAUSSIAN_KURTOSIS, abs=5e-3)
+        # raw kurtosis: a Gaussian scores 3
+        assert m.kurt_r == pytest.approx(3.0, abs=5e-3)
         assert m.negativity == pytest.approx(0.0, abs=1e-9)
 
     def test_first_excited(self, fock1_field):
@@ -113,29 +111,13 @@ class TestMarginalMoments:
 
 class TestNegativity:
     def test_positive_field_zero(self, fock0_field):
-        assert negativity_volume(fock0_field) == pytest.approx(0.0, abs=1e-12)
+        assert compute_moments(fock0_field).negativity == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_moments_field(self, fock1_field):
+        # the negative part's mass is half of what |W| adds over W
         m = compute_moments(fock1_field)
-        assert negativity_volume(fock1_field) == pytest.approx(m.negativity, rel=1e-12)
-
-
-class TestExtremes:
-    def test_first_excited_on_odd_grid(self):
-        # odd cell count puts a cell center exactly on the origin
-        f = sample_field(FockState(1), build_regular(-5, 5, -5, 5, 31, 31))
-        ex = extremes(f)
-        assert ex.min_value == pytest.approx(-1.0 / math.pi, rel=1e-12)
-        assert ex.min_point == (0.0, 0.0)
-        # ring maximum of the closed form is 2 e^{-3/2} / pi
-        assert ex.max_value == pytest.approx(2.0 * math.exp(-1.5) / math.pi, rel=0.05)
-
-    def test_first_occurrence_is_lowest_indices(self):
-        g = build_regular(0, 2, 0, 2, 2, 2)
-        v = np.array([[1.0, 5.0], [5.0, 1.0]])
-        ex = extremes(WignerField(g, v))
-        assert ex.max_point == (g.r_centers[0], g.p_centers[1])
-        assert ex.min_point == (g.r_centers[0], g.p_centers[0])
+        half_gap = 0.5 * (fock1_field.abs_mass - fock1_field.signed_mass)
+        assert m.negativity == pytest.approx(half_gap, rel=1e-12)
 
 
 class TestSegmentation:
@@ -168,12 +150,10 @@ class TestMomentsIo:
         m = compute_moments(cat1_field)
         path = tmp_path / "moments.json"
         write_moments(m, path)
-        back = read_moments(path)
+        back = MomentSet(**json.loads(path.read_text()))
         assert back == m
 
     def test_json_has_all_nine_stats(self, fock0_field):
-        import json
-
         m = compute_moments(fock0_field)
         data = json.loads(moments_to_json(m))
         assert sorted(data) == sorted(

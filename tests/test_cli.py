@@ -268,6 +268,22 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def _valid_csv_input(source, tmp_path):
+    """A valid Fock 0 field CSV, read by moments, or a ground-state
+    wavefunction CSV, read by eval; returns its path and that argv."""
+    if source == "field":
+        fp = tmp_path / "f.csv"
+        assert cli_main(["field", "--state", "fock:0", "--out", str(fp)]) == 0
+        return fp, ["moments", "--field", str(fp)]
+    from quasitone import default_psi_grid, harmonic_eigenstate
+
+    x = default_psi_grid()
+    rows = [f"{float(xv)!r},{float(pv)!r},0.0" for xv, pv in zip(x, harmonic_eigenstate(0, x))]
+    fp = tmp_path / "psi.csv"
+    fp.write_text("x,re,im\n" + "\n".join(rows) + "\n")
+    return fp, ["eval", "--state", f"psi:{fp}", "--r", "0", "--p", "0"]
+
+
 class TestArgumentChecks:
     """Bad values reach the library's checks and exit 2 with a message."""
 
@@ -362,27 +378,34 @@ class TestArgumentChecks:
         assert cli_main(["moments", "--field", str(fp)]) == 2
         assert "expected header" in capsys.readouterr().err
 
-    def test_non_numeric_cell_names_file_and_line(self, tmp_path, capsys):
-        fp = tmp_path / "f.csv"
-        assert cli_main(["field", "--state", "fock:0", "--out", str(fp)]) == 0
+    @pytest.mark.parametrize(
+        "source, tail, fragment",
+        [("field", ",abc", "'abc'"), ("psi", ",abc", "'abc'"), ("psi", ",", "''"), ("psi", "", "got 2")],
+        ids=["abc", "psi-abc", "psi-empty", "psi-short-row"],
+    )
+    def test_non_numeric_cell_names_file_and_line(self, source, tail, fragment, tmp_path, capsys):
+        fp, argv = _valid_csv_input(source, tmp_path)
         lines = fp.read_text().splitlines()
-        lines[5] = lines[5].rsplit(",", 1)[0] + ",abc"
+        lines[5] = lines[5].rsplit(",", 1)[0] + tail
         fp.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert cli_main(["moments", "--field", str(fp)]) == 2
+        assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"{fp}: line 6:" in err and "'abc'" in err
+        assert err.startswith("error: ") and f"{fp}: line 6:" in err and fragment in err
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    def test_non_finite_cell_names_file_and_line(self, cell, tmp_path, capsys):
-        fp = tmp_path / "f.csv"
-        assert cli_main(["field", "--state", "fock:0", "--out", str(fp)]) == 0
+    @pytest.mark.parametrize(
+        "source, cell",
+        [("field", "nan"), ("field", "inf"), ("field", "-inf"), ("psi", "nan"), ("psi", "inf")],
+        ids=["nan", "inf", "-inf", "psi-nan", "psi-inf"],
+    )
+    def test_non_finite_cell_names_file_and_line(self, source, cell, tmp_path, capsys):
+        fp, argv = _valid_csv_input(source, tmp_path)
         lines = fp.read_text().splitlines()
         for k in (7, 9):
             lines[k] = lines[k].rsplit(",", 1)[0] + "," + cell
         fp.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert cli_main(["moments", "--field", str(fp)]) == 2
+        assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{fp}: line 8:" in err and repr(cell) in err
 

@@ -237,7 +237,7 @@ class TestScoreIo:
 
 def _reference_json(score):
     """The per-event writer the row format replaced: one dict per event,
-    serialized by json_value."""
+    serialized by json_value, on a line of its own."""
     rows = zip(
         score.onset.tolist(),
         score.duration.tolist(),
@@ -248,7 +248,8 @@ def _reference_json(score):
         score.gains.tolist(),
     )
     keys = ("onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique", "gains")
-    return json_value([dict(zip(keys, row)) for row in rows]) + "\n"
+    events = ["  " + json_value(dict(zip(keys, row))) for row in rows]
+    return "[\n" + ",\n".join(events) + "\n]\n" if events else "[]\n"
 
 
 _BANKS = {
