@@ -23,7 +23,6 @@ from .errors import (
     DegenerateShift,
     EmptyField,
     InvalidBounds,
-    IoError,
     MassTooLow,
     NyquistViolation,
     OutOfBounds,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateMoments, DegenerateRange, IoError, MassTooLow
+from .errors import DegenerateMoments, DegenerateRange, MassTooLow
 from .grids import WignerField
 from .textfmt import json_value
 
@@ -122,8 +122,5 @@ def moments_to_json(moments: MomentSet) -> str:
 
 
 def write_moments(moments: MomentSet, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(moments_to_json(moments))
-    except OSError as exc:
-        raise IoError(f"cannot write moments: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(moments_to_json(moments))

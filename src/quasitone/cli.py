@@ -7,7 +7,8 @@ exception class:
 
   0  success
   2  ValueError: an argument, grammar, config or out-of-range value,
-     including a non-finite one (UsageFault is a ValueError)
+     including a non-finite one, or a psi: or --config file that cannot
+     be read (UsageFault is a ValueError)
   3  CoverageError: the grid captures too little of the state
   4  any other QuasitoneError, or an OSError: numeric or I/O failures
 """

@@ -2,7 +2,8 @@
 
 Every domain failure raised by this package derives from QuasitoneError so
 callers (and the command line front end) can tell numeric or contract
-violations apart from programming errors.
+violations apart from programming errors. A file that cannot be read or
+written raises the standard OSError instead, which names its path.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ class BufferTooShort(QuasitoneError):
 
 class UnsupportedFormat(QuasitoneError):
     """WAV file is not 32-bit float or is structurally damaged."""
-
-
-class IoError(QuasitoneError):
-    """Filesystem failure while reading or writing an artifact."""
 
 
 class CoverageError(QuasitoneError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DegenerateMoments, DegenerateShift, InvalidBounds, IoError
+from .errors import CoverageError, DegenerateMoments, DegenerateShift, InvalidBounds
 from .states import StateSpec, evaluate, state_centroid
 from .textfmt import json_value, read_csv_table
 
@@ -236,13 +236,10 @@ def write_field(field: WignerField, path) -> None:
         "state": field.state.describe() if field.state is not None else None,
     }
     sidecar_text = json_value(sidecar) + "\n"  # before the CSV, so a failure writes neither
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("r,p,value\n" + "".join(map("%.17g,%.17g,%.17g\n".__mod__, cells)))
-        with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-            fh.write(sidecar_text)
-    except OSError as exc:
-        raise IoError(f"cannot write field: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("r,p,value\n" + "".join(map("%.17g,%.17g,%.17g\n".__mod__, cells)))
+    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
+        fh.write(sidecar_text)
 
 
 def _complex_pair(pair) -> complex:
@@ -277,14 +274,12 @@ def read_field(path) -> WignerField:
     number, raises ValueError naming the file.
     """
     side = _sidecar_path(path)
-    try:
-        table = read_csv_table(path, "r,p,value")
-        with open(side, "r", encoding="utf-8") as fh:
+    table = read_csv_table(path, "r,p,value")
+    with open(side, "r", encoding="utf-8") as fh:
+        try:
             sidecar = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read field: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{side}: not JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{side}: not JSON: {exc}") from exc
     try:
         grid = GridSpec(
             sidecar["kind"],

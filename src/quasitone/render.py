@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import compute_moments
-from .errors import BufferTooShort, IoError, NyquistViolation, UnsupportedFormat
+from .errors import BufferTooShort, NyquistViolation, UnsupportedFormat
 from .grids import DEFAULT_HALF_WIDTH, default_grid, sample_field
 from .sonify import TAU, MapConfig, PartialBank, method4_moments, spatial_gains
 from .states import EPS_SHIFT, CatState, FockState
@@ -377,23 +378,20 @@ def write_sonogram_csv(sono: Sonogram, path) -> None:
     floor_cell = "," + format(DB_FLOOR, ".9g")
     width = len(floor_cell)
     floor_run = floor_cell * sono.freqs.size
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("," + ",".join(["%.9g" % f for f in sono.freqs.tolist()]) + "\n")
-            # row by row, so no copy of the whole text is held in memory
-            for t, row in zip(sono.times.tolist(), sono.magnitude_db):
-                live = np.flatnonzero(row != DB_FLOOR)
-                parts = ["%.9g" % t]
-                start = 0
-                for k, v in zip(live.tolist(), row[live].tolist()):
-                    parts.append(floor_run[: width * (k - start)])
-                    parts.append(",%.9g" % v)
-                    start = k + 1
-                parts.append(floor_run[: width * (row.size - start)])
-                parts.append("\n")
-                fh.write("".join(parts))
-    except OSError as exc:
-        raise IoError(f"cannot write sonogram: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("," + ",".join(["%.9g" % f for f in sono.freqs.tolist()]) + "\n")
+        # row by row, so no copy of the whole text is held in memory
+        for t, row in zip(sono.times.tolist(), sono.magnitude_db):
+            live = np.flatnonzero(row != DB_FLOOR)
+            parts = ["%.9g" % t]
+            start = 0
+            for k, v in zip(live.tolist(), row[live].tolist()):
+                parts.append(floor_run[: width * (k - start)])
+                parts.append(",%.9g" % v)
+                start = k + 1
+            parts.append(floor_run[: width * (row.size - start)])
+            parts.append("\n")
+            fh.write("".join(parts))
 
 
 # === WAV I/O ===
@@ -401,43 +399,41 @@ def write_sonogram_csv(sono: Sonogram, path) -> None:
 
 def write_wav(buffer: AudioBuffer, path) -> None:
     """Write 32-bit float WAV: 44-byte header plus interleaved samples."""
-    data = np.ascontiguousarray(buffer.samples, dtype="<f4").tobytes()
+    data = np.ascontiguousarray(buffer.samples, dtype="<f4")
     n_ch = buffer.n_channels
     sr = buffer.sample_rate
     block = 4 * n_ch
-    header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+    header = b"RIFF" + struct.pack("<I", 36 + data.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 3, n_ch, sr, sr * block, block, 32)
-    header += b"data" + struct.pack("<I", len(data))
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header + data)
-    except OSError as exc:
-        raise IoError(f"cannot write wav: {exc}") from exc
+    header += b"data" + struct.pack("<I", data.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data)
 
 
 def read_wav(path) -> AudioBuffer:
     """Read a 32-bit float WAV written by write_wav (or anything like it).
 
-    Rejects every other encoding with UnsupportedFormat, including
+    The file is read once into one buffer, and the samples view its data
+    chunk. Rejects every other encoding with UnsupportedFormat, including
     truncated files, integer PCM, a zero sample rate, and data with no
     frame or with NaN or infinite samples.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read wav: {exc}") from exc
-    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+    with open(path, "rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob) :]
+        blob += fh.read()  # empty for a regular file; the rest of a pipe
+    view = memoryview(blob)
+    if len(view) < 12 or view[:4] != b"RIFF" or view[8:12] != b"WAVE":
         raise UnsupportedFormat(f"{path}: not a RIFF/WAVE file")
     pos = 12
-    fmt = None
-    data = None
-    while pos + 8 <= len(blob):
-        cid = blob[pos : pos + 4]
-        (size,) = struct.unpack("<I", blob[pos + 4 : pos + 8])
-        body = blob[pos + 8 : pos + 8 + size]
+    fmt = data = None
+    while pos + 8 <= len(view):
+        cid = view[pos : pos + 4]
+        (size,) = struct.unpack_from("<I", view, pos + 4)
+        body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
-            raise UnsupportedFormat(f"{path}: truncated {cid!r} chunk")
+            raise UnsupportedFormat(f"{path}: truncated {bytes(cid)!r} chunk")
         if cid == b"fmt ":
             fmt = body
         elif cid == b"data":
@@ -447,7 +443,7 @@ def read_wav(path) -> AudioBuffer:
         raise UnsupportedFormat(f"{path}: missing fmt or data chunk")
     if len(fmt) < 16:
         raise UnsupportedFormat(f"{path}: fmt chunk too small")
-    audio_format, n_ch, sr, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
+    audio_format, n_ch, sr, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
     if audio_format != 3 or bits != 32:
         raise UnsupportedFormat(
             f"{path}: need IEEE float 32 (format 3), got format {audio_format} at {bits} bits"
@@ -459,4 +455,4 @@ def read_wav(path) -> AudioBuffer:
     samples = np.frombuffer(data, dtype="<f4").reshape(-1, n_ch)
     if not (samples.size and np.isfinite(samples).all()):
         raise UnsupportedFormat(f"{path}: need one or more frames of finite samples")
-    return AudioBuffer(samples.copy(), sr)
+    return AudioBuffer(samples, sr)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import compute_moments
-from .errors import IoError
 from .grids import WignerField
 from .sonify import (
     TECHNIQUES,
@@ -143,19 +142,13 @@ def score_to_json(score: Score) -> str:
 
 
 def write_score(score: Score, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(score_to_json(score))
-    except OSError as exc:
-        raise IoError(f"cannot write score: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(score_to_json(score))
 
 
 def read_score(path) -> Score:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read score: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     try:
         columns = {name: [e[name] for e in data] for name in _COLUMNS}
         gains = [e["gains"] for e in data]

@@ -71,10 +71,8 @@ def read_csv_table(path, header: str) -> np.ndarray:
         return np.empty((0, width))
     try:
         table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
+    except ValueError:
         _raise_first_bad_row(path, rows, width)
-        # only a cell that float() reads and numpy does not, such as "1_0"
-        raise ValueError(f"{path}: {exc}") from None
     if table.shape[1] != width or not np.isfinite(table).all():
         _raise_first_bad_row(path, rows, width)
     return table
@@ -82,7 +80,8 @@ def read_csv_table(path, header: str) -> np.ndarray:
 
 def _raise_first_bad_row(path, rows, width):
     """Raise ValueError for the first row, line 2 of the file onward, of
-    the wrong width or with a cell that is not a finite number."""
+    the wrong width or with a cell that np.loadtxt, which parses the whole
+    table too, does not read as a finite number."""
     for n, line in enumerate(rows, start=2):
         if not line:
             continue
@@ -91,7 +90,8 @@ def _raise_first_bad_row(path, rows, width):
             raise ValueError(f"{path}: line {n}: expected {width} cells, got {len(cells)}")
         for cell in cells:
             try:
-                x = float(cell)
+                # an empty cell is no line to np.loadtxt, so it unpacks no value
+                (x,) = np.loadtxt([cell], delimiter=",", comments=None, ndmin=1) if cell else ()
             except ValueError:
                 raise ValueError(f"{path}: line {n}: value {cell!r} is not a number") from None
             if not math.isfinite(x):

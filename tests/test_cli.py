@@ -191,6 +191,10 @@ class TestCommands:
         assert len(read_score(sp)) == 7
 
 
+# a mapping IV render of the ground state, 0.1 s long
+_SHORT_MAPPING = ["--state", "fock:0", "--method", "IV", "--duration", "0.1"]
+
+
 class TestExitCodes:
     def test_bad_state_is_2(self, tmp_path, capsys):
         assert cli_main(["eval", "--state", "weird:1", "--r", "0", "--p", "0"]) == 2
@@ -223,6 +227,38 @@ class TestExitCodes:
     def test_missing_field_file_is_4(self, tmp_path, capsys):
         assert cli_main(["moments", "--field", str(tmp_path / "none.csv")]) == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "--state", "fock:0", "--out", "{missing}/f.csv"],
+            ["moments", "--field", "{field}", "--out", "{missing}/m.json"],
+            ["sonify", *_SHORT_MAPPING, "--out", "{missing}/x.wav"],
+            ["sonify", *_SHORT_MAPPING, "--out", "{tmp}/x.wav", "--score", "{missing}/s.json"],
+            ["sweep", "--segments", "0:-1:0.6", "--sr", "8000", "--out", "{missing}/x.wav"],
+            ["sonogram", "--audio", "{wav}", "--out", "{missing}/s.csv"],
+            ["score", *_SHORT_MAPPING, "--out", "{missing}/s.json"],
+            ["moments", "--field", "{missing}/f.csv"],
+            ["sonogram", "--audio", "{missing}/x.wav", "--out", "{tmp}/s.csv"],
+        ],
+        ids=[
+            "field-out", "moments-out", "sonify-out", "sonify-score", "sweep-out",
+            "sonogram-out", "score-out", "missing-field", "missing-audio",
+        ],
+    )
+    def test_io_fault_is_4_naming_the_path(self, argv, tmp_path, capsys):
+        from quasitone.render import AudioBuffer, write_wav
+
+        field, wav, missing = tmp_path / "f.csv", tmp_path / "in.wav", tmp_path / "missing"
+        assert cli_main(["field", "--state", "fock:0", "--out", str(field)]) == 0
+        write_wav(AudioBuffer(np.zeros(4096), 8000), wav)
+        argv = [a.format(missing=missing, tmp=tmp_path, field=field, wav=wav) for a in argv]
+        (bad,) = [a for a in argv if a.startswith(str(missing))]
+        capsys.readouterr()
+        assert cli_main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and bad in err
+        assert "Traceback" not in err
 
     def test_nyquist_is_4(self, tmp_path, capsys):
         # band top 7040 Hz exceeds the 8 kHz Nyquist limit of 4 kHz
@@ -380,8 +416,20 @@ class TestArgumentChecks:
 
     @pytest.mark.parametrize(
         "source, tail, fragment",
-        [("field", ",abc", "'abc'"), ("psi", ",abc", "'abc'"), ("psi", ",", "''"), ("psi", "", "got 2")],
-        ids=["abc", "psi-abc", "psi-empty", "psi-short-row"],
+        [
+            ("field", ",abc", "'abc'"),
+            ("field", ",1_0", "'1_0'"),
+            ("field", ",\u0661", "'\u0661'"),
+            ("psi", ",abc", "'abc'"),
+            ("psi", ",", "''"),
+            ("psi", "", "got 2"),
+            ("psi", ",1_0", "'1_0'"),
+            ("psi", ",\u0661", "'\u0661'"),
+        ],
+        ids=[
+            "abc", "1_0", "arabic-indic",
+            "psi-abc", "psi-empty", "psi-short-row", "psi-1_0", "psi-arabic-indic",
+        ],
     )
     def test_non_numeric_cell_names_file_and_line(self, source, tail, fragment, tmp_path, capsys):
         fp, argv = _valid_csv_input(source, tmp_path)

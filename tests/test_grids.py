@@ -250,7 +250,5 @@ class TestFieldIo:
         assert not (tmp_path / "f.csv").exists()
 
     def test_missing_file_raises(self, tmp_path):
-        from quasitone import IoError as QIoError
-
-        with pytest.raises(QIoError):
+        with pytest.raises(OSError):
             read_field(tmp_path / "nope.csv")

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,6 +487,42 @@ class TestWavIo:
         p2 = tmp_path / "spliced.wav"
         p2.write_bytes(bytes(spliced))
         back = read_wav(p2)
+        assert np.array_equal(back.samples, buf.samples)
+
+    def test_reads_a_pipe(self, tmp_path):
+        # a pipe has no size to allocate the read buffer from
+        buf = synth(one_partial_bank(duration=0.05), sample_rate=8000)
+        path = tmp_path / "t.wav"
+        write_wav(buf, path)
+        r, w = os.pipe()
+        with os.fdopen(w, "wb") as fh:
+            fh.write(path.read_bytes())  # under 2 kB, inside the pipe buffer
+        try:
+            back = read_wav(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert np.array_equal(back.samples, buf.samples)
+
+    def test_io_copies_no_samples(self, tmp_path):
+        # 960 000 mono samples, a 3.84 MB file: write_wav writes the sample
+        # buffer itself, and read_wav's samples view its one read buffer
+        buf = AudioBuffer(np.linspace(-0.5, 0.5, 960_000, dtype=np.float32), 48000)
+        path = tmp_path / "long.wav"
+        size = 44 + buf.samples.nbytes
+        tracemalloc.start()
+        try:
+            write_wav(buf, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            back = read_wav(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == size
+        assert write_peak < 0.5 * size
+        assert read_peak < 1.5 * size
+        assert back.samples.flags.writeable
         assert np.array_equal(back.samples, buf.samples)
 
 
