@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateMoments, DegenerateRange, MassTooLow
-from .grids import WignerField
+from .grids import WignerField, edge_areas, edge_centers
 from .textfmt import json_value
 
 # Signed mass below this is too cancelled to normalize reliably.
@@ -46,16 +46,48 @@ class ValueSegmentation:
 
 
 def _axis_stats(weights, coords, total):
-    """Center, spread, skewness, and kurtosis from one axis's marginal."""
-    mean = float(np.sum(weights * coords) / total)
-    d = coords - mean
-    m2 = float(np.sum(weights * d**2) / total)
-    if not np.isfinite(m2) or m2 <= 0:
-        raise DegenerateMoments(f"second central moment {m2!r} is not positive")
-    m3 = float(np.sum(weights * d**3) / total)
-    m4 = float(np.sum(weights * d**4) / total)
-    sigma = float(np.sqrt(m2))
-    return mean, sigma, m3 / m2**1.5, m4 / m2**2
+    """Center, spread, skewness, and kurtosis from one axis's marginals,
+    one per row of weights (..., n) over coords (..., n)."""
+    mean = np.sum(weights * coords, axis=-1) / total
+    d = coords - mean[..., None]
+    m2 = np.sum(weights * d**2, axis=-1) / total
+    bad = np.asarray(m2)[~(np.isfinite(m2) & (m2 > 0))]
+    if bad.size:
+        raise DegenerateMoments(f"second central moment {float(bad[0])!r} is not positive")
+    m3 = np.sum(weights * d**3, axis=-1) / total
+    m4 = np.sum(weights * d**4, axis=-1) / total
+    # float_power goes through libm pow, as a Python float ** does
+    return mean, np.sqrt(m2), m3 / np.float_power(m2, 1.5), m4 / np.float_power(m2, 2)
+
+
+def stacked_moments(values, r_edges, p_edges) -> MomentSet:
+    """compute_moments of a stack of fields, each field one array element.
+
+    values is (..., n_r, n_p) and the edges (..., n_r + 1) and
+    (..., n_p + 1); every MomentSet entry is an array of the leading shape.
+    Raises as compute_moments does, naming the first field at fault.
+    """
+    areas = edge_areas(r_edges, p_edges)
+    weights = values * areas
+    total = np.sum(weights, axis=(-2, -1))
+    bad = np.asarray(total)[~(np.isfinite(total) & (total > MASS_FLOOR))]
+    if bad.size:
+        raise MassTooLow(f"signed mass {float(bad[0]):.4f} is at or below {MASS_FLOOR}")
+    r = _axis_stats(weights.sum(axis=-1), edge_centers(r_edges), total)
+    p = _axis_stats(weights.sum(axis=-2), edge_centers(p_edges), total)
+    negative = np.maximum(np.negative(values, out=weights), 0.0, out=weights)
+    negative *= areas
+    return MomentSet(
+        r0=r[0],
+        p0=p[0],
+        sigma_r=r[1],
+        sigma_p=p[1],
+        skew_r=r[2],
+        skew_p=p[2],
+        kurt_r=r[3],
+        kurt_p=p[3],
+        negativity=np.sum(negative, axis=(-2, -1)),
+    )
 
 
 def compute_moments(field: WignerField) -> MomentSet:
@@ -70,24 +102,8 @@ def compute_moments(field: WignerField) -> MomentSet:
     Gaussian scores 3. Negativity is the sum of max(0, -value) * area,
     which is zero for any nonnegative field.
     """
-    grid, areas = field.grid, field.grid.cell_areas
-    weights = field.values * areas
-    total = float(np.sum(weights))
-    if not np.isfinite(total) or total <= MASS_FLOOR:
-        raise MassTooLow(f"signed mass {total:.4f} is at or below {MASS_FLOOR}")
-    r0, sigma_r, skew_r, kurt_r = _axis_stats(weights.sum(axis=1), grid.r_centers, total)
-    p0, sigma_p, skew_p, kurt_p = _axis_stats(weights.sum(axis=0), grid.p_centers, total)
-    return MomentSet(
-        r0=r0,
-        p0=p0,
-        sigma_r=sigma_r,
-        sigma_p=sigma_p,
-        skew_r=skew_r,
-        skew_p=skew_p,
-        kurt_r=kurt_r,
-        kurt_p=kurt_p,
-        negativity=float(np.sum(np.maximum(0.0, -field.values) * areas)),
-    )
+    stack = stacked_moments(field.values, field.grid.r_edges, field.grid.p_edges)
+    return MomentSet(**{f.name: float(getattr(stack, f.name)) for f in fields(MomentSet)})
 
 
 def segment_four(field: WignerField) -> ValueSegmentation:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .analysis import compute_moments, moments_to_json, write_moments
@@ -265,10 +266,16 @@ def _run(args) -> int:
         require_coverage(field)
         bank = _bank_for(args.method, field, cfg, args.duration)
         gains = None if args.channels == 1 else partial_gains(bank, field, args.channels)
+        # transcribe before writing anything, and write both files or neither
+        score = bank_to_events(bank, field, cfg, channels=args.channels) if args.score else None
         buffer = synth(bank, sample_rate=args.sr, gains=gains)
         write_wav(buffer, args.out)
-        if args.score:
-            write_score(bank_to_events(bank, field, cfg, channels=args.channels), args.score)
+        if score is not None:
+            try:
+                write_score(score, args.score)
+            except OSError:
+                os.remove(args.out)
+                raise
         return 0
 
     if args.command == "sweep":

@@ -38,6 +38,16 @@ _REF_HALF = 10.0
 _REF_CELLS = 512
 
 
+def edge_centers(edges):
+    """Midpoints of consecutive edges along the last axis."""
+    return 0.5 * (edges[..., :-1] + edges[..., 1:])
+
+
+def edge_areas(r_edges, p_edges):
+    """Cell areas (..., n_r, n_p) of grids with these edges along the last axis."""
+    return np.diff(r_edges)[..., :, None] * np.diff(p_edges)[..., None, :]
+
+
 @dataclass(frozen=True, eq=False)
 class GridSpec:
     """Cell edges of a rectangular phase-space mesh."""
@@ -65,16 +75,16 @@ class GridSpec:
 
     @property
     def r_centers(self) -> np.ndarray:
-        return 0.5 * (self.r_edges[:-1] + self.r_edges[1:])
+        return edge_centers(self.r_edges)
 
     @property
     def p_centers(self) -> np.ndarray:
-        return 0.5 * (self.p_edges[:-1] + self.p_edges[1:])
+        return edge_centers(self.p_edges)
 
     @property
     def cell_areas(self) -> np.ndarray:
         """Cell area matrix, shape (n_r, n_p)."""
-        return np.outer(np.diff(self.r_edges), np.diff(self.p_edges))
+        return edge_areas(self.r_edges, self.p_edges)
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
@@ -169,11 +179,18 @@ def sample_field(state: StateSpec, grid: GridSpec) -> WignerField:
     return WignerField(grid, values, state)
 
 
+def default_edges(r0, p0):
+    """Edges (r_edges, p_edges) of the default grid around the centroid
+    (r0, p0); for arrays of centroids, one grid each along a last axis of
+    DEFAULT_CELLS + 1 edges."""
+    h, n = DEFAULT_HALF_WIDTH, DEFAULT_CELLS
+    r0, p0 = np.asarray(r0, dtype=float), np.asarray(p0, dtype=float)
+    return np.linspace(r0 - h, r0 + h, n + 1, axis=-1), np.linspace(p0 - h, p0 + h, n + 1, axis=-1)
+
+
 def default_grid(state: StateSpec) -> GridSpec:
     """Regular DEFAULT_CELLS-square grid centered on the state's analytic centroid."""
-    r0, p0 = state_centroid(state)
-    h, n = DEFAULT_HALF_WIDTH, DEFAULT_CELLS
-    return build_regular(r0 - h, r0 + h, p0 - h, p0 + h, n, n)
+    return GridSpec(KIND_REGULAR, *default_edges(*state_centroid(state)))
 
 
 @functools.lru_cache(maxsize=16)

@@ -300,6 +300,27 @@ def method3_sections(field: WignerField, cfg: MapConfig, duration: float | None 
     return _uniform_bank(freq, amp, cfg, duration, "III", np.min(field.values) < 0)
 
 
+def envelope(r0, sigma_r, cfg: MapConfig):
+    """Mapping IV's partial frequencies and amplitudes, (..., n_osc) each,
+    for arrays r0 and sigma_r of one shape (see method4_moments)."""
+    r0, sigma_r = np.asarray(r0, dtype=float), np.asarray(sigma_r, dtype=float)
+    bad = sigma_r[~(np.isfinite(sigma_r) & (sigma_r > 0))]
+    if bad.size:
+        raise DegenerateMoments(f"sigma_r = {float(bad[0])!r} cannot shape an envelope")
+    n = cfg.n_osc
+    sigma_f = cfg.q_slope * sigma_r[..., None]
+    anchor = r0 if cfg.f0_mode == "r0" else sigma_r
+    f0 = cfg.f0_base + cfg.f0_slope * anchor[..., None]
+    spacing = 6.0 * sigma_f / max(n - 1, 1)
+    offset = (np.arange(n) - (n - 1) // 2) * spacing
+    freq = np.clip(f0 + offset, cfg.f_lo, cfg.f_hi)
+    # float_power squares through libm pow, as a Python float ** 2 does; the
+    # correctly rounded offset**2 differs from it in the last bit of some
+    # offsets, which would move a sweep's samples
+    amp = np.exp(-np.float_power(offset, 2) / (2.0 * np.float_power(sigma_f, 2)))
+    return freq, amp
+
+
 def method4_moments(moments: MomentSet, cfg: MapConfig, duration: float | None = None) -> PartialBank:
     """Odd bank of partials under a Gaussian spectral envelope.
 
@@ -314,20 +335,7 @@ def method4_moments(moments: MomentSet, cfg: MapConfig, duration: float | None =
     envelope stays symmetric. duration defaults to cfg.event_duration; the
     bank is negative when the moments report any negativity.
     """
-    sigma_r = moments.sigma_r
-    if not (np.isfinite(sigma_r) and sigma_r > 0):
-        raise DegenerateMoments(f"sigma_r = {sigma_r!r} cannot shape an envelope")
-    n = cfg.n_osc
-    sigma_f = cfg.q_slope * sigma_r
-    anchor = moments.r0 if cfg.f0_mode == "r0" else sigma_r
-    f0 = cfg.f0_base + cfg.f0_slope * anchor
-    spacing = 6.0 * sigma_f / (n - 1) if n > 1 else 0.0
-    offset = (np.arange(n) - (n - 1) // 2) * spacing
-    freq = np.clip(f0 + offset, cfg.f_lo, cfg.f_hi)
-    # float_power squares through libm pow, as a Python float ** 2 does; the
-    # correctly rounded offset**2 differs from it in the last bit of some
-    # offsets, which would move a sweep's samples
-    amp = np.exp(-np.float_power(offset, 2) / (2.0 * sigma_f**2))
+    freq, amp = envelope(moments.r0, moments.sigma_r, cfg)
     return _uniform_bank(freq, amp, cfg, duration, "IV", moments.negativity > 0)
 
 

@@ -223,25 +223,42 @@ def eval_cat(delta_alpha, r, p, alpha=0j):
     equals -|z - d/2|^2 - |d|^2/4, so every term is bounded by 1 in
     magnitude.
 
-    Raises DegenerateShift when |delta_alpha| <= 1e-3, where the expression
-    degenerates to 0/0 and the m=1 number state takes over.
+    delta_alpha may be an array that broadcasts against r and p, one shift
+    per evaluation point. Raises DegenerateShift when any |delta_alpha| <=
+    1e-3, where the expression degenerates to 0/0 and the m=1 number state
+    takes over.
     """
-    d = complex(delta_alpha)
-    if abs(d) <= EPS_SHIFT:
+    d = np.asarray(delta_alpha, dtype=complex)
+    shifts = d.ravel().tolist()
+    small = [z for z in shifts if abs(z) <= EPS_SHIFT]
+    if small:
         raise DegenerateShift(
-            f"|delta_alpha| = {abs(d):.3g} <= {EPS_SHIFT}; use eval_fock(1, r, p)"
+            f"|delta_alpha| = {abs(small[0]):.3g} <= {EPS_SHIFT}; use eval_fock(1, r, p)"
         )
-    h = 0.5 * abs(d) ** 2
+    # the per-shift factors in Python's scalar math, so that a batch of
+    # shifts evaluates bit for bit as the same shifts one at a time;
+    # expm1 keeps the normalization accurate for small shifts
+    h = np.array([0.5 * abs(z) ** 2 for z in shifts]).reshape(d.shape)
+    norm = np.array([math.pi * -math.expm1(-x) for x in h.ravel().tolist()]).reshape(d.shape)
     alpha = complex(alpha)
     zr = np.asarray(r, dtype=float) - alpha.real
     zp = np.asarray(p, dtype=float) - alpha.imag
-    damped = -h - (zr * zr + zp * zp)
-    # expm1 keeps the normalization accurate for small shifts
-    w = (
-        np.exp(-((zr - d.real) ** 2 + (zp - d.imag) ** 2))
-        + np.exp(damped)
-        - 2.0 * np.exp(damped + zr * d.real + zp * d.imag) * np.cos(zp * d.real - zr * d.imag)
-    ) / (math.pi * -math.expm1(-h))
+    # the three terms in place, every value rounded as in the formula above,
+    # so that a large batch allocates a few arrays rather than a dozen
+    damped = np.asarray(-h - (zr * zr + zp * zp))
+    w = np.asarray(-((zr - d.real) ** 2) - (zp - d.imag) ** 2)
+    np.exp(w, out=w)
+    w += np.exp(damped)
+    fringe = damped
+    fringe += zr * d.real
+    fringe += zp * d.imag
+    np.exp(fringe, out=fringe)
+    # Im(z conj(d)) = zp Re d - zr Im d; for real shifts the second term is
+    # exactly zero and the cosine varies along p alone, so take it there;
+    # e (2 cos) rounds the same exact product as (2 e) cos
+    fringe *= 2.0 * np.cos(zp * d.real if not d.imag.any() else zp * d.real - zr * d.imag)
+    w -= fringe
+    w /= norm
     return w if np.ndim(w) else float(w)
 
 

@@ -21,7 +21,7 @@ from quasitone import (
     segment_four,
     write_moments,
 )
-from quasitone.analysis import MomentSet
+from quasitone.analysis import MomentSet, stacked_moments
 from quasitone.cli import parse_grid
 
 
@@ -107,6 +107,28 @@ class TestMarginalMoments:
         # centroid is zero up to rounding; the moments are O(1) in hbar = 1
         for name, value in want.items():
             assert abs(getattr(got, name) - value) <= 1e-12 * max(1.0, abs(value)), name
+
+
+class TestStackedMoments:
+    def test_stack_matches_one_field_at_a_time(self):
+        states = [CatState(-1.2), CatState(-2.5 + 0.7j), FockState(1), CoherentState(0.4 - 1.1j)]
+        field_list = [sample_field(s, default_grid(s)) for s in states]
+        stack = stacked_moments(
+            np.stack([f.values for f in field_list]),
+            np.stack([f.grid.r_edges for f in field_list]),
+            np.stack([f.grid.p_edges for f in field_list]),
+        )
+        for k, field in enumerate(field_list):
+            want = compute_moments(field)
+            for f in fields(MomentSet):
+                got, value = getattr(stack, f.name)[k], getattr(want, f.name)
+                assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), f.name
+
+    def test_names_the_first_field_at_fault(self):
+        g = build_regular(-1, 1, -1, 1, 8, 8)
+        values = np.stack([np.full((8, 8), 0.25), np.zeros((8, 8))])
+        with pytest.raises(MassTooLow, match="signed mass 0.0000"):
+            stacked_moments(values, np.stack([g.r_edges] * 2), np.stack([g.p_edges] * 2))
 
 
 class TestNegativity:

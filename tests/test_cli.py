@@ -259,6 +259,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and bad in err
         assert "Traceback" not in err
+        if "--score" in argv:
+            # sonify writes its WAV and its score, or neither
+            assert not (tmp_path / "x.wav").exists()
+
+    def test_sweep_nyquist_is_4_before_any_output(self, tmp_path, capsys):
+        # a band topping out at 4 kHz reaches the 8 kHz Nyquist limit
+        cfg_path, wav = tmp_path / "m.cfg", tmp_path / "x.wav"
+        cfg_path.write_text("f_hi=4000\nf0_base=3900\nf0_slope=0\nq_slope=200\n")
+        code = cli_main(
+            [
+                "sweep", "--segments", "0:-1:0.6", "--sr", "8000",
+                "--config", str(cfg_path), "--out", str(wav),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: partial at 4000.0 Hz") and err.count("\n") == 1
+        assert not wav.exists()
 
     def test_nyquist_is_4(self, tmp_path, capsys):
         # band top 7040 Hz exceeds the 8 kHz Nyquist limit of 4 kHz

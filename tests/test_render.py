@@ -22,6 +22,7 @@ from quasitone import (
     read_wav,
     render_sweep,
     sample_field,
+    spatial_gains,
     stft_sonogram,
     synth,
     write_sonogram_csv,
@@ -144,6 +145,19 @@ class TestSynth:
         right = np.max(np.abs(buf.samples[:, 1]))
         assert left / right == pytest.approx(0.75, rel=1e-3)
 
+    @pytest.mark.parametrize("rate", [8000.5, True, 0, -8000, math.nan, math.inf, "8000"])
+    def test_rate_must_be_a_positive_whole_number(self, rate):
+        with pytest.raises(ValueError) as info:
+            synth(one_partial_bank(), sample_rate=rate)
+        assert "sample rate must be positive" in str(info.value) and repr(rate) in str(info.value)
+
+    def test_whole_float_rate_renders(self):
+        a = synth(one_partial_bank(), sample_rate=8000.0)
+        b = synth(one_partial_bank(), sample_rate=np.int64(8000))
+        assert a.sample_rate == 8000 and type(a.sample_rate) is int
+        assert a.samples.tobytes() == synth(one_partial_bank(), sample_rate=8000).samples.tobytes()
+        assert b.samples.tobytes() == a.samples.tobytes()
+
     def test_gain_shape_mismatch(self):
         with pytest.raises(ValueError):
             synth(one_partial_bank(), sample_rate=8000, gains=np.ones((3, 2)))
@@ -202,6 +216,46 @@ class TestOscillatorKernel:
         ref = reference_bank(bank, phases, gains, n, sr)
         assert float(np.max(np.abs(out - ref))) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "waveform, n_partials, f_lo, f_hi, n",
+        [
+            ("sine", 4, 55.0, 3000.0, 192000),  # a 4 s note: 750 blocks over three spans
+            ("mixed", 6, 30.0, 1000.0, 192000),
+            ("sine", 5, 23990.0, 23999.9, 3000),  # just below Nyquist
+            ("triangle", 3, 4796.0, 4799.9, 3000),  # harmonic 5 just below Nyquist
+        ],
+        ids=["sine-4s", "mixed-4s", "sine-near-nyquist", "triangle-near-nyquist"],
+    )
+    def test_two_level_table_at_48k(self, waveform, n_partials, f_lo, f_hi, n):
+        sr = 48000
+        rng = np.random.default_rng(n_partials * 1000 + n)
+        bank = random_bank(rng, n_partials, waveform, f_lo, f_hi)
+        phases = rng.uniform(0.0, 2 * math.pi, n_partials)
+        gains = rng.uniform(0.0, 1.0, (n_partials, 2))
+        out = np.zeros((n, 2))
+        render._accumulate(bank.freq, bank.amp, bank.triangle, phases, gains, out, sr)
+        ref = reference_bank(bank, phases, gains, n, sr)
+        assert float(np.max(np.abs(out - ref))) <= 1e-9
+
+    def test_two_level_table_matches_direct_table(self):
+        w = np.random.default_rng(3).uniform(0.0, math.pi, 900)
+        wi = np.outer(w, np.arange(render._BLOCK, dtype=float))
+        direct = np.concatenate([np.sin(wi), np.cos(wi)])
+        assert float(np.max(np.abs(render._block_table(w) - direct))) <= 1e-12
+
+    def test_frame_axis_matches_one_bank_at_a_time(self):
+        # three banks of different component counts, padded to one width
+        rng = np.random.default_rng(11)
+        banks = [random_bank(rng, 5, "mixed", 40.0 * (k + 1), 900.0) for k in range(3)]
+        freq, amp, triangle = (np.stack([getattr(b, k) for b in banks]) for k in ("freq", "amp", "triangle"))
+        phases = rng.uniform(0.0, 2 * math.pi, (3, 5))
+        gains = rng.uniform(0.0, 1.0, (3, 5, 2))
+        out = np.zeros((3, 1500, 2))
+        render._accumulate(freq, amp, triangle, phases, gains, out, 8000)
+        for k, bank in enumerate(banks):
+            ref = reference_bank(bank, phases[k], gains[k], 1500, 8000)
+            assert float(np.max(np.abs(out[k] - ref))) <= 1e-9
+
     def test_renders_are_byte_identical(self):
         rng = np.random.default_rng(7)
         bank = random_bank(rng, 40, "mixed", 40.0, 3000.0)
@@ -248,6 +302,112 @@ class TestTrajectory:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
             SweepTrajectory(((0j, -1 + 0j, 0.0),))
+
+
+def reference_sweep(trajectory, cfg, sample_rate, frame_seconds, channels):
+    """The per-frame loop the batched sweep replaced: one state, field,
+    moment set and bank per frame, each frame rendered by reference_bank.
+    Returns the normalized float64 mix and each frame's (r0, sigma_r)."""
+    n_total = int(round(trajectory.total_seconds * sample_rate))
+    n_frame = int(round(frame_seconds * sample_rate))
+    hop = n_frame // 2
+    hop_seconds = hop / sample_rate
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n_frame) / n_frame)
+    out = np.zeros((n_total, channels))
+    ends = np.array([(z.real, z.imag) for a, b, _ in trajectory.segments for z in (a, b)])
+    lo, hi = ends.min(axis=0) - 5.0, ends.max(axis=0) + 5.0
+    phases = np.zeros(cfg.n_osc)
+    track = []
+    for start in range(0, n_total, hop):
+        shift = trajectory.delta_alpha_at(start / sample_rate)
+        state = FockState(1) if abs(shift) <= 1e-3 else CatState(shift)
+        moments = compute_moments(sample_field(state, default_grid(state)))
+        track.append((moments.r0, moments.sigma_r))
+        bank = method4_moments(moments, cfg, duration=frame_seconds)
+        g = spatial_gains(moments.r0, moments.p0, (lo[0], hi[0], lo[1], hi[1]), channels)
+        gains = np.broadcast_to(g, (cfg.n_osc, channels))
+        frame = reference_bank(bank, phases, gains, n_frame, sample_rate) * window[:, None]
+        stop = min(start + n_frame, n_total)
+        out[start:stop] += frame[: stop - start]
+        phases = (phases + 2.0 * math.pi * bank.freq * hop_seconds) % (2.0 * math.pi)
+    return out * (TARGET_PEAK / np.max(np.abs(out))), np.array(track)
+
+
+class TestBatchedSweep:
+    """render_sweep against the per-frame reference_sweep."""
+
+    @pytest.mark.parametrize(
+        "channels, frame_seconds, seconds",
+        [
+            (1, 0.25, 3.3),
+            (2, 0.25, 3.3),
+            (4, 0.25, 3.3),
+            (1, 0.250125, 3.3),  # 2001-sample frames: frames k and k + 2 share a sample
+            (2, 0.250125, 3.1375),  # and a last frame cut short mid-hop
+        ],
+    )
+    def test_matches_per_frame_reference(self, channels, frame_seconds, seconds, monkeypatch):
+        # from shift 0, so the first frames are the number state, then a
+        # complex leg; 3.3 s holds 26 to 27 frames, here in several chunks of
+        # fields and of audio
+        monkeypatch.setattr(render, "_FIELD_FRAMES", 10)
+        sr = 8000
+        traj = SweepTrajectory(((0j, -1.2 + 0j, 1.5), (-1.2 + 0j, -2.0 + 0.6j, seconds - 1.5)))
+        cfg = MapConfig(f0_mode="sigma_r")
+        buf = render_sweep(traj, cfg, sample_rate=sr, frame_seconds=frame_seconds, channels=channels)
+        ref, track = reference_sweep(traj, cfg, sr, frame_seconds, channels)
+        assert buf.samples.shape == ref.shape
+        # float32 rounding of samples below 0.9 moves them by at most 6e-8;
+        # dropping the sample that odd frames k and k + 2 share would move
+        # it by about 2.5e-6 times the frame's value there (9e-7 here)
+        assert float(np.max(np.abs(buf.samples - ref))) <= 2e-7
+
+        hop = int(round(frame_seconds * sr)) // 2
+        shifts = np.array([traj.delta_alpha_at(s / sr) for s in range(0, ref.shape[0], hop)])
+        assert abs(shifts[0]) <= 1e-3 < abs(shifts[-1])
+        r0, _, sigma_r = render._frame_moments(shifts)
+        np.testing.assert_allclose(r0, track[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sigma_r, track[:, 1], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("fields_per_chunk, frames_per_chunk", [(1, 1), (5, 5), (7, 8)])
+    def test_chunking(self, fields_per_chunk, frames_per_chunk, monkeypatch):
+        # 24 frames of 2001 samples: one chunk of fields, and chunks of 23
+        # and 1 frames of audio at 8 kHz mono by default. The audio chunks
+        # leave the bytes; a stack of fields of another depth sums its
+        # moments in another order, which moves samples by rounding only
+        traj = SweepTrajectory(((0j, -1.5 + 0j, 3.0),))
+        a = render_sweep(traj, sample_rate=8000, frame_seconds=0.250125)
+        monkeypatch.setattr(render, "_AUDIO_SAMPLES", frames_per_chunk * 2001)
+        b = render_sweep(traj, sample_rate=8000, frame_seconds=0.250125)
+        assert a.samples.tobytes() == b.samples.tobytes()
+        monkeypatch.setattr(render, "_FIELD_FRAMES", fields_per_chunk)
+        c = render_sweep(traj, sample_rate=8000, frame_seconds=0.250125)
+        assert float(np.max(np.abs(a.samples - c.samples))) <= 2e-7
+
+    def test_faults_come_before_any_audio(self, monkeypatch):
+        # the envelope centre follows r0 = shift down to -3, so only the
+        # last frames' partials pass the 4 kHz Nyquist limit at 8 kHz
+        def no_audio(*args):
+            raise AssertionError("audio rendered before the fault was found")
+
+        monkeypatch.setattr(render, "_accumulate", no_audio)
+        cfg = MapConfig(f0_base=1000.0, f0_slope=-1200.0, q_slope=10.0)
+        traj = SweepTrajectory(((-0.5 + 0j, -3.0 + 0j, 2.0),))
+        with pytest.raises(NyquistViolation, match="needs a rate above"):
+            render_sweep(traj, cfg, sample_rate=8000)
+
+    @pytest.mark.parametrize("rate", [8000.5, True, 0])
+    def test_rate_must_be_a_positive_whole_number(self, rate):
+        traj = SweepTrajectory(((0j, -1.0 + 0j, 0.8),))
+        with pytest.raises(ValueError) as info:
+            render_sweep(trajectory=traj, sample_rate=rate)
+        assert "sample rate must be positive" in str(info.value) and repr(rate) in str(info.value)
+
+    @pytest.mark.parametrize("channels", [True, 3, 2.5])
+    def test_channels_must_be_1_2_or_4(self, channels):
+        traj = SweepTrajectory(((0j, -1.0 + 0j, 0.8),))
+        with pytest.raises(ValueError, match=f"channels must be 1, 2, or 4, got {channels!r}"):
+            render_sweep(trajectory=traj, sample_rate=8000, channels=channels)
 
 
 class TestRenderSweep:
@@ -533,6 +693,17 @@ class TestAudioBuffer:
         mono = AudioBuffer(np.zeros(10, dtype=np.float32), 8000)
         assert mono.samples.shape == (10, 1)
         assert mono.n_channels == 1
+
+    @pytest.mark.parametrize("rate", [8000.7, True, np.bool_(True), 0, -8000, math.nan, None])
+    def test_rate_is_never_rounded(self, rate):
+        with pytest.raises(ValueError) as info:
+            AudioBuffer(np.zeros((10, 1), dtype=np.float32), rate)
+        assert repr(rate) in str(info.value)
+
+    def test_whole_rates_are_stored_as_int(self):
+        for rate in (48000, 48000.0, np.int32(48000), np.float64(48000.0)):
+            buf = AudioBuffer(np.zeros((10, 1), dtype=np.float32), rate)
+            assert buf.sample_rate == 48000 and type(buf.sample_rate) is int
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from quasitone import (
     spatial_gains,
     technique_tag,
 )
+from quasitone.sonify import envelope
 
 
 class TestMapConfig:
@@ -285,6 +286,19 @@ class TestMethod4:
             amp = [float(np.exp(-(o**2) / (2.0 * sigma_f**2))) for o in offsets]
             assert bank.freq.tolist() == freq
             assert bank.amp.tolist() == amp
+
+    def test_envelope_over_frames_is_bank_by_bank(self):
+        rng = np.random.default_rng(8)
+        r0, sigma_r = rng.uniform(-3.0, 0.5, 50), rng.uniform(0.5, 1.5, 50)
+        for c in (MapConfig(), MapConfig(f0_mode="sigma_r"), MapConfig(n_osc=1)):
+            freq, amp = envelope(r0, sigma_r, c)
+            assert freq.shape == amp.shape == (50, c.n_osc)
+            for k in range(50):
+                m = SimpleNamespace(r0=r0[k], p0=0.0, sigma_r=sigma_r[k], negativity=0.0)
+                bank = method4_moments(m, c, 1.0)
+                assert np.array_equal(freq[k], bank.freq) and np.array_equal(amp[k], bank.amp)
+        with pytest.raises(DegenerateMoments, match="sigma_r = -0.5"):
+            envelope(r0[:3], np.array([1.0, -0.5, 0.0]), MapConfig())
 
     def test_degenerate_sigma_rejected(self, cfg):
         class M:

@@ -139,6 +139,17 @@ class TestCat:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make()
 
+    def test_array_of_shifts_is_one_shift_at_a_time(self):
+        # bit for bit, real and complex shifts mixed, and every shift checked
+        shifts = np.array([-1.0, -2.5 + 0.5j, 0.3j, -0.002, 1.5 - 2.0j])
+        r, p = np.linspace(-4, 2, 7)[:, None], np.linspace(-3, 3, 5)
+        batch = eval_cat(shifts[:, None, None], r, p)
+        assert batch.shape == (5, 7, 5)
+        for d, w in zip(shifts, batch):
+            assert np.array_equal(w, eval_cat(d, r, p))
+        with pytest.raises(DegenerateShift):
+            eval_cat(np.array([-1.0, EPS_SHIFT * 0.5]), r, p)
+
     def test_carrier_shifts_rigidly(self):
         base = eval_cat(-1.0, -1.3, 0.4)
         moved = eval_cat(-1.0, -1.3 + 2.0, 0.4 - 1.0, alpha=2.0 - 1.0j)
