@@ -27,13 +27,19 @@ from .sonify import (
 # the per-event columns in JSON key order; gains follows as a list
 _COLUMNS = ("onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique")
 
+# How far, relative, the reference pitch of a row may sit from row 0's.
+_LATTICE_REL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class Score:
     """Events as columns: row k is a note at onset[k] lasting duration[k]
     seconds, on lattice step pitch_index[k] (freq_hz[k] Hz), at dynamic[k]
     in [0, 1], played technique[k], panned by the gains[k] row of shape
-    (n, channels). len() is the event count."""
+    (n, channels). len() is the event count. All rows lie on one
+    quarter-tone lattice: freq_hz[k] / 2^(pitch_index[k] / 24), the row's
+    reference pitch, is one value for every row, which a table of a single
+    row cannot show."""
 
     onset: np.ndarray
     duration: np.ndarray
@@ -65,6 +71,14 @@ class Score:
         ):
             if not ok.all():
                 raise ValueError(f"{message}, got {values[~ok].flat[0].item()!r}")
+        ref = fr / np.exp2(self.pitch_index / 24.0)
+        off = ~(np.abs(ref - ref[:1]) <= _LATTICE_REL * ref[:1])
+        if off.any():
+            k = int(np.argmax(off))
+            raise ValueError(
+                f"event {k} has freq_hz {fr[k].item()!r} at pitch_index {self.pitch_index[k]}, "
+                f"reference pitch {ref[k].item()!r}; event 0 has {ref[0].item()!r}"
+            )
 
     def __len__(self) -> int:
         return self.onset.size
@@ -158,4 +172,7 @@ def read_score(path) -> Score:
         if np.shape(row) != np.shape(gains[0]):
             raise ValueError(f"{path}: event {k} has gains {row!r}, event 0 has {gains[0]!r}")
     gains = np.array(gains, dtype=float).reshape(len(data), -1) if data else np.zeros((0, 0))
-    return Score(**columns, gains=gains)
+    try:
+        return Score(**columns, gains=gains)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -33,6 +33,9 @@ from .states import PEAK_BOUND
 # Cap on simultaneous partials for the per-cell mapping.
 MAX_PARTIALS = 900
 
+# Length in seconds of every mapping's notes unless a caller gives one.
+DEFAULT_DURATION = 4.0
+
 WAVE_SINE = "sine"
 WAVE_TRIANGLE = "triangle"
 
@@ -68,7 +71,6 @@ class MapConfig:
     waveform: str = WAVE_SINE
     freq_axis: str = "r"
     f0_mode: str = "r0"
-    event_duration: float = 4.0
 
     def __post_init__(self):
         if not (math.isfinite(self.f_hi) and 0 < self.f_lo < self.f_hi):
@@ -89,8 +91,6 @@ class MapConfig:
             raise ValueError(f"freq_axis must be 'r' or 'p', got {self.freq_axis!r}")
         if self.f0_mode not in ("r0", "sigma_r"):
             raise ValueError(f"f0_mode must be 'r0' or 'sigma_r', got {self.f0_mode!r}")
-        if not (math.isfinite(self.event_duration) and self.event_duration > 0):
-            raise ValueError(f"event_duration must be positive and finite, got {self.event_duration!r}")
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(MapConfig)}  # type names: annotations are strings
@@ -211,13 +211,13 @@ def _uniform_bank(freq, amp, cfg: MapConfig, duration, method, negative) -> Part
         amp=amp,
         phase=np.zeros(n),
         triangle=np.full(n, cfg.waveform == WAVE_TRIANGLE),
-        duration=float(duration if duration is not None else cfg.event_duration),
+        duration=float(duration),
         method=method,
         negative=bool(negative),
     )
 
 
-def method1_grid(field: WignerField, cfg: MapConfig, duration: float | None = None) -> PartialBank:
+def method1_grid(field: WignerField, cfg: MapConfig, duration: float = DEFAULT_DURATION) -> PartialBank:
     """One partial per cell: position sets pitch and phase, value sets level.
 
     The freq_axis coordinate (r by default) maps exponentially onto
@@ -255,7 +255,7 @@ def method1_grid(field: WignerField, cfg: MapConfig, duration: float | None = No
         amp=np.abs(value) / vmax,
         phase=np.where(value < 0, phase + math.pi, phase) % TAU,
         triangle=np.zeros(value.size, dtype=bool),
-        duration=float(duration if duration is not None else cfg.event_duration),
+        duration=float(duration),
         method="I",
         negative=bool(np.any(v < 0)),
         source_r=rc[i_idx],
@@ -264,7 +264,7 @@ def method1_grid(field: WignerField, cfg: MapConfig, duration: float | None = No
     )
 
 
-def method2_extremes(field: WignerField, cfg: MapConfig, duration: float | None = None) -> PartialBank:
+def method2_extremes(field: WignerField, cfg: MapConfig, duration: float = DEFAULT_DURATION) -> PartialBank:
     """Two partials from the field extremes.
 
     The value axis [-PEAK_BOUND, PEAK_BOUND] = [-1/pi, 1/pi], the full
@@ -285,7 +285,7 @@ def method2_extremes(field: WignerField, cfg: MapConfig, duration: float | None 
     return _uniform_bank(freq, amp, cfg, duration, "II", vmin < 0)
 
 
-def method3_sections(field: WignerField, cfg: MapConfig, duration: float | None = None) -> PartialBank:
+def method3_sections(field: WignerField, cfg: MapConfig, duration: float = DEFAULT_DURATION) -> PartialBank:
     """Four partials, one per value section, at log-equispaced frequencies.
 
     Section k of the equal-width value split drives the partial at
@@ -321,7 +321,7 @@ def envelope(r0, sigma_r, cfg: MapConfig):
     return freq, amp
 
 
-def method4_moments(moments: MomentSet, cfg: MapConfig, duration: float | None = None) -> PartialBank:
+def method4_moments(moments: MomentSet, cfg: MapConfig, duration: float = DEFAULT_DURATION) -> PartialBank:
     """Odd bank of partials under a Gaussian spectral envelope.
 
     Center frequency f0 = f0_base + f0_slope * r0, or with sigma_r in
@@ -332,8 +332,8 @@ def method4_moments(moments: MomentSet, cfg: MapConfig, duration: float | None =
 
     Nominal positions falling outside [f_lo, f_hi] are clipped to the
     band edge; amplitudes keep the nominal Gaussian profile so the
-    envelope stays symmetric. duration defaults to cfg.event_duration; the
-    bank is negative when the moments report any negativity.
+    envelope stays symmetric. The bank is negative when the moments
+    report any negativity.
     """
     freq, amp = envelope(moments.r0, moments.sigma_r, cfg)
     return _uniform_bank(freq, amp, cfg, duration, "IV", moments.negativity > 0)

@@ -7,12 +7,13 @@ wavefunctions go through the integral transform
     W(r, p) = (1/2 pi) Integral dy psi(r + y/2) conj(psi)(r - y/2) e^{-i p y}
 
 computed with composite Simpson quadrature on a not-a-knot cubic spline
-of the samples. Points sharing r share one Simpson node vector; a row of
-them whose p values form a uniform lattice is summed by a chirp-z
-transform (Rabiner, Schafer & Rader 1969) on numpy's FFT, rows of equal
-length batched into one 2-d FFT, and any other point by the dense product
-with e^{-i p y}. Both sum over the same nodes and weights. Only numpy and
-the standard library are imported.
+of the samples, solved on their uniform grid by one convolution and a
+2 x 2 fit of the end rows. Points sharing r share one Simpson node
+vector; a row of them whose p values form a uniform lattice is summed by
+a chirp-z transform (Rabiner, Schafer & Rader 1969) on numpy's FFT, rows
+of equal length batched into one 2-d FFT, and any other point by the
+dense product with e^{-i p y}. Both sum over the same nodes and weights.
+Only numpy and the standard library are imported.
 
 Every distribution here is normalized to unit signed mass and bounded by
 |W| <= 1/pi, the extremal value reached by minimum-uncertainty states;
@@ -22,7 +23,6 @@ the vacuum is (1/pi) exp(-(r^2 + p^2)) whichever closed form draws it.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +55,11 @@ _LATTICE_ULPS = 8
 # sample grid to spread numpy's per-call overhead over one 2-d FFT, few
 # enough rows of a large one that each array of the chunk stays in cache.
 _CZT_CHUNK_NODES = 1 << 15
+
+# Pole of the spline's [1, 4, 1] band, whose two-sided inverse
+# pole^|k| / (2 sqrt 3) is cut after 32 taps a side, all below 2e-19.
+_POLE = math.sqrt(3.0) - 2.0
+_BAND_TAPS = 32
 
 
 # === state descriptions ===
@@ -334,46 +339,39 @@ def wigner_transform(x, psi, r, p):
 
 
 def _spline_coefficients(x, y):
-    """Not-a-knot cubic spline through the samples (x, y), complex y.
+    """Not-a-knot cubic spline through complex samples y at uniform knots x.
 
     Returns the coefficients of each interval's cubic in powers of
-    (t - x_i), highest first, as four arrays of length x.size - 1. The
-    knot slopes s solve a tridiagonal system: interior rows make the
-    second derivative continuous, the end rows make the third derivative
-    continuous across the second and the second-to-last knot. One forward
-    and one backward sweep (Thomas algorithm) solve it without pivoting.
+    (t - x_i), highest first, as four arrays of length x.size - 1, for the
+    knot step (x[-1] - x[0]) / (x.size - 1) that _spline_at uses. With
+    chord slopes d, the knot slopes s meet s[i-1] + 4 s[i] + s[i+1] =
+    3 (d[i-1] + d[i]) at interior knots, which makes the second derivative
+    continuous, and s[0] + 2 s[1] = (5 d[0] + d[1]) / 2 and its mirror at
+    the last knot, which make the third derivative continuous across the
+    second and the second-to-last knot. The band's two-sided inverse
+    (Unser 1999) solves the interior rows in one convolution; the band's
+    decaying solutions pole^i and pole^(n-1-i), fitted by one 2 x 2 solve,
+    then meet the two end rows.
     """
     n = x.size
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    sub = np.zeros(n)
-    diag = np.empty(n)
-    sup = np.zeros(n)
-    rhs = np.empty(n, dtype=complex)
-    # dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
-    #     = 3 (dx_i slope_{i-1} + dx_{i-1} slope_i)
-    sub[1:-1] = dx[1:]
-    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
-    sup[1:-1] = dx[:-1]
-    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    diag[0], sup[0] = dx[1], d
-    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    sub[-1], diag[-1] = d, dx[-2]
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    a, b, c, r = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
-    cp, rp = [0.0] * n, [0j] * n
-    cp[0], rp[0] = c[0] / b[0], r[0] / b[0]
-    for i in range(1, n):
-        w = b[i] - a[i] * cp[i - 1]
-        cp[i] = c[i] / w
-        rp[i] = (r[i] - a[i] * rp[i - 1]) / w
-    for i in range(n - 2, -1, -1):
-        rp[i] -= cp[i] * rp[i + 1]
-    s = np.array(rp)
-    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-    return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+    step = (x[-1] - x[0]) / (n - 1)
+    slope = np.diff(y) / step
+    rhs = np.zeros(n, dtype=complex)
+    rhs[1:-1] = 3.0 * (slope[:-1] + slope[1:])
+    # built per call: as a module constant it raised every command's peak
+    # RSS by about 0.2 MB, paid at import
+    band_inverse = _POLE ** np.abs(np.arange(-_BAND_TAPS, _BAND_TAPS + 1)) / (2.0 * math.sqrt(3.0))
+    s = np.convolve(rhs, band_inverse)[_BAND_TAPS : _BAND_TAPS + n]
+    # what each end row misses, and what the decaying solutions add to it
+    miss0 = 0.5 * (5.0 * slope[0] + slope[1]) - s[0] - 2.0 * s[1]
+    miss1 = 0.5 * (slope[-2] + 5.0 * slope[-1]) - 2.0 * s[-2] - s[-1]
+    decay = _POLE ** np.arange(n)
+    near, far = 1.0 + 2.0 * _POLE, (2.0 + _POLE) * decay[-2]
+    det = near * near - far * far
+    s += (near * miss0 - far * miss1) / det * decay
+    s += (near * miss1 - far * miss0) / det * decay[::-1]
+    t = (s[:-1] + s[1:] - 2.0 * slope) / step
+    return t / step, (slope - s[:-1]) / step - t, s[:-1], y[:-1]
 
 
 def _spline_at(x, coef, t):
@@ -390,7 +388,6 @@ def _spline_at(x, coef, t):
     return ((c3[i] * u + c2[i]) * u + c1[i]) * u + c0[i]
 
 
-@functools.lru_cache(maxsize=128)
 def _fast_len(target):
     """Smallest 2^a 3^b 5^c 7^d 11^e >= target, a length pocketfft does fast."""
     n = target

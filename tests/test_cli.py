@@ -219,6 +219,28 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    def test_field_coverage_gate_is_3_through_the_table(self, tmp_path, capsys):
+        # field keeps its files and coverage line, then exits 3 like sonify
+        fp = tmp_path / "small.csv"
+        argv = ["field", "--state", "fock:1", "--grid", "regular:8:-0.5:0.5", "--out", str(fp)]
+        assert cli_main(argv) == 3
+        assert fp.exists() and Path(str(fp) + ".json").exists()
+        out, err = capsys.readouterr()
+        words = out.split()
+        assert len(words) == 2 and words[0] == "coverage" and float(words[1]) < 0.99
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_event_duration_is_an_unknown_key(self, tmp_path, capsys):
+        # note length is --duration alone; the old config key is refused
+        (tmp_path / "m.cfg").write_text("event_duration=4.0\n")
+        argv = ["sonify", *_SHORT_MAPPING, "--config", str(tmp_path / "m.cfg"),
+                "--out", str(tmp_path / "x.wav")]
+        assert cli_main(argv) == 2
+        assert "unknown key 'event_duration'" in capsys.readouterr().err
+        assert not (tmp_path / "x.wav").exists()
+
     def test_degenerate_cat_is_2(self, capsys):
         # cat:0 collapses; the state grammar reports it as a usage fault
         assert cli_main(["eval", "--state", "cat:0", "--r", "0", "--p", "0"]) == 2
@@ -386,8 +408,6 @@ class TestArgumentChecks:
         [
             (["score", "--state", "fock:1", "--method", "IV", "--out", "x.json"], "ref_pitch=nan",
              "ref_pitch"),
-            (["sonify", "--state", "fock:1", "--method", "IV", "--out", "x.wav"],
-             "event_duration=nan", "event_duration"),
             (["sonify", "--state", "fock:1", "--method", "IV", "--duration", "0.1", "--out", "x.wav"],
              "f_hi=inf", "f_hi"),
             (["sonify", "--state", "fock:1", "--method", "IV", "--duration", "inf", "--out", "x.wav"],
@@ -407,7 +427,7 @@ class TestArgumentChecks:
             (["eval", "--state", "fock:0", "--r", "0", "--p", "inf"], None, "--p"),
         ],
         ids=[
-            "config-ref_pitch", "config-event_duration", "config-f_hi", "sonify-duration-inf",
+            "config-ref_pitch", "config-f_hi", "sonify-duration-inf",
             "sonify-duration-nan", "sweep-frame-inf", "sweep-frame-nan", "score-duration-nan",
             "score-duration-inf", "cat-shift", "coherent-alpha", "sweep-segment", "eval-r", "eval-p",
         ],

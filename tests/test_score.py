@@ -32,7 +32,7 @@ def _columns(**changes):
         onset=[0.0, 0.5],
         duration=[1.0, 1.0],
         pitch_index=[0, 2],
-        freq_hz=[440.0, 466.16],
+        freq_hz=[440.0, 440.0 * 2.0 ** (2 / 24)],
         dynamic=[0.5, 1.0],
         technique=["ordinario", "ricochet"],
         gains=[[1.0], [1.0]],
@@ -82,6 +82,35 @@ class TestScore:
     def test_validation(self, changes):
         with pytest.raises(ValueError):
             Score(**_columns(**changes))
+
+    def test_off_lattice_row_is_named(self):
+        # pitch_index 3 at 440 Hz among rows built on 440 Hz
+        cols = _columns(
+            onset=[0.0, 0.0, 0.5],
+            duration=[1.0] * 3,
+            pitch_index=[0, 2, 3],
+            freq_hz=[440.0, 440.0 * 2.0 ** (2 / 24), 440.0],
+            dynamic=[1.0] * 3,
+            technique=["ordinario"] * 3,
+            gains=[[1.0]] * 3,
+        )
+        with pytest.raises(ValueError, match="^event 2 has freq_hz 440.0 at pitch_index 3"):
+            Score(**cols)
+
+    def test_any_reference_pitch_loads(self, tmp_path, fock1_30_field):
+        # the lattice is checked against row 0, whatever its reference pitch
+        cfg = MapConfig(ref_pitch=432.0)
+        score = bank_to_events(method1_grid(fock1_30_field, cfg), fock1_30_field, cfg)
+        path = tmp_path / "s.json"
+        write_score(score, path)
+        back = read_score(path)
+        assert np.array_equal(back.freq_hz, score.freq_hz)
+        assert back.freq_hz / 2.0 ** (back.pitch_index / 24) == pytest.approx(432.0, rel=1e-12)
+
+    def test_one_row_cannot_be_checked(self):
+        # a score file does not record its reference pitch; one row sets it
+        cols = {name: values[1:] for name, values in _columns(pitch_index=[0, 3]).items()}
+        assert len(Score(**cols)) == 1
 
 
 class TestBankToEvents:
@@ -218,6 +247,7 @@ class TestScoreIo:
             ("freq_hz", None, "lacks the key 'freq_hz'"),  # None deletes the key
             ("gains", [0.5, 0.5, 0.5], "bad.json: event 7 has gains"),
             ("gains", [float("nan"), 1.0], "gains must be finite, got nan"),
+            ("freq_hz", 440.0, "bad.json: event 7 has freq_hz 440.0 at pitch_index"),
         ]:
             bad = [dict(row) for row in rows]
             bad[7][key] = value

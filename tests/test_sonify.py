@@ -58,7 +58,7 @@ class TestMapConfig:
             MapConfig(freq_axis="q")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("key", ["f_lo", "f_hi", "ref_pitch", "event_duration"])
+    @pytest.mark.parametrize("key", ["f_lo", "f_hi", "ref_pitch"])
     def test_nonfinite_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             MapConfig(**{key: value})
@@ -100,6 +100,20 @@ class TestMapConfig:
         path.write_text("volume=11\n")
         with pytest.raises(ValueError):
             load_map_config(path)
+
+    def test_event_duration_is_not_a_key(self, tmp_path):
+        # note length comes from the mappings' duration argument alone
+        path = tmp_path / "map.cfg"
+        path.write_text("event_duration=4.0\n")
+        with pytest.raises(ValueError, match="unknown key 'event_duration'"):
+            load_map_config(path)
+        with pytest.raises(TypeError):
+            MapConfig(event_duration=4.0)
+
+    def test_every_mapping_defaults_to_four_seconds(self, fock1_field, cfg):
+        banks = [f(fock1_field, cfg) for f in (method1_grid, method2_extremes, method3_sections)]
+        banks.append(method4_moments(compute_moments(fock1_field), cfg))
+        assert [bank.duration for bank in banks] == [4.0] * 4
 
 
 class TestPartialBank:

@@ -367,6 +367,19 @@ class TestSpline:
         got = _spline_at(x, _spline_coefficients(x, psi), t)
         assert np.max(np.abs(got - want)) < 1e-13
 
+    @pytest.mark.parametrize("nodes", [8, 9, 12, 16, 33, 64])
+    def test_matches_scipy_on_random_samples(self, nodes):
+        # on few knots the corrections that meet the two end rows reach
+        # each other; rough complex samples exercise both at once
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(nodes)
+        x = np.linspace(-3.0, 2.0, nodes)
+        y = rng.normal(size=nodes) + 1j * rng.normal(size=nodes)
+        t = self._points(x)
+        want = interpolate.CubicSpline(x, y)(t)
+        got = _spline_at(x, _spline_coefficients(x, y), t)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(y))
+
     def test_reproduces_a_cubic(self):
         # a cubic meets the not-a-knot conditions, so it is its own spline,
         # and the end cubics extend it beyond the knots
