@@ -9,7 +9,6 @@ The pipeline: build a state (states), evaluate its Wigner function on a grid
 from .analysis import (
     MASS_FLOOR,
     MomentSet,
-    ValueSegmentation,
     compute_moments,
     moments_to_json,
     segment_four,
@@ -58,7 +57,7 @@ from .render import (
     write_sonogram_csv,
     write_wav,
 )
-from .score import Score, bank_to_events, partial_gains, read_score, score_to_json, write_score
+from .score import Score, bank_to_events, partial_gains, score_to_json, write_score
 from .sonify import (
     MAX_PARTIALS,
     MapConfig,

@@ -36,15 +36,6 @@ class MomentSet:
     negativity: float
 
 
-@dataclass(frozen=True, eq=False)
-class ValueSegmentation:
-    """Four equal-width value sections between field min and max."""
-
-    boundaries: np.ndarray  # five ascending edges over the value range
-    section_abs_mass: np.ndarray  # |value| * area per section, length 4
-    section_index: np.ndarray  # per-cell section id, 0..3
-
-
 def _axis_stats(weights, coords, total):
     """Center, spread, skewness, and kurtosis from one axis's marginals,
     one per row of weights (..., n) over coords (..., n)."""
@@ -106,13 +97,14 @@ def compute_moments(field: WignerField) -> MomentSet:
     return MomentSet(**{f.name: float(getattr(stack, f.name)) for f in fields(MomentSet)})
 
 
-def segment_four(field: WignerField) -> ValueSegmentation:
-    """Split the value range into four equal-width sections.
+def segment_four(field: WignerField) -> np.ndarray:
+    """Absolute mass |value| * area of each of four equal-width value
+    sections, lowest values first.
 
     Boundaries sit at min + k (max - min) / 4. Sections are half-open
     below, and only the last one includes its upper edge, so every cell
-    lands in exactly one section and the per-section absolute masses add
-    up to the field's total absolute mass.
+    lands in exactly one section and the four masses add up to the
+    field's total absolute mass.
     """
     v = field.values
     vmin = float(np.min(v))
@@ -124,8 +116,7 @@ def segment_four(field: WignerField) -> ValueSegmentation:
     # one row per section, each summed pairwise like a full-array sum;
     # np.bincount would sum sequentially and change the masses' last bits
     one_hot = index.ravel() == np.arange(4)[:, None]
-    masses = np.sum((np.abs(v) * field.grid.cell_areas).ravel() * one_hot, axis=1)
-    return ValueSegmentation(boundaries=boundaries, section_abs_mass=masses, section_index=index)
+    return np.sum((np.abs(v) * field.grid.cell_areas).ravel() * one_hot, axis=1)
 
 
 # === JSON export ===

@@ -295,16 +295,14 @@ def _run(args) -> int:
         write_sonogram_csv(sono, args.out)
         return 0
 
-    if args.command == "score":
-        cfg = _load_cfg(args, MapConfig())
-        field = _sampled_field(args)
-        require_coverage(field)
-        bank = _bank_for(args.method, field, cfg, args.duration)
-        score = bank_to_events(bank, field, cfg, channels=args.channels, arpeggiate=args.arpeggiate)
-        write_score(score, args.out)
-        return 0
-
-    raise UsageFault(f"unknown command {args.command!r}")
+    # score, the last command argparse admits
+    cfg = _load_cfg(args, MapConfig())
+    field = _sampled_field(args)
+    require_coverage(field)
+    bank = _bank_for(args.method, field, cfg, args.duration)
+    score = bank_to_events(bank, field, cfg, channels=args.channels, arpeggiate=args.arpeggiate)
+    write_score(score, args.out)
+    return 0
 
 
 def cli_main(argv=None) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +142,8 @@ def _gaussian_edges(mu, sigma, n, span_sigmas):
     # where the inverse CDF is infinite, and the ends are the truncation
     # points by construction
     q = lo + (hi - lo) * np.arange(1, n) / n
+    import statistics  # with fractions and decimal, 0.5 MB that no other grid needs
+
     inv_cdf = statistics.NormalDist().inv_cdf
     edges = np.empty(n + 1)
     edges[0] = mu - sigma * span_sigmas
@@ -275,8 +276,10 @@ def _state_from_sidecar(info):
     if kind == "fock":
         return FockState(info["m"])
     if kind == "cat":
-        alpha = _complex_pair(info.get("alpha", (0, 0)))
-        return CatState(_complex_pair(info["delta_alpha"]), alpha)
+        # sidecars once recorded a carrier, always zero; a cat has none
+        if _complex_pair(info.get("alpha", (0, 0))):
+            raise ValueError(f"a cat state has no carrier alpha, got {info['alpha']!r}")
+        return CatState(_complex_pair(info["delta_alpha"]))
     if kind == "coherent":
         return CoherentState(_complex_pair(info["alpha"]))
     if kind == "psi":

@@ -101,10 +101,6 @@ class AudioBuffer:
     def n_channels(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.samples.shape[0] / self.sample_rate
-
 
 # === additive synthesis ===
 
@@ -274,6 +270,9 @@ def synth(bank: PartialBank, sample_rate=DEFAULT_SAMPLE_RATE, gains=None) -> Aud
         gains = np.asarray(gains, dtype=float)
         if gains.shape[0] != n_partials or gains.ndim != 2:
             raise ValueError(f"gains must be (n_partials, channels), got {gains.shape}")
+        bad = gains[~np.isfinite(gains)]
+        if bad.size:
+            raise ValueError(f"gains must be finite, got {float(bad[0])!r}")
     out = np.zeros((n, gains.shape[1]), dtype=float)
     _accumulate(bank.freq, bank.amp, bank.triangle, bank.phase, gains, out, sample_rate)
     out *= _fade_window(n, sample_rate)[:, None]
@@ -372,9 +371,9 @@ def render_sweep(
     rendered for one frame. Frames carry a Hann window and overlap 50
     percent, which sums to unit gain; oscillator phases carry over between
     frames so the crossfade stays beat-free. The master normalization runs
-    once over the whole piece. With channels 2 or 4 each frame is panned
-    equal-power from its centroid position within a fixed box around the
-    whole trajectory.
+    once over the whole piece. Each frame is panned equal-power from its
+    centroid position within a fixed box around the whole trajectory; one
+    channel pans to unit gain.
 
     The work runs as arrays over frames: fields and moments over chunks of
     frames, then every frame's bank at once, then the audio of each chunk
@@ -402,13 +401,10 @@ def render_sweep(
     r0, p0, sigma_r = _frame_moments(shifts)
     freq, amp = envelope(r0, sigma_r, cfg)
     _check_nyquist(freq, sample_rate)
-    if channels == 1:
-        gains = np.ones((len(starts), 1))
-    else:
-        ends = np.array([(z.real, z.imag) for a, b, _ in trajectory.segments for z in (a, b)])
-        # pan within the default grids of the endpoint states
-        lo, hi = ends.min(axis=0) - DEFAULT_HALF_WIDTH, ends.max(axis=0) + DEFAULT_HALF_WIDTH
-        gains = spatial_gains(r0, p0, (lo[0], hi[0], lo[1], hi[1]), channels)
+    ends = np.array([(z.real, z.imag) for a, b, _ in trajectory.segments for z in (a, b)])
+    # pan within the default grids of the endpoint states
+    lo, hi = ends.min(axis=0) - DEFAULT_HALF_WIDTH, ends.max(axis=0) + DEFAULT_HALF_WIDTH
+    gains = spatial_gains(r0, p0, (lo[0], hi[0], lo[1], hi[1]), channels)
     # oscillator phases carried across frames: partial k of the next frame
     # picks up where partial k of this frame stands at the overlap start, so
     # the 50% crossfade blends nearly identical waveforms instead of beating

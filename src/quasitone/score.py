@@ -7,7 +7,6 @@ techniques and channel gains. It serializes to byte-stable JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,21 +157,3 @@ def score_to_json(score: Score) -> str:
 def write_score(score: Score, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(score_to_json(score))
-
-
-def read_score(path) -> Score:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        columns = {name: [e[name] for e in data] for name in _COLUMNS}
-        gains = [e["gains"] for e in data]
-    except KeyError as exc:
-        raise ValueError(f"{path}: an event lacks the key {exc}") from exc
-    for k, row in enumerate(gains):
-        if np.shape(row) != np.shape(gains[0]):
-            raise ValueError(f"{path}: event {k} has gains {row!r}, event 0 has {gains[0]!r}")
-    gains = np.array(gains, dtype=float).reshape(len(data), -1) if data else np.zeros((0, 0))
-    try:
-        return Score(**columns, gains=gains)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

@@ -49,6 +49,11 @@ TECHNIQUES = (TECH_ORDINARIO, *_NEGATIVE_TECHNIQUES)
 TAU = 2.0 * math.pi
 
 
+def _check_ref_pitch(ref_pitch):
+    if not (math.isfinite(ref_pitch) and ref_pitch > 0):
+        raise ValueError(f"ref_pitch must be positive and finite, got {ref_pitch!r}")
+
+
 @dataclass(frozen=True)
 class MapConfig:
     """Tunable constants of the field-to-sound mappings.
@@ -81,8 +86,7 @@ class MapConfig:
             raise ValueError("f0_base and f0_slope must be finite")
         if self.n_osc < 1 or self.n_osc % 2 == 0:
             raise ValueError(f"n_osc must be odd and positive, got {self.n_osc}")
-        if not (math.isfinite(self.ref_pitch) and self.ref_pitch > 0):
-            raise ValueError(f"ref_pitch must be positive and finite, got {self.ref_pitch!r}")
+        _check_ref_pitch(self.ref_pitch)
         if self.negative_technique not in _NEGATIVE_TECHNIQUES:
             raise ValueError(f"negative_technique must be one of {_NEGATIVE_TECHNIQUES}")
         if self.waveform not in (WAVE_SINE, WAVE_TRIANGLE):
@@ -149,7 +153,6 @@ class PartialBank:
     phase: np.ndarray
     triangle: np.ndarray
     duration: float
-    method: str
     negative: bool
     source_r: np.ndarray | None = None
     source_p: np.ndarray | None = None
@@ -158,8 +161,6 @@ class PartialBank:
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
-        if self.method not in ("I", "II", "III", "IV"):
-            raise ValueError(f"method must be I, II, III, or IV, got {self.method!r}")
         names = ["freq", "amp", "phase", "triangle"]
         sources = [self.source_r, self.source_p, self.source_value]
         if any(s is not None for s in sources):
@@ -176,6 +177,9 @@ class PartialBank:
         bad = self.freq[~(np.isfinite(self.freq) & (self.freq > 0))]
         if bad.size:
             raise ValueError(f"frequency must be positive and finite, got {float(bad[0])!r}")
+        bad = self.phase[~np.isfinite(self.phase)]
+        if bad.size:
+            raise ValueError(f"phase must be finite, got {float(bad[0])!r}")
         bad = self.amp[~((self.amp >= 0.0) & (self.amp <= 1.0))]
         if bad.size:
             raise ValueError(f"amplitude must lie in [0, 1], got {float(bad[0])!r}")
@@ -203,7 +207,7 @@ def _normalize(coords):
     return (np.asarray(coords, dtype=float) - lo) / (hi - lo)
 
 
-def _uniform_bank(freq, amp, cfg: MapConfig, duration, method, negative) -> PartialBank:
+def _uniform_bank(freq, amp, cfg: MapConfig, duration, negative) -> PartialBank:
     """Bank of zero-phase partials in cfg's waveform."""
     n = freq.size
     return PartialBank(
@@ -212,7 +216,6 @@ def _uniform_bank(freq, amp, cfg: MapConfig, duration, method, negative) -> Part
         phase=np.zeros(n),
         triangle=np.full(n, cfg.waveform == WAVE_TRIANGLE),
         duration=float(duration),
-        method=method,
         negative=bool(negative),
     )
 
@@ -256,7 +259,6 @@ def method1_grid(field: WignerField, cfg: MapConfig, duration: float = DEFAULT_D
         phase=np.where(value < 0, phase + math.pi, phase) % TAU,
         triangle=np.zeros(value.size, dtype=bool),
         duration=float(duration),
-        method="I",
         negative=bool(np.any(v < 0)),
         source_r=rc[i_idx],
         source_p=pc[j_idx],
@@ -282,7 +284,7 @@ def method2_extremes(field: WignerField, cfg: MapConfig, duration: float = DEFAU
     t = (np.clip(extremes, -bound, bound) + bound) / (2.0 * bound)
     freq = cfg.f_lo + (cfg.f_hi - cfg.f_lo) * t
     amp = np.abs(extremes) / max(abs(vmin), abs(vmax))
-    return _uniform_bank(freq, amp, cfg, duration, "II", vmin < 0)
+    return _uniform_bank(freq, amp, cfg, duration, vmin < 0)
 
 
 def method3_sections(field: WignerField, cfg: MapConfig, duration: float = DEFAULT_DURATION) -> PartialBank:
@@ -293,11 +295,11 @@ def method3_sections(field: WignerField, cfg: MapConfig, duration: float = DEFAU
     Amplitude is the section's absolute mass over the largest section
     mass.
     """
-    seg = segment_four(field)
-    peak = float(np.max(seg.section_abs_mass))
+    masses = segment_four(field)
+    peak = float(np.max(masses))
     freq = np.clip(_exp_freq_map(np.arange(4) / 3.0, cfg), cfg.f_lo, cfg.f_hi)
-    amp = seg.section_abs_mass / peak if peak > 0 else np.zeros(4)
-    return _uniform_bank(freq, amp, cfg, duration, "III", np.min(field.values) < 0)
+    amp = masses / peak if peak > 0 else np.zeros(4)
+    return _uniform_bank(freq, amp, cfg, duration, np.min(field.values) < 0)
 
 
 def envelope(r0, sigma_r, cfg: MapConfig):
@@ -336,7 +338,7 @@ def method4_moments(moments: MomentSet, cfg: MapConfig, duration: float = DEFAUL
     report any negativity.
     """
     freq, amp = envelope(moments.r0, moments.sigma_r, cfg)
-    return _uniform_bank(freq, amp, cfg, duration, "IV", moments.negativity > 0)
+    return _uniform_bank(freq, amp, cfg, duration, moments.negativity > 0)
 
 
 # === pitch lattice, technique, panning ===
@@ -348,8 +350,10 @@ def quarter_tone_index(freq, ref_pitch=440.0):
     Exact midpoints round up, toward the higher pitch.
     """
     f = np.asarray(freq, dtype=float)
-    if np.any(f <= 0) or ref_pitch <= 0:
-        raise ValueError("frequencies and ref_pitch must be positive")
+    bad = f[~(np.isfinite(f) & (f > 0))]
+    if bad.size:
+        raise ValueError(f"frequency must be positive and finite, got {float(bad[0])!r}")
+    _check_ref_pitch(ref_pitch)
     idx = np.floor(24.0 * np.log2(f / ref_pitch) + 0.5).astype(int)
     return idx if idx.ndim else int(idx)
 
@@ -365,6 +369,7 @@ def quantize_quarter_tone(freq, ref_pitch=440.0):
 
 def quarter_tone_freq(idx, ref_pitch=440.0):
     """Frequency ref_pitch * 2^(idx/24) of lattice index idx."""
+    _check_ref_pitch(ref_pitch)
     out = ref_pitch * np.exp2(np.asarray(idx, dtype=float) / 24.0)
     return out if out.ndim else float(out)
 

@@ -85,19 +85,16 @@ class CatState:
 
     |d> is the coherent state displaced to (Re d, Im d) in phase space;
     removing its vacuum component leaves a lobe at d, a damped lobe at the
-    origin and the fringes between them. The optional carrier alpha shifts
-    the whole distribution rigidly; the shape depends on delta_alpha alone.
+    origin and the fringes between them. The state has no carrier: the
+    vacuum lobe sits at the phase-space origin.
     """
 
     delta_alpha: complex
-    alpha: complex = 0j
 
     def __post_init__(self):
-        for name in ("delta_alpha", "alpha"):
-            value = complex(getattr(self, name))
-            if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "delta_alpha", complex(self.delta_alpha))
+        if not cmath.isfinite(self.delta_alpha):
+            raise ValueError(f"delta_alpha must be finite, got {self.delta_alpha!r}")
         if abs(self.delta_alpha) <= EPS_SHIFT:
             raise DegenerateShift(
                 f"|delta_alpha| = {abs(self.delta_alpha):.3g} <= {EPS_SHIFT}; "
@@ -105,11 +102,7 @@ class CatState:
             )
 
     def describe(self) -> dict:
-        return {
-            "kind": "cat",
-            "delta_alpha": [self.delta_alpha.real, self.delta_alpha.imag],
-            "alpha": [self.alpha.real, self.alpha.imag],
-        }
+        return {"kind": "cat", "delta_alpha": [self.delta_alpha.real, self.delta_alpha.imag]}
 
 
 @dataclass(frozen=True)
@@ -213,11 +206,10 @@ def eval_coherent(alpha, r, p):
     return w if np.ndim(w) else float(w)
 
 
-def eval_cat(delta_alpha, r, p, alpha=0j):
+def eval_cat(delta_alpha, r, p):
     """Wigner function of the superposition |d> - <0|d> |0> (see CatState).
 
-    With z = (r - Re alpha) + i (p - Im alpha), d = delta_alpha and
-    h = |d|^2 / 2:
+    With z = r + i p, d = delta_alpha and h = |d|^2 / 2:
 
         W = [ e^{-|z - d|^2} + e^{-h - |z|^2}
               - 2 e^{-h - |z|^2 + Re(z conj(d))} cos(Im(z conj(d))) ]
@@ -245,9 +237,8 @@ def eval_cat(delta_alpha, r, p, alpha=0j):
     # expm1 keeps the normalization accurate for small shifts
     h = np.array([0.5 * abs(z) ** 2 for z in shifts]).reshape(d.shape)
     norm = np.array([math.pi * -math.expm1(-x) for x in h.ravel().tolist()]).reshape(d.shape)
-    alpha = complex(alpha)
-    zr = np.asarray(r, dtype=float) - alpha.real
-    zp = np.asarray(p, dtype=float) - alpha.imag
+    zr = np.asarray(r, dtype=float)
+    zp = np.asarray(p, dtype=float)
     # the three terms in place, every value rounded as in the formula above,
     # so that a large batch allocates a few arrays rather than a dozen
     damped = np.asarray(-h - (zr * zr + zp * zp))
@@ -507,7 +498,7 @@ def evaluate(state: StateSpec, r, p):
     if isinstance(state, FockState):
         return eval_fock(state.m, r, p)
     if isinstance(state, CatState):
-        return eval_cat(state.delta_alpha, r, p, alpha=state.alpha)
+        return eval_cat(state.delta_alpha, r, p)
     if isinstance(state, CoherentState):
         return eval_coherent(state.alpha, r, p)
     if isinstance(state, SampledState):
@@ -520,8 +511,7 @@ def state_centroid(state: StateSpec) -> tuple[float, float]:
     if isinstance(state, FockState):
         return (0.0, 0.0)
     if isinstance(state, CatState):
-        c = state.alpha + state.delta_alpha
-        return (c.real, c.imag)
+        return (state.delta_alpha.real, state.delta_alpha.imag)
     if isinstance(state, CoherentState):
         return (state.alpha.real, state.alpha.imag)
     if isinstance(state, SampledState):

@@ -143,23 +143,23 @@ class TestNegativity:
 
 
 class TestSegmentation:
-    def test_boundaries_affine(self, fock1_field):
-        seg = segment_four(fock1_field)
-        vmin = float(fock1_field.values.min())
-        vmax = float(fock1_field.values.max())
-        want = vmin + (vmax - vmin) * np.arange(5) / 4.0
-        assert np.allclose(seg.boundaries, want, rtol=1e-14)
+    def test_boundaries_affine(self):
+        # min -1 and max 7 put the boundaries at -1, 1, 3, 5, 7; each pair
+        # of cells straddles one, on unit-area cells
+        g = build_regular(0, 8, 0, 1, 8, 1)
+        v = np.array([-1.0, 0.99, 1.01, 2.99, 3.01, 4.99, 5.01, 7.0])[:, None]
+        masses = segment_four(WignerField(g, v))
+        assert masses == pytest.approx([1.99, 4.0, 8.0, 12.01], rel=1e-14)
 
     def test_section_masses_sum_to_abs_mass(self, fock1_field):
-        seg = segment_four(fock1_field)
-        assert seg.section_abs_mass.sum() == pytest.approx(fock1_field.abs_mass, rel=1e-12)
+        masses = segment_four(fock1_field)
+        assert masses.sum() == pytest.approx(fock1_field.abs_mass, rel=1e-12)
 
     def test_known_assignment(self):
         g = build_regular(0, 4, 0, 1, 4, 1)
         v = np.array([[0.0], [1.0], [2.0], [4.0]])
-        seg = segment_four(WignerField(g, v))
-        # quartiles of [0,4]: [0,1) [1,2) [2,3) [3,4]
-        assert list(seg.section_index[:, 0]) == [0, 1, 2, 3]
+        # quartiles of [0,4]: [0,1) [1,2) [2,3) [3,4], one unit-area cell each
+        assert segment_four(WignerField(g, v)).tolist() == [0.0, 1.0, 2.0, 4.0]
 
     def test_constant_field_rejected(self):
         g = build_regular(0, 1, 0, 1, 4, 4)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import quasitone
-from quasitone import read_field, read_score, read_wav
+from quasitone import read_field, read_wav
 from quasitone.cli import cli_main, parse_grid, parse_state
 from quasitone.states import CatState, CoherentState, FockState, SampledState
 
@@ -126,8 +126,7 @@ class TestCommands:
         buf = read_wav(out)
         assert buf.sample_rate == 8000
         assert buf.samples.shape == (2400, 1)
-        events = read_score(score)
-        assert len(events) == 21
+        assert len(json.loads(score.read_text())) == 21
 
     def test_sonify_stereo(self, tmp_path):
         # method II can map near the top of the band, so the rate must
@@ -154,9 +153,9 @@ class TestCommands:
             ]
         )
         assert code == 0
-        score = read_score(sp)
-        assert len(score) == 256
-        assert np.unique(score.onset).size == 16
+        events = json.loads(sp.read_text())
+        assert len(events) == 256
+        assert len({e["onset"] for e in events}) == 16
 
     def test_sweep_and_sonogram(self, tmp_path):
         wav = tmp_path / "sw.wav"
@@ -188,7 +187,7 @@ class TestCommands:
             ]
         )
         assert code == 0
-        assert len(read_score(sp)) == 7
+        assert len(json.loads(sp.read_text())) == 7
 
 
 # a mapping IV render of the ground state, 0.1 s long
@@ -517,8 +516,12 @@ class TestArgumentChecks:
             ("fock:0", lambda side: {k: v for k, v in side.items() if k != "p_edges"}),
             ("fock:1", lambda side: {**side, "state": {"kind": "fock"}}),
             ("cat:-1", lambda side: {**side, "state": {**side["state"], "delta_alpha": [-1.0]}}),
+            ("cat:-1", lambda side: {**side, "state": {**side["state"], "alpha": [0.5, 0.0]}}),
         ],
-        ids=["not-object", "no-kind", "no-r_edges", "no-p_edges", "fock-without-m", "short-shift"],
+        ids=[
+            "not-object", "no-kind", "no-r_edges", "no-p_edges", "fock-without-m", "short-shift",
+            "cat-carrier",
+        ],
     )
     def test_malformed_sidecar_is_2(self, tmp_path, capsys, state, edit):
         fp, side = tmp_path / "f.csv", tmp_path / "f.csv.json"
@@ -643,3 +646,15 @@ class TestInstalledScript:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert res.stdout.strip() == "[]"
+
+
+class TestReadme:
+    def test_library_example_runs(self, tmp_path, monkeypatch, capsys):
+        # the documented API: a deletion that breaks the example fails here
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = [b.split("\n", 1)[1] for b in text.split("```")[1::2] if b.startswith("python\n")]
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("33 ")
+        assert read_wav(tmp_path / "cat.wav").samples.shape == (6 * 48000, 2)
+        assert len(json.loads((tmp_path / "cat.json").read_text())) == 33

@@ -191,6 +191,23 @@ class TestFieldIo:
         assert back.state == f.state
         assert np.array_equal(back.values, f.values)
 
+    def test_cat_sidecar_with_zero_carrier_loads(self, tmp_path):
+        # sidecars written before the cat lost its carrier record "alpha": [0, 0]
+        f = sample_field(CatState(-1.5 + 0.25j), build_regular(-6, 4, -5, 5, 12, 12))
+        path, side = tmp_path / "cat.csv", tmp_path / "cat.csv.json"
+        write_field(f, path)
+        info = json.loads(side.read_text())
+        assert "alpha" not in info["state"]
+        info["state"]["alpha"] = [0, 0]
+        side.write_text(json.dumps(info))
+        assert read_field(path).state == CatState(-1.5 + 0.25j)
+        info["state"]["alpha"] = [0.0, -0.5]
+        side.write_text(json.dumps(info))
+        with pytest.raises(ValueError) as refused:
+            read_field(path)
+        assert str(refused.value).startswith(f"{side}: malformed sidecar: ")
+        assert "no carrier alpha, got [0.0, -0.5]" in str(refused.value)
+
     def test_round_trip_gaussian_kind(self, tmp_path, fock0_field):
         m = compute_moments(fock0_field)
         g = build_gaussian(m, 6, 6)

@@ -19,7 +19,6 @@ from quasitone import (
     partial_gains,
     quantize_quarter_tone,
     quarter_tone_index,
-    read_score,
     sample_field,
     score_to_json,
     write_score,
@@ -97,15 +96,29 @@ class TestScore:
         with pytest.raises(ValueError, match="^event 2 has freq_hz 440.0 at pitch_index 3"):
             Score(**cols)
 
-    def test_any_reference_pitch_loads(self, tmp_path, fock1_30_field):
+    def test_any_reference_pitch_loads(self, fock1_30_field):
         # the lattice is checked against row 0, whatever its reference pitch
         cfg = MapConfig(ref_pitch=432.0)
         score = bank_to_events(method1_grid(fock1_30_field, cfg), fock1_30_field, cfg)
-        path = tmp_path / "s.json"
-        write_score(score, path)
-        back = read_score(path)
-        assert np.array_equal(back.freq_hz, score.freq_hz)
-        assert back.freq_hz / 2.0 ** (back.pitch_index / 24) == pytest.approx(432.0, rel=1e-12)
+        assert score.freq_hz / 2.0 ** (score.pitch_index / 24) == pytest.approx(432.0, rel=1e-12)
+
+    def test_rules_on_written_rows(self, fock1_30_field, cfg):
+        # one bad cell in a row of a real score breaks a table rule
+        bank = method1_grid(fock1_30_field, cfg)
+        score = bank_to_events(bank, fock1_30_field, cfg)
+        for name, value, match in [
+            ("technique", "col_legno", "technique must be one of"),
+            ("dynamic", 1.5, r"dynamic must lie in \[0, 1\], got 1.5"),
+            ("gains", np.nan, "gains must be finite, got nan"),
+            # read as 3, it would be a silently substituted pitch
+            ("pitch_index", 3.7, "pitch_index must be integral, got 3.7"),
+            ("freq_hz", 440.0, "^event 7 has freq_hz 440.0 at pitch_index"),
+        ]:
+            columns = {key: getattr(score, key) for key in _columns()}
+            column = np.array(columns[name], dtype=float if name == "pitch_index" else None)
+            column[7] = value
+            with pytest.raises(ValueError, match=match):
+                Score(**{**columns, name: column})
 
     def test_one_row_cannot_be_checked(self):
         # a score file does not record its reference pitch; one row sets it
@@ -201,17 +214,16 @@ class TestBankToEvents:
 
 class TestScoreIo:
     def test_round_trip(self, tmp_path, fock1_30_field, cfg):
+        # 17 significant digits give every float back exactly
         bank = method1_grid(fock1_30_field, cfg)
         score = bank_to_events(bank, fock1_30_field, cfg)
         path = tmp_path / "score.json"
         write_score(score, path)
-        back = read_score(path)
-        assert len(back) == len(score)
-        for name in ("onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique"):
-            column = getattr(back, name)
-            assert column.dtype.kind == getattr(score, name).dtype.kind
-            assert np.array_equal(column, getattr(score, name)), name
-        assert np.array_equal(back.gains, score.gains)
+        rows = json.loads(path.read_text())
+        assert len(rows) == len(score)
+        for name in ("onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique", "gains"):
+            assert [row[name] for row in rows] == getattr(score, name).tolist(), name
+        assert all(type(row["pitch_index"]) is int for row in rows)
 
     def test_byte_stable_across_runs(self, tmp_path, cfg):
         # regenerate everything from scratch twice; bytes must match
@@ -233,36 +245,13 @@ class TestScoreIo:
             ["onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique", "gains"]
         )
 
-    def test_read_validates(self, tmp_path, fock1_30_field, cfg):
-        # a score file is external input: every table rule applies to it
-        bank = method1_grid(fock1_30_field, cfg)
-        rows = json.loads(score_to_json(bank_to_events(bank, fock1_30_field, cfg)))
-        path = tmp_path / "bad.json"
-        for key, value, match in [
-            ("technique", "col_legno", None),
-            ("dynamic", 1.5, None),
-            ("gains", [float("nan")], None),
-            # read as 3, it would be a silently substituted pitch
-            ("pitch_index", 3.7, "pitch_index must be integral, got 3.7"),
-            ("freq_hz", None, "lacks the key 'freq_hz'"),  # None deletes the key
-            ("gains", [0.5, 0.5, 0.5], "bad.json: event 7 has gains"),
-            ("gains", [float("nan"), 1.0], "gains must be finite, got nan"),
-            ("freq_hz", 440.0, "bad.json: event 7 has freq_hz 440.0 at pitch_index"),
-        ]:
-            bad = [dict(row) for row in rows]
-            bad[7][key] = value
-            if value is None:
-                del bad[7][key]
-            path.write_text(json.dumps(bad))
-            with pytest.raises(ValueError, match=match):
-                read_score(path)
-
     def test_empty_score(self, tmp_path):
+        columns = {name: [] for name in _columns()}
+        columns["gains"] = np.zeros((0, 2))
+        score = Score(**columns)
         path = tmp_path / "empty.json"
-        path.write_text("[]\n")
-        score = read_score(path)
-        assert len(score) == 0
-        assert score_to_json(score) == "[]\n" == _reference_json(score)
+        write_score(score, path)
+        assert path.read_text() == "[]\n" == _reference_json(score)
 
 
 def _reference_json(score):

@@ -31,7 +31,7 @@ from quasitone import (
     spatial_gains,
     technique_tag,
 )
-from quasitone.sonify import envelope
+from quasitone.sonify import envelope, quarter_tone_freq
 
 
 class TestMapConfig:
@@ -137,23 +137,29 @@ class TestPartialBank:
             freq=[440.0], amp=[0.5], phase=[0.0], triangle=[False],
             source_r=[0.0], source_p=[0.0], source_value=[0.1],
         )
-        PartialBank(**arrays, duration=1.0, method="IV", negative=False)
+        PartialBank(**arrays, duration=1.0, negative=False)
         arrays[name] = values
         with pytest.raises(ValueError):
-            PartialBank(**arrays, duration=1.0, method="IV", negative=False)
+            PartialBank(**arrays, duration=1.0, negative=False)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_phase(self, bad):
+        # a NaN phase would render a whole buffer of NaN samples
+        arrays = dict(freq=[440.0, 220.0], amp=[0.5, 0.5], phase=[0.0, bad], triangle=[False] * 2)
+        with pytest.raises(ValueError, match=f"phase must be finite, got {bad!r}"):
+            PartialBank(**arrays, duration=1.0, negative=False)
 
     @pytest.mark.parametrize("duration", [0.0, math.nan, math.inf])
     def test_rejects_bad_duration(self, duration):
         arrays = dict(freq=[440.0], amp=[0.5], phase=[0.0], triangle=[False])
         with pytest.raises(ValueError, match="duration must be positive and finite"):
-            PartialBank(**arrays, duration=duration, method="IV", negative=False)
+            PartialBank(**arrays, duration=duration, negative=False)
 
 
 class TestMethod1:
     def test_exact_cell_count(self, fock1_30_field, cfg):
         bank = method1_grid(fock1_30_field, cfg)
         assert bank.freq.size == 900
-        assert bank.method == "I"
         assert bank.negative
 
     def test_top_selection_on_large_grid(self, cfg):
@@ -350,6 +356,16 @@ class TestQuantization:
     def test_midpoint_rounds_up(self):
         f = 440.0 * 2.0 ** (0.5 / 24.0)
         assert quarter_tone_index(f) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_nonfinite_or_nonpositive_refused(self, bad):
+        # a NaN or infinite step count would cast to INT64_MIN
+        with pytest.raises(ValueError, match=f"frequency must be positive and finite, got {bad!r}"):
+            quarter_tone_index([440.0, bad])
+        with pytest.raises(ValueError, match=f"ref_pitch must be positive and finite, got {bad!r}"):
+            quarter_tone_index(440.0, bad)
+        with pytest.raises(ValueError, match=f"ref_pitch must be positive and finite, got {bad!r}"):
+            quarter_tone_freq(0, bad)
 
     @settings(max_examples=80, deadline=None)
     @given(f=st.floats(min_value=20.0, max_value=20000.0))
