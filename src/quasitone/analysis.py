@@ -41,12 +41,13 @@ def _axis_stats(weights, coords, total):
     one per row of weights (..., n) over coords (..., n)."""
     mean = np.sum(weights * coords, axis=-1) / total
     d = coords - mean[..., None]
-    m2 = np.sum(weights * d**2, axis=-1) / total
+    d2 = d * d  # the higher powers from products: d**3 and d**4 go through libm pow
+    m2 = np.sum(weights * d2, axis=-1) / total
     bad = np.asarray(m2)[~(np.isfinite(m2) & (m2 > 0))]
     if bad.size:
         raise DegenerateMoments(f"second central moment {float(bad[0])!r} is not positive")
-    m3 = np.sum(weights * d**3, axis=-1) / total
-    m4 = np.sum(weights * d**4, axis=-1) / total
+    m3 = np.sum(weights * (d2 * d), axis=-1) / total
+    m4 = np.sum(weights * (d2 * d2), axis=-1) / total
     # float_power goes through libm pow, as a Python float ** does
     return mean, np.sqrt(m2), m3 / np.float_power(m2, 1.5), m4 / np.float_power(m2, 2)
 

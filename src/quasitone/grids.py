@@ -15,8 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DegenerateMoments, DegenerateShift, InvalidBounds
-from .states import StateSpec, evaluate, state_centroid
+from .errors import (
+    CoverageError,
+    DegenerateMoments,
+    DegenerateShift,
+    InvalidBounds,
+    QuadratureSpanTooSmall,
+)
+from .states import SampledState, StateSpec, evaluate, state_centroid
 from .textfmt import json_value, read_csv_table
 
 KIND_REGULAR = "regular"
@@ -32,9 +38,16 @@ DEFAULT_HALF_WIDTH = 5.0
 
 # Reference window for the coverage denominator: a half-width 10 square
 # around the state centroid at 512 cells per axis captures all but a
-# negligible sliver of every state this package evaluates.
+# negligible sliver of every state this package evaluates. A sampled
+# wavefunction's span must cover the centroid +- 10 in r, or the reference
+# is refused.
 _REF_HALF = 10.0
 _REF_CELLS = 512
+
+# Safety factor on a sampled state's row bound, which is a Riemann sum, and
+# the absolute mass that the reference rows skipped by it may hold in all.
+_ROW_BOUND_MARGIN = 2.0
+_SKIP_BUDGET = 1e-9
 
 
 def edge_centers(edges):
@@ -194,21 +207,70 @@ def default_grid(state: StateSpec) -> GridSpec:
     return GridSpec(KIND_REGULAR, *default_edges(*state_centroid(state)))
 
 
+def _row_budgets(state: SampledState, ref: GridSpec) -> np.ndarray:
+    """Upper bound on the absolute mass of each reference row of a sampled
+    state.
+
+    For every p, |W(r, p)| <= (1/pi) (|psi| * |psi|)(2 r), one convolution
+    of the sample magnitudes; the larger of its two samples around 2 r,
+    times _ROW_BOUND_MARGIN, stands in for the integral. A row's budget is
+    that bound times the window's p width and the row's height.
+    """
+    x = state.x
+    dx = (x[-1] - x[0]) / (x.size - 1)
+    magnitude = np.abs(state.psi)
+    conv = np.convolve(magnitude, magnitude) * dx  # at 2 x[0] + k dx
+    k = np.clip(np.floor((2.0 * ref.r_centers - 2.0 * x[0]) / dx).astype(np.intp), 0, conv.size - 2)
+    near = np.maximum(conv[k], conv[k + 1])
+    width = ref.p_edges[-1] - ref.p_edges[0]
+    return (_ROW_BOUND_MARGIN / math.pi) * near * width * np.diff(ref.r_edges)
+
+
+def _counted_rows(state: SampledState, ref: GridSpec) -> np.ndarray:
+    """Indices, in order, of the reference rows that coverage evaluates.
+
+    Rows are skipped from the smallest budget up while the skipped budgets
+    sum below _SKIP_BUDGET. A window with a row center outside the sample
+    span is refused before anything is evaluated.
+    """
+    x, r = state.x, ref.r_centers
+    if not (x[0] < r[0] and r[-1] < x[-1]):
+        raise QuadratureSpanTooSmall(
+            f"coverage reference window r in [{ref.r_edges[0]:.4g}, {ref.r_edges[-1]:.4g}] "
+            f"(centroid +- {_REF_HALF:g}) reaches outside the sample span "
+            f"[{x[0]:.4g}, {x[-1]:.4g}]; widen the sample span"
+        )
+    budget = _row_budgets(state, ref)
+    order = np.argsort(budget, kind="stable")
+    return np.sort(order[np.cumsum(budget[order]) >= _SKIP_BUDGET])
+
+
 @functools.lru_cache(maxsize=16)
 def _reference_abs_mass(state: StateSpec) -> float:
     r0, p0 = state_centroid(state)
     ref = build_regular(
         r0 - _REF_HALF, r0 + _REF_HALF, p0 - _REF_HALF, p0 + _REF_HALF, _REF_CELLS, _REF_CELLS
     )
-    return sample_field(state, ref).abs_mass
+    rows = _counted_rows(state, ref) if isinstance(state, SampledState) else slice(None)
+    values = evaluate(state, ref.r_centers[rows, None], ref.p_centers)
+    return float(np.sum(np.abs(values) * ref.cell_areas[rows]))
 
 
 def coverage(field: WignerField) -> float:
     """Share of the state's absolute mass captured by the field's grid.
 
     Both numerator and denominator are cell-center Riemann sums of |W|;
-    the denominator comes from a wide fixed reference window around the
-    state centroid. Clamped to [0, 1].
+    the denominator comes from a wide fixed reference window, 512 x 512
+    cells over the state centroid +- 10. Clamped to [0, 1].
+
+    For a SampledState the denominator skips reference rows whose mass is
+    provably negligible: each row is bounded through
+    |W(r, p)| <= (1/pi) (|psi| * |psi|)(2 r), with a margin of 2 because
+    the sampled convolution is a Riemann sum, and rows are skipped from the
+    smallest bound up while their bounds sum below 1e-9 of absolute mass.
+    A row whose center lies outside the sample span is never skipped: such
+    a window raises QuadratureSpanTooSmall before any evaluation, so the
+    span must cover the centroid +- 10 in r.
     """
     if field.state is None:
         raise ValueError("field has no state attached; coverage needs the source state")

@@ -29,7 +29,7 @@ from .analysis import compute_moments, stacked_moments
 from .errors import BufferTooShort, NyquistViolation, UnsupportedFormat
 from .grids import DEFAULT_HALF_WIDTH, default_edges, default_grid, edge_centers, sample_field
 from .sonify import TAU, WAVE_TRIANGLE, MapConfig, PartialBank, envelope, spatial_gains
-from .states import EPS_SHIFT, FockState, eval_cat
+from .states import EPS_SHIFT, FockState, eval_cat, squared_shift
 
 # perfbench/layers.py wraps this name by getattr; render does not call it.
 from .sonify import method4_moments  # noqa: F401, E402
@@ -301,6 +301,8 @@ class SweepTrajectory:
             a, b, secs = complex(seg[0]), complex(seg[1]), float(seg[2])
             if not (cmath.isfinite(a) and cmath.isfinite(b)):
                 raise ValueError(f"segment endpoints must be finite, got {a!r} and {b!r}")
+            for end in (a, b):  # every frame's shift lies between the ends
+                squared_shift(end)
             if not (np.isfinite(secs) and secs > 0):
                 raise ValueError(f"segment duration must be positive, got {secs!r}")
             cleaned.append((a, b, secs))

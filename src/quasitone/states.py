@@ -95,6 +95,7 @@ class CatState:
         object.__setattr__(self, "delta_alpha", complex(self.delta_alpha))
         if not cmath.isfinite(self.delta_alpha):
             raise ValueError(f"delta_alpha must be finite, got {self.delta_alpha!r}")
+        squared_shift(self.delta_alpha)
         if abs(self.delta_alpha) <= EPS_SHIFT:
             raise DegenerateShift(
                 f"|delta_alpha| = {abs(self.delta_alpha):.3g} <= {EPS_SHIFT}; "
@@ -163,6 +164,18 @@ StateSpec = FockState | CatState | CoherentState | SampledState
 # === closed-form evaluators ===
 
 
+def squared_shift(delta_alpha) -> float:
+    """|delta_alpha|^2 as eval_cat forms it; ValueError naming the shift
+    when that square is not a finite float."""
+    try:
+        square = abs(delta_alpha) ** 2
+    except OverflowError:  # a float ** that overflows raises, never gives inf
+        square = math.inf
+    if not math.isfinite(square):
+        raise ValueError(f"|delta_alpha|^2 of delta_alpha = {delta_alpha!r} is not finite")
+    return square
+
+
 def laguerre(m, x):
     """Laguerre polynomial L_m(x) by the three-term recurrence.
 
@@ -223,19 +236,19 @@ def eval_cat(delta_alpha, r, p):
     delta_alpha may be an array that broadcasts against r and p, one shift
     per evaluation point. Raises DegenerateShift when any |delta_alpha| <=
     1e-3, where the expression degenerates to 0/0 and the m=1 number state
-    takes over.
+    takes over, and ValueError when any |delta_alpha|^2 is not finite.
     """
     d = np.asarray(delta_alpha, dtype=complex)
     shifts = d.ravel().tolist()
+    # the per-shift factors in Python's scalar math, so that a batch of
+    # shifts evaluates bit for bit as the same shifts one at a time;
+    # expm1 keeps the normalization accurate for small shifts
+    h = np.array([0.5 * squared_shift(z) for z in shifts]).reshape(d.shape)
     small = [z for z in shifts if abs(z) <= EPS_SHIFT]
     if small:
         raise DegenerateShift(
             f"|delta_alpha| = {abs(small[0]):.3g} <= {EPS_SHIFT}; use eval_fock(1, r, p)"
         )
-    # the per-shift factors in Python's scalar math, so that a batch of
-    # shifts evaluates bit for bit as the same shifts one at a time;
-    # expm1 keeps the normalization accurate for small shifts
-    h = np.array([0.5 * abs(z) ** 2 for z in shifts]).reshape(d.shape)
     norm = np.array([math.pi * -math.expm1(-x) for x in h.ravel().tolist()]).reshape(d.shape)
     zr = np.asarray(r, dtype=float)
     zp = np.asarray(p, dtype=float)

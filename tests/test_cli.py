@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -244,6 +245,24 @@ class TestExitCodes:
         # cat:0 collapses; the state grammar reports it as a usage fault
         assert cli_main(["eval", "--state", "cat:0", "--r", "0", "--p", "0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--state", "cat:1e200", "--r", "0", "--p", "0"],
+            ["sweep", "--segments", "0:-1:0.5;-1:1e200:0.5", "--sr", "8000", "--out", "{wav}"],
+        ],
+        ids=["eval", "sweep"],
+    )
+    def test_shift_whose_square_overflows_is_2(self, argv, tmp_path, capsys):
+        # refused naming the shift, before any audio; an OverflowError or a
+        # RuntimeWarning (an error under this suite) would fail the test
+        wav = tmp_path / "x.wav"
+        assert cli_main([a.format(wav=wav) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "delta_alpha = (1e+200+0j) is not finite" in err
+        assert not wav.exists()
 
     def test_missing_field_file_is_4(self, tmp_path, capsys):
         assert cli_main(["moments", "--field", str(tmp_path / "none.csv")]) == 4
@@ -564,6 +583,56 @@ class TestArgumentChecks:
         assert cli_main(base + ["--out", str(plain)]) == 0
         assert cli_main(base + ["--config", str(cfg_path), "--out", str(configured)]) == 0
         assert configured.read_bytes() == plain.read_bytes()
+
+
+def _psi_csv(path, n, nodes, span=10.5):
+    """Eigenstate n on `nodes` samples over +-span, written as the
+    benchmark's transform workload writes it; returns the path."""
+    from quasitone import harmonic_eigenstate
+
+    x = np.linspace(-span, span, nodes)
+    psi = harmonic_eigenstate(n, x)
+    psi = psi / math.sqrt(float(np.sum(psi * psi)) * (x[1] - x[0]))
+    path.write_text("x,re,im\n" + "".join(f"{a!r},{b!r},0.0\n" for a, b in zip(x.tolist(), psi.tolist())))
+    return path
+
+
+class TestSampledCoverage:
+    """The coverage a psi: field prints, now that the reference skips rows
+    by a bound, and the refusal of a span too narrow for the reference."""
+
+    @pytest.mark.parametrize(
+        "nodes, n, grid, line",
+        [
+            (257, 0, None, "coverage 1.000000"),
+            (257, 1, None, "coverage 0.998682"),
+            (257, 2, None, "coverage 0.999553"),
+            (257, 3, None, "coverage 0.999543"),
+            (193, 0, None, "coverage 1.000000"),
+            (193, 1, None, "coverage 0.998682"),
+            (257, 0, "regular:40:-3:3", "coverage 0.999957"),
+            (257, 1, "regular:40:-3:3", "coverage 0.998614"),
+            (257, 2, "regular:40:-3:3", "coverage 0.993210"),
+            (257, 3, "regular:40:-3:3", "coverage 0.979586"),
+        ],
+    )
+    def test_printed_coverage_keeps_its_digits(self, nodes, n, grid, line, tmp_path, capsys):
+        # each line as the dense 512 x 512 reference printed it
+        src = _psi_csv(tmp_path / "psi.csv", n, nodes)
+        argv = ["field", "--state", f"psi:{src}", "--out", str(tmp_path / "f.csv")]
+        code = cli_main(argv + (["--grid", grid] if grid else []))
+        assert capsys.readouterr().out == line + "\n"
+        assert code == (0 if float(line.split()[1]) >= 0.99 else 3)
+
+    def test_span_narrower_than_the_reference_is_4_naming_both(self, tmp_path, capsys):
+        # the default grid lies inside +-8; the centroid +- 10 window does not
+        src = _psi_csv(tmp_path / "psi.csv", 1, 257, span=8.0)
+        out = tmp_path / "f.csv"
+        assert cli_main(["field", "--state", f"psi:{src}", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: coverage reference window r in [-10, 10]")
+        assert "sample span [-8, 8]" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 def _traced_metrics(argv):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import truncated_gaussian_edges
+from quasitone import grids
 from quasitone import (
     COVERAGE_MIN,
     CatState,
@@ -15,6 +16,7 @@ from quasitone import (
     InvalidBounds,
     KIND_GAUSSIAN,
     KIND_REGULAR,
+    QuadratureSpanTooSmall,
     SampledState,
     WignerField,
     build_gaussian,
@@ -269,3 +271,66 @@ class TestFieldIo:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             read_field(tmp_path / "nope.csv")
+
+
+def _sampled(psi_of_x, nodes, span=10.5):
+    x = np.linspace(-span, span, nodes)
+    psi = psi_of_x(x)
+    return SampledState(x, psi / np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0])))
+
+
+class TestReferenceRowBound:
+    """A sampled state's coverage reference skips rows by the |psi| * |psi|
+    bound; the dense 512 x 512 reference checks what the skipped rows hold."""
+
+    @pytest.mark.parametrize(
+        "state, gaps",
+        [
+            *(
+                pytest.param(_sampled(lambda x, n=n: harmonic_eigenstate(n, x), nodes), False,
+                             id=f"n{n}-{nodes}")
+                for nodes in (257, 2049)
+                for n in range(4)
+            ),
+            # two narrow lobes at +-6: the rows between a lobe and the
+            # interference ridge at r = 0 are skipped, so the kept rows are
+            # not contiguous
+            pytest.param(
+                _sampled(lambda x: np.exp(-((x - 6.0) ** 2) / 0.5) + np.exp(-((x + 6.0) ** 2) / 0.5), 257),
+                True,
+                id="two-lobes",
+            ),
+        ],
+    )
+    def test_skipped_rows_hold_less_than_their_budget(self, state, gaps):
+        r0, p0 = state_centroid(state)
+        half, cells = grids._REF_HALF, grids._REF_CELLS
+        ref = build_regular(r0 - half, r0 + half, p0 - half, p0 + half, cells, cells)
+        dense = np.sum(np.abs(sample_field(state, ref).values) * ref.cell_areas, axis=1)
+        budget = grids._row_budgets(state, ref)
+        rows = grids._counted_rows(state, ref)
+        skipped = np.setdiff1d(np.arange(cells), rows)
+        assert skipped.size > 0
+        assert np.all(dense[skipped] <= budget[skipped])
+        assert np.sum(dense[skipped]) <= np.sum(budget[skipped]) < grids._SKIP_BUDGET
+        assert np.any(np.diff(rows) > 1) == gaps
+        got = grids._reference_abs_mass.__wrapped__(state)
+        assert got == pytest.approx(np.sum(dense[rows]), rel=1e-13)
+        assert abs(got - np.sum(dense)) <= np.sum(budget[skipped])
+
+    def test_closed_forms_take_every_row(self):
+        # the closed-form path is the dense sum over the whole window
+        state = CatState(-1.5 + 0.5j)
+        r0, p0 = state_centroid(state)
+        ref = build_regular(r0 - 10, r0 + 10, p0 - 10, p0 + 10, 512, 512)
+        assert grids._reference_abs_mass.__wrapped__(state) == sample_field(state, ref).abs_mass
+
+    def test_window_outside_the_span_is_refused_before_evaluation(self, monkeypatch):
+        # an 8-wide span holds the state but not the centroid +- 10 window
+        state = _sampled(lambda x: harmonic_eigenstate(1, x), 257, span=8.0)
+        field = sample_field(state, default_grid(state))
+        monkeypatch.setattr(grids, "evaluate", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(QuadratureSpanTooSmall, match=r"window r in \[-10, 10\].*span \[-8, 8\]"):
+            grids._reference_abs_mass.__wrapped__(state)
+        with pytest.raises(QuadratureSpanTooSmall):
+            coverage(field)

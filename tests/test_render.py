@@ -306,6 +306,10 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             SweepTrajectory(((0j, -1 + 0j, 0.0),))
 
+    def test_rejects_endpoint_whose_square_overflows(self):
+        with pytest.raises(ValueError, match=r"delta_alpha = \(1e\+200\+0j\) is not finite"):
+            SweepTrajectory(((0j, -1 + 0j, 1.0), (-1 + 0j, 1e200 + 0j, 2.0)))
+
 
 def reference_sweep(trajectory, cfg, sample_rate, frame_seconds, channels):
     """The per-frame loop the batched sweep replaced: one state, field,

@@ -138,6 +138,20 @@ class TestCat:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make()
 
+    @pytest.mark.parametrize(
+        "shift", [1e200, complex(-3.0, 1e160), complex(1.5e308, 1.5e308)],
+        ids=["real", "imaginary", "abs-overflows"],
+    )
+    def test_shift_whose_square_overflows_raises(self, shift):
+        # |d|^2 is not a float: refused naming the shift, never an
+        # OverflowError from abs(d) ** 2, and with no RuntimeWarning
+        with pytest.raises(ValueError, match=r"\|delta_alpha\|\^2 of delta_alpha = .* is not finite"):
+            CatState(shift)
+        with pytest.raises(ValueError, match="is not finite"):
+            eval_cat(np.array([-1.0, shift]), 0.0, 0.0)
+        # the largest squares that still fit evaluate as before
+        assert eval_cat(1e154, 0.0, 0.0) == 0.0
+
     def test_array_of_shifts_is_one_shift_at_a_time(self):
         # bit for bit, real and complex shifts mixed, and every shift checked
         shifts = np.array([-1.0, -2.5 + 0.5j, 0.3j, -0.002, 1.5 - 2.0j])
