@@ -22,7 +22,7 @@ from .errors import (
     InvalidBounds,
     QuadratureSpanTooSmall,
 )
-from .states import SampledState, StateSpec, evaluate, state_centroid
+from .states import SampledState, StateSpec, evaluate, state_centroid, transform_bound
 from .textfmt import json_value, read_csv_table
 
 KIND_REGULAR = "regular"
@@ -44,9 +44,8 @@ DEFAULT_HALF_WIDTH = 5.0
 _REF_HALF = 10.0
 _REF_CELLS = 512
 
-# Safety factor on a sampled state's row bound, which is a Riemann sum, and
-# the absolute mass that the reference rows skipped by it may hold in all.
-_ROW_BOUND_MARGIN = 2.0
+# Most absolute mass, by their bounds, that the reference rows skipped for
+# a sampled state may hold in all.
 _SKIP_BUDGET = 1e-9
 
 
@@ -209,21 +208,11 @@ def default_grid(state: StateSpec) -> GridSpec:
 
 def _row_budgets(state: SampledState, ref: GridSpec) -> np.ndarray:
     """Upper bound on the absolute mass of each reference row of a sampled
-    state.
-
-    For every p, |W(r, p)| <= (1/pi) (|psi| * |psi|)(2 r), one convolution
-    of the sample magnitudes; the larger of its two samples around 2 r,
-    times _ROW_BOUND_MARGIN, stands in for the integral. A row's budget is
-    that bound times the window's p width and the row's height.
+    state: the transform's bound on |W| at the row's r, for every p, times
+    the window's p width and the row's height.
     """
-    x = state.x
-    dx = (x[-1] - x[0]) / (x.size - 1)
-    magnitude = np.abs(state.psi)
-    conv = np.convolve(magnitude, magnitude) * dx  # at 2 x[0] + k dx
-    k = np.clip(np.floor((2.0 * ref.r_centers - 2.0 * x[0]) / dx).astype(np.intp), 0, conv.size - 2)
-    near = np.maximum(conv[k], conv[k + 1])
     width = ref.p_edges[-1] - ref.p_edges[0]
-    return (_ROW_BOUND_MARGIN / math.pi) * near * width * np.diff(ref.r_edges)
+    return transform_bound(state.x, state.psi, ref.r_centers) * width * np.diff(ref.r_edges)
 
 
 def _counted_rows(state: SampledState, ref: GridSpec) -> np.ndarray:
@@ -264,10 +253,12 @@ def coverage(field: WignerField) -> float:
     cells over the state centroid +- 10. Clamped to [0, 1].
 
     For a SampledState the denominator skips reference rows whose mass is
-    provably negligible: each row is bounded through
-    |W(r, p)| <= (1/pi) (|psi| * |psi|)(2 r), with a margin of 2 because
-    the sampled convolution is a Riemann sum, and rows are skipped from the
-    smallest bound up while their bounds sum below 1e-9 of absolute mass.
+    provably negligible. states.transform_bound bounds |W(r, p)| over
+    every p by the spline the transform evaluates, not its samples: a
+    per-interval bound on the spline's modulus, convolved with itself, with
+    the factor 4/3 by which Simpson's 4, 2 weights can exceed the integral
+    on one interval. Rows are skipped from the smallest bound times row
+    area up while those sum below 1e-9 of absolute mass.
     A row whose center lies outside the sample span is never skipped: such
     a window raises QuadratureSpanTooSmall before any evaluation, so the
     span must cover the centroid +- 10 in r.

@@ -392,6 +392,32 @@ def _spline_at(x, coef, t):
     return ((c3[i] * u + c2[i]) * u + c1[i]) * u + c0[i]
 
 
+def transform_bound(x, psi, r):
+    """Upper bound on |wigner_transform(x, psi, r, p)| over every p, for
+    each r inside the sample span, exact up to rounding.
+
+    The transform's row at r sums Simpson weights times the spline at
+    r + y/2 times its conjugate at r - y/2. On the closed sample interval i
+    the spline's modulus is at most M_i = |c0| + |c1| dx + |c2| dx^2 +
+    |c3| dx^3. The nodes r + y/2 are h/2 apart with h <= dx/2, so one
+    interval holds at most 2 dx/h + 1 of them, whose alternating 4, 2
+    weights of h/3 sum to at most 2 dx + 4h/3 <= 8 dx/3. Their partners
+    r - y/2 then lie in intervals K - i - 1 and K - i, K = floor((2r -
+    2 x_0)/dx), so |W(r, p)| <= (4 dx / (3 pi)) sum_i M_i G_{K-i} with
+    G_j = max(M_{j-1}, M_j): one convolution for all r. The spline rings
+    past its last nonzero sample, and M follows it there.
+    """
+    x = np.asarray(x, dtype=float)
+    step = (x[-1] - x[0]) / (x.size - 1)
+    c3, c2, c1, c0 = _spline_coefficients(x, np.asarray(psi, dtype=complex))
+    interval = ((np.abs(c3) * step + np.abs(c2)) * step + np.abs(c1)) * step + np.abs(c0)
+    edge = np.zeros(1)
+    knot = np.maximum(np.concatenate([edge, interval]), np.concatenate([interval, edge]))
+    pairs = np.convolve(interval, knot)  # at K: sum_i M_i G_{K-i}
+    k = np.floor(2.0 * (np.asarray(r, dtype=float) - x[0]) / step)
+    return (4.0 * step / (3.0 * math.pi)) * pairs[np.clip(k, 0, pairs.size - 1).astype(np.intp)]
+
+
 def _fast_len(target):
     """Smallest 2^a 3^b 5^c 7^d 11^e >= target, a length pocketfft does fast."""
     n = target

@@ -585,13 +585,16 @@ class TestArgumentChecks:
         assert configured.read_bytes() == plain.read_bytes()
 
 
-def _psi_csv(path, n, nodes, span=10.5):
+def _psi_csv(path, n, nodes, span=10.5, cut=None):
     """Eigenstate n on `nodes` samples over +-span, written as the
-    benchmark's transform workload writes it; returns the path."""
+    benchmark's transform workload writes it, set to exact zeros beyond
+    |x| > cut when cut is given; returns the path."""
     from quasitone import harmonic_eigenstate
 
     x = np.linspace(-span, span, nodes)
     psi = harmonic_eigenstate(n, x)
+    if cut is not None:
+        psi = psi * (np.abs(x) <= cut)
     psi = psi / math.sqrt(float(np.sum(psi * psi)) * (x[1] - x[0]))
     path.write_text("x,re,im\n" + "".join(f"{a!r},{b!r},0.0\n" for a, b in zip(x.tolist(), psi.tolist())))
     return path
@@ -602,23 +605,28 @@ class TestSampledCoverage:
     by a bound, and the refusal of a span too narrow for the reference."""
 
     @pytest.mark.parametrize(
-        "nodes, n, grid, line",
+        "nodes, n, cut, grid, line",
         [
-            (257, 0, None, "coverage 1.000000"),
-            (257, 1, None, "coverage 0.998682"),
-            (257, 2, None, "coverage 0.999553"),
-            (257, 3, None, "coverage 0.999543"),
-            (193, 0, None, "coverage 1.000000"),
-            (193, 1, None, "coverage 0.998682"),
-            (257, 0, "regular:40:-3:3", "coverage 0.999957"),
-            (257, 1, "regular:40:-3:3", "coverage 0.998614"),
-            (257, 2, "regular:40:-3:3", "coverage 0.993210"),
-            (257, 3, "regular:40:-3:3", "coverage 0.979586"),
+            (257, 0, None, None, "coverage 1.000000"),
+            (257, 1, None, None, "coverage 0.998682"),
+            (257, 2, None, None, "coverage 0.999553"),
+            (257, 3, None, None, "coverage 0.999543"),
+            (193, 0, None, None, "coverage 1.000000"),
+            (193, 1, None, None, "coverage 0.998682"),
+            (257, 0, None, "regular:40:-3:3", "coverage 0.999957"),
+            (257, 1, None, "regular:40:-3:3", "coverage 0.998614"),
+            (257, 2, None, "regular:40:-3:3", "coverage 0.993210"),
+            (257, 3, None, "regular:40:-3:3", "coverage 0.979586"),
+            # samples that end in exact zeros, whose spline rings past the
+            # last nonzero sample where the samples' |psi| * |psi| is 0
+            (257, 0, 1.5, None, "coverage 0.903601"),
+            (257, 2, 3.0, "regular:40:-3:3", "coverage 0.933602"),
+            (193, 2, 3.0, None, "coverage 0.962975"),
         ],
     )
-    def test_printed_coverage_keeps_its_digits(self, nodes, n, grid, line, tmp_path, capsys):
+    def test_printed_coverage_keeps_its_digits(self, nodes, n, cut, grid, line, tmp_path, capsys):
         # each line as the dense 512 x 512 reference printed it
-        src = _psi_csv(tmp_path / "psi.csv", n, nodes)
+        src = _psi_csv(tmp_path / "psi.csv", n, nodes, cut=cut)
         argv = ["field", "--state", f"psi:{src}", "--out", str(tmp_path / "f.csv")]
         code = cli_main(argv + (["--grid", grid] if grid else []))
         assert capsys.readouterr().out == line + "\n"

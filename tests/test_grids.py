@@ -280,8 +280,9 @@ def _sampled(psi_of_x, nodes, span=10.5):
 
 
 class TestReferenceRowBound:
-    """A sampled state's coverage reference skips rows by the |psi| * |psi|
-    bound; the dense 512 x 512 reference checks what the skipped rows hold."""
+    """A sampled state's coverage reference skips rows by the bound on the
+    transform's spline; the dense 512 x 512 reference checks what the
+    skipped rows hold."""
 
     @pytest.mark.parametrize(
         "state, gaps",
@@ -299,6 +300,15 @@ class TestReferenceRowBound:
                 _sampled(lambda x: np.exp(-((x - 6.0) ** 2) / 0.5) + np.exp(-((x + 6.0) ** 2) / 0.5), 257),
                 True,
                 id="two-lobes",
+            ),
+            # samples that end in exact zeros: the spline is nonzero between
+            # the last nonzero knot and the zero after it, and rings beyond,
+            # where |psi| * |psi| of the samples is already 0
+            pytest.param(_sampled(lambda x: (np.abs(x) <= 2.0) * 1.0, 257), False, id="box"),
+            pytest.param(
+                _sampled(lambda x: harmonic_eigenstate(1, x) * (np.abs(x) <= 4.0), 257),
+                False,
+                id="n1-cut-at-4",
             ),
         ],
     )

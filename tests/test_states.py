@@ -37,6 +37,7 @@ from quasitone.states import (
     _p_lattice,
     _spline_at,
     _spline_coefficients,
+    transform_bound,
 )
 
 
@@ -403,6 +404,34 @@ class TestSpline:
         fft = pytest.importorskip("scipy.fft")
         sizes = range(1, 5000)
         assert [_fast_len(n) for n in sizes] == [fft.next_fast_len(n) for n in sizes]
+
+
+class TestTransformBound:
+    """transform_bound holds |W| over every p at each r, on the spline
+    the transform evaluates, including past a last nonzero sample."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda x: harmonic_eigenstate(3, x), id="n3"),
+            pytest.param(lambda x: _displaced_ground(x, 1.5 - 2.0j), id="displaced"),
+            pytest.param(lambda x: (np.abs(x) <= 2.0) * 1.0, id="box"),
+            pytest.param(lambda x: harmonic_eigenstate(1, x) * (np.abs(x) <= 4.0), id="n1-cut"),
+            pytest.param(lambda x: (np.arange(x.size) == x.size // 2 + 3) * 1.0, id="one-sample"),
+        ],
+    )
+    @pytest.mark.parametrize("nodes", [33, 257])
+    def test_bounds_every_point(self, make, nodes):
+        x = np.linspace(-10.5, 10.5, nodes)
+        psi = _normalized(x, make(x).astype(complex))
+        rng = np.random.default_rng(nodes)
+        # knots, midpoints and scattered rows, at p = 0 and scattered p
+        r = np.concatenate([x[1:-1], 0.5 * (x[1:] + x[:-1]), rng.uniform(x[0], x[-1], 400)])
+        p = np.concatenate([np.zeros(2 * nodes - 3), rng.uniform(-30.0, 30.0, 400)])
+        w = np.abs(wigner_transform(x, psi, r, p))
+        bound = transform_bound(x, psi, r)
+        assert np.all(w <= bound)
+        assert np.all(w[bound == 0.0] == 0.0)
 
 
 class TestEvaluateAndCentroid:
