@@ -87,7 +87,6 @@ from .states import (
     harmonic_eigenstate,
     laguerre,
     state_centroid,
-    wigner_transform,
 )
 
 __version__ = "0.1.0"

@@ -101,7 +101,7 @@ def parse_state(text):
 def _read_psi_csv(path):
     """Wavefunction CSV with header x,re,im and one sample per row."""
     try:
-        x, re, im = read_csv_table(path, "x,re,im").T.copy()  # contiguous columns
+        x, re, im = read_csv_table(path, "x,re,im").T  # SampledState copies x
     except OSError as exc:
         raise UsageFault(f"cannot read wavefunction: {exc}") from exc
     psi = re.astype(complex)  # re + 1j * im would turn a real part of -0.0 into 0.0

@@ -195,10 +195,20 @@ def sample_field(state: StateSpec, grid: GridSpec) -> WignerField:
 def default_edges(r0, p0):
     """Edges (r_edges, p_edges) of the default grid around the centroid
     (r0, p0); for arrays of centroids, one grid each along a last axis of
-    DEFAULT_CELLS + 1 edges."""
-    h, n = DEFAULT_HALF_WIDTH, DEFAULT_CELLS
-    r0, p0 = np.asarray(r0, dtype=float), np.asarray(p0, dtype=float)
-    return np.linspace(r0 - h, r0 + h, n + 1, axis=-1), np.linspace(p0 - h, p0 + h, n + 1, axis=-1)
+    DEFAULT_CELLS + 1 edges. ValueError naming the first centroid (a sweep
+    frame's is its shift) whose edges float64 cannot space evenly, within a
+    relative 1e-9, at 2 DEFAULT_HALF_WIDTH / DEFAULT_CELLS."""
+    h, step = DEFAULT_HALF_WIDTH, 2.0 * DEFAULT_HALF_WIDTH / DEFAULT_CELLS
+    centroid = np.stack(np.broadcast_arrays(np.asarray(r0, dtype=float), np.asarray(p0, dtype=float)))
+    edges = np.linspace(centroid - h, centroid + h, DEFAULT_CELLS + 1, axis=-1)
+    bad = np.flatnonzero(~(np.abs(np.diff(edges) - step).max(axis=(0, -1)) <= 1e-9 * step))
+    if bad.size:
+        r, p = centroid.reshape(2, -1)[:, bad[0]].tolist()
+        raise ValueError(
+            f"the default grid around centroid ({r!r}, {p!r}) is not resolved in "
+            f"float64: its edges are not evenly {step:g} apart"
+        )
+    return edges[0], edges[1]
 
 
 def default_grid(state: StateSpec) -> GridSpec:
@@ -212,7 +222,7 @@ def _row_budgets(state: SampledState, ref: GridSpec) -> np.ndarray:
     the window's p width and the row's height.
     """
     width = ref.p_edges[-1] - ref.p_edges[0]
-    return transform_bound(state.x, state.psi, ref.r_centers) * width * np.diff(ref.r_edges)
+    return transform_bound(state, ref.r_centers) * width * np.diff(ref.r_edges)
 
 
 def _counted_rows(state: SampledState, ref: GridSpec) -> np.ndarray:
@@ -253,12 +263,12 @@ def coverage(field: WignerField) -> float:
     cells over the state centroid +- 10. Clamped to [0, 1].
 
     For a SampledState the denominator skips reference rows whose mass is
-    provably negligible. states.transform_bound bounds |W(r, p)| over
-    every p by the spline the transform evaluates, not its samples: a
-    per-interval bound on the spline's modulus, convolved with itself, with
-    the factor 4/3 by which Simpson's 4, 2 weights can exceed the integral
-    on one interval. Rows are skipped from the smallest bound times row
-    area up while those sum below 1e-9 of absolute mass.
+    provably negligible. states.transform_bound(state, r) bounds |W(r, p)|
+    over every p by the spline the state holds and the transform evaluates,
+    not its samples: a per-interval bound on the spline's modulus, convolved
+    with itself, with the factor 4/3 by which Simpson's 4, 2 weights can
+    exceed the integral on one interval. Rows are skipped from the smallest
+    bound times row area up while those sum below 1e-9 of absolute mass.
     A row whose center lies outside the sample span is never skipped: such
     a window raises QuadratureSpanTooSmall before any evaluation, so the
     span must cover the centroid +- 10 in r.

@@ -1,19 +1,14 @@
 """Wigner quasi-distributions of single-mode optical states.
 
 Natural units throughout: hbar = 1 and the phase-space coordinates (r, p)
-are dimensionless. Closed forms are evaluated directly; generic sampled
-wavefunctions go through the integral transform
+are dimensionless. Closed forms are evaluated directly; a sampled
+wavefunction (SampledState) goes through the integral transform
 
     W(r, p) = (1/2 pi) Integral dy psi(r + y/2) conj(psi)(r - y/2) e^{-i p y}
 
-computed with composite Simpson quadrature on a not-a-knot cubic spline
-of the samples, solved on their uniform grid by one convolution and a
-2 x 2 fit of the end rows. Points sharing r share one Simpson node
-vector; a row of them whose p values form a uniform lattice is summed by
-a chirp-z transform (Rabiner, Schafer & Rader 1969) on numpy's FFT, rows
-of equal length batched into one 2-d FFT, and any other point by the
-dense product with e^{-i p y}. Both sum over the same nodes and weights.
-Only numpy and the standard library are imported.
+of the not-a-knot cubic spline through its samples, by composite Simpson
+quadrature (see SampledState). Only numpy and the standard library are
+imported.
 
 Every distribution here is normalized to unit signed mass and bounded by
 |W| <= 1/pi, the extremal value reached by minimum-uncertainty states;
@@ -24,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +56,10 @@ _CZT_CHUNK_NODES = 1 << 15
 _POLE = math.sqrt(3.0) - 2.0
 _BAND_TAPS = 32
 
+# Distance from a closed form's lobes past which its exponentials are 0
+# (exp underflows below -745.14); coordinates are clipped there.
+_FAR = 28.0
+
 
 # === state descriptions ===
 
@@ -93,14 +92,7 @@ class CatState:
 
     def __post_init__(self):
         object.__setattr__(self, "delta_alpha", complex(self.delta_alpha))
-        if not cmath.isfinite(self.delta_alpha):
-            raise ValueError(f"delta_alpha must be finite, got {self.delta_alpha!r}")
-        squared_shift(self.delta_alpha)
-        if abs(self.delta_alpha) <= EPS_SHIFT:
-            raise DegenerateShift(
-                f"|delta_alpha| = {abs(self.delta_alpha):.3g} <= {EPS_SHIFT}; "
-                "use FockState(1) in this regime"
-            )
+        cat_half_square(self.delta_alpha)
 
     def describe(self) -> dict:
         return {"kind": "cat", "delta_alpha": [self.delta_alpha.real, self.delta_alpha.imag]}
@@ -123,17 +115,29 @@ class CoherentState:
 
 @dataclass(frozen=True, eq=False)
 class SampledState:
-    """Wavefunction sampled on a uniform position grid.
+    """Wavefunction sampled on a uniform position grid, with the not-a-knot
+    cubic spline through its samples, solved once here: read-only x, psi
+    and coef (see _spline_coefficients), which evaluate and transform_bound
+    read. The samples must be finite and carry unit probability: sum
+    |psi|^2 dx = 1 within 1e-9.
 
-    The samples must be finite and carry unit probability: sum |psi|^2 dx = 1 within 1e-9.
+    Its Wigner function is the transform of the spline, extended beyond the
+    samples by its end cubics. At each r the y integral runs over the
+    overlap of the shifted copies of the sample span, with composite
+    Simpson weights on 2 x.size + 1 nodes. Eight or more points of one r
+    whose p values, in any order, lie on a uniform lattice are summed by a
+    chirp-z transform (Rabiner, Schafer & Rader 1969), rows of equal length
+    batched through numpy's FFT; other points by the dense product with
+    e^{-i p y}. The two agree to a few 1e-15 on this package's grids.
     """
 
     x: np.ndarray
     psi: np.ndarray
+    coef: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        psi = np.asarray(self.psi, dtype=complex)
+        x = np.array(self.x, dtype=float)
+        psi = np.array(self.psi, dtype=complex)
         if x.ndim != 1 or psi.shape != x.shape or x.size < 8:
             raise ValueError("x and psi must be equal-length 1-d arrays of 8+ samples")
         if not (np.isfinite(x).all() and np.isfinite(psi).all()):
@@ -146,16 +150,16 @@ class SampledState:
         norm = float(np.sum(np.abs(psi) ** 2) * dx[0])
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"wavefunction norm is {norm:.12f}, expected 1 within 1e-9")
+        coef = _spline_coefficients(x, psi)
+        for a in (x, psi, *coef):
+            a.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "coef", coef)
 
     def describe(self) -> dict:
-        return {
-            "kind": "psi",
-            "n": int(self.x.size),
-            "x_min": float(self.x[0]),
-            "x_max": float(self.x[-1]),
-        }
+        x = self.x
+        return {"kind": "psi", "n": int(x.size), "x_min": float(x[0]), "x_max": float(x[-1])}
 
 
 StateSpec = FockState | CatState | CoherentState | SampledState
@@ -174,6 +178,19 @@ def squared_shift(delta_alpha) -> float:
     if not math.isfinite(square):
         raise ValueError(f"|delta_alpha|^2 of delta_alpha = {delta_alpha!r} is not finite")
     return square
+
+
+def cat_half_square(delta_alpha) -> float:
+    """h = |delta_alpha|^2 / 2 of a cat shift, as eval_cat forms it; as
+    squared_shift refuses, and DegenerateShift where |delta_alpha| <=
+    EPS_SHIFT, at which the cat formula is 0/0."""
+    h = 0.5 * squared_shift(delta_alpha)
+    if abs(delta_alpha) <= EPS_SHIFT:
+        raise DegenerateShift(
+            f"|delta_alpha| = {abs(delta_alpha):.3g} <= {EPS_SHIFT} for delta_alpha = "
+            f"{delta_alpha!r}; use the m=1 number state, FockState(1)"
+        )
+    return h
 
 
 def laguerre(m, x):
@@ -200,9 +217,11 @@ def eval_fock(m, r, p):
     The origin value alternates between +1/pi and -1/pi with the parity
     of m; odd states are negative at the origin.
     """
-    r = np.asarray(r, dtype=float)
-    p = np.asarray(p, dtype=float)
-    s = r * r + p * p
+    # clipped where exp(-s) is 0 and L_m, past its roots, has the sign of
+    # (-1)^m, so the product stays +0 and nothing overflows
+    r = np.clip(np.asarray(r, dtype=float), -_FAR, _FAR)
+    p = np.clip(np.asarray(p, dtype=float), -_FAR, _FAR)
+    s = np.minimum(r * r + p * p, _FAR * _FAR)
     w = ((-1.0) ** m / math.pi) * np.exp(-s) * laguerre(m, 2.0 * s)
     return w if np.ndim(w) else float(w)
 
@@ -213,9 +232,9 @@ def eval_coherent(alpha, r, p):
     A displaced vacuum lobe: alpha moves the peak without reshaping it.
     """
     alpha = complex(alpha)
-    r = np.asarray(r, dtype=float)
-    p = np.asarray(p, dtype=float)
-    w = PEAK_BOUND * np.exp(-((r - alpha.real) ** 2 + (p - alpha.imag) ** 2))
+    dr = np.clip(np.asarray(r, dtype=float) - alpha.real, -_FAR, _FAR)
+    dp = np.clip(np.asarray(p, dtype=float) - alpha.imag, -_FAR, _FAR)
+    w = PEAK_BOUND * np.exp(-(dr**2 + dp**2))
     return w if np.ndim(w) else float(w)
 
 
@@ -234,24 +253,19 @@ def eval_cat(delta_alpha, r, p):
     magnitude.
 
     delta_alpha may be an array that broadcasts against r and p, one shift
-    per evaluation point. Raises DegenerateShift when any |delta_alpha| <=
-    1e-3, where the expression degenerates to 0/0 and the m=1 number state
-    takes over, and ValueError when any |delta_alpha|^2 is not finite.
+    per evaluation point, each refused as cat_half_square refuses it.
     """
     d = np.asarray(delta_alpha, dtype=complex)
-    shifts = d.ravel().tolist()
     # the per-shift factors in Python's scalar math, so that a batch of
     # shifts evaluates bit for bit as the same shifts one at a time;
     # expm1 keeps the normalization accurate for small shifts
-    h = np.array([0.5 * squared_shift(z) for z in shifts]).reshape(d.shape)
-    small = [z for z in shifts if abs(z) <= EPS_SHIFT]
-    if small:
-        raise DegenerateShift(
-            f"|delta_alpha| = {abs(small[0]):.3g} <= {EPS_SHIFT}; use eval_fock(1, r, p)"
-        )
+    h = np.array([cat_half_square(z) for z in d.ravel().tolist()]).reshape(d.shape)
     norm = np.array([math.pi * -math.expm1(-x) for x in h.ravel().tolist()]).reshape(d.shape)
-    zr = np.asarray(r, dtype=float)
-    zp = np.asarray(p, dtype=float)
+    # a coordinate clipped at 2 |d| + _FAR along its axis lies _FAR or more
+    # from 0, d and d/2, so all three terms are 0 there, as they are beyond
+    bound_r, bound_p = 2.0 * np.abs(d.real) + _FAR, 2.0 * np.abs(d.imag) + _FAR
+    zr = np.clip(np.asarray(r, dtype=float), -bound_r, bound_r)
+    zp = np.clip(np.asarray(p, dtype=float), -bound_p, bound_p)
     # the three terms in place, every value rounded as in the formula above,
     # so that a large batch allocates a few arrays rather than a dozen
     damped = np.asarray(-h - (zr * zr + zp * zp))
@@ -300,46 +314,6 @@ def harmonic_eigenstate(n, x):
 def default_psi_grid(span=12.0, nodes=2049):
     """Uniform sample grid wide enough for low oscillator states."""
     return np.linspace(-span, span, nodes)
-
-
-def _tail_mass(x, psi):
-    """Probability in the outer fraction of the span, worst side."""
-    dx = x[1] - x[0]
-    k = max(1, int(round(_TAIL_FRACTION * x.size)))
-    prob = np.abs(psi) ** 2 * dx
-    return max(float(np.sum(prob[:k])), float(np.sum(prob[-k:])))
-
-
-def wigner_transform(x, psi, r, p):
-    """Wigner function of sampled psi at phase-space points (r, p).
-
-    The y integral runs over the overlap of the shifted copies of the
-    sample span and uses composite Simpson weights on roughly twice the
-    sample resolution, with psi interpolated by a not-a-knot cubic spline
-    (extended beyond the samples by its end cubics). r and p broadcast
-    against each other; the result is real. Eight or more points of one r
-    whose p values, in any order, lie on a uniform lattice are summed by
-    chirp-z in O(n log n), rows of equal length batched through numpy's
-    FFT; other points, such as Gaussian-quantile grids or a single point,
-    by the dense product. The two agree to rounding, a few 1e-15 on the
-    grids this package builds.
-
-    Raises QuadratureSpanTooSmall when more than 1e-6 of the probability
-    sits in the outer 5 percent of the span on either side, a proxy for
-    mass the grid cannot see at all.
-    """
-    state = SampledState(np.asarray(x, dtype=float), np.asarray(psi, dtype=complex))
-    x, psi = state.x, state.psi
-    tail = _tail_mass(x, psi)
-    if tail > _TAIL_MASS_LIMIT:
-        raise QuadratureSpanTooSmall(
-            f"edge probability {tail:.3e} exceeds {_TAIL_MASS_LIMIT:.0e}; widen the sample span"
-        )
-    r_arr, p_arr = np.broadcast_arrays(np.asarray(r, float), np.asarray(p, float))
-    shape = r_arr.shape
-    out = _transform_points(x, psi, r_arr.ravel(), p_arr.ravel())
-    out = out.reshape(shape)
-    return out if out.ndim else float(out)
 
 
 def _spline_coefficients(x, y):
@@ -392,9 +366,9 @@ def _spline_at(x, coef, t):
     return ((c3[i] * u + c2[i]) * u + c1[i]) * u + c0[i]
 
 
-def transform_bound(x, psi, r):
-    """Upper bound on |wigner_transform(x, psi, r, p)| over every p, for
-    each r inside the sample span, exact up to rounding.
+def transform_bound(state: SampledState, r):
+    """Upper bound on |W(r, p)| of a SampledState over every p, for each r
+    inside the sample span, exact up to rounding.
 
     The transform's row at r sums Simpson weights times the spline at
     r + y/2 times its conjugate at r - y/2. On the closed sample interval i
@@ -407,9 +381,9 @@ def transform_bound(x, psi, r):
     G_j = max(M_{j-1}, M_j): one convolution for all r. The spline rings
     past its last nonzero sample, and M follows it there.
     """
-    x = np.asarray(x, dtype=float)
+    x = state.x
     step = (x[-1] - x[0]) / (x.size - 1)
-    c3, c2, c1, c0 = _spline_coefficients(x, np.asarray(psi, dtype=complex))
+    c3, c2, c1, c0 = state.coef
     interval = ((np.abs(c3) * step + np.abs(c2)) * step + np.abs(c1)) * step + np.abs(c0)
     edge = np.zeros(1)
     knot = np.maximum(np.concatenate([edge, interval]), np.concatenate([interval, edge]))
@@ -481,15 +455,15 @@ def _core(x, coef, simpson, r, half_span):
     return y, core * (simpson * (h / 3.0))
 
 
-def _transform_points(x, psi, rs, ps):
+def _transform_points(state, rs, ps):
     """Simpson quadrature of the y integral for flat point lists.
 
-    Points sharing r share one Simpson core; see wigner_transform for when
-    a group is summed by chirp-z and when by the dense product. Lattice
-    rows are collected first, then transformed in chunks of rows of equal
+    Points sharing r share one Simpson core; see SampledState for when a
+    group is summed by chirp-z and when by the dense product. Lattice rows
+    are collected first, then transformed in chunks of rows of equal
     length.
     """
-    coef = _spline_coefficients(x, psi)
+    x, coef = state.x, state.coef
     n_nodes = 2 * x.size + 1  # odd count, about half the sample spacing
     simpson = np.ones(n_nodes)
     simpson[1:-1:2] = 4.0
@@ -533,7 +507,11 @@ def _transform_points(x, psi, rs, ps):
 
 
 def evaluate(state: StateSpec, r, p):
-    """Wigner value of any supported state at (r, p)."""
+    """Wigner value of any supported state at (r, p), which broadcast; the
+    one entry to a SampledState's transform, which raises
+    QuadratureSpanTooSmall when more than 1e-6 of the probability sits in
+    the outer 5 percent of the span on either side (mass the samples cannot
+    see), or for an r outside the span."""
     if isinstance(state, FockState):
         return eval_fock(state.m, r, p)
     if isinstance(state, CatState):
@@ -541,7 +519,16 @@ def evaluate(state: StateSpec, r, p):
     if isinstance(state, CoherentState):
         return eval_coherent(state.alpha, r, p)
     if isinstance(state, SampledState):
-        return wigner_transform(state.x, state.psi, r, p)
+        k = max(1, round(_TAIL_FRACTION * state.x.size))
+        prob = np.abs(state.psi) ** 2 * (state.x[1] - state.x[0])
+        tail = max(float(np.sum(prob[:k])), float(np.sum(prob[-k:])))
+        if tail > _TAIL_MASS_LIMIT:
+            raise QuadratureSpanTooSmall(
+                f"edge probability {tail:.3e} exceeds {_TAIL_MASS_LIMIT:.0e}; widen the sample span"
+            )
+        r_arr, p_arr = np.broadcast_arrays(np.asarray(r, float), np.asarray(p, float))
+        out = _transform_points(state, r_arr.ravel(), p_arr.ravel()).reshape(r_arr.shape)
+        return out if out.ndim else float(out)
     raise TypeError(f"unsupported state: {type(state)!r}")
 
 

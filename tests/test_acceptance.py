@@ -28,6 +28,7 @@ from quasitone import (
     eval_cat,
     eval_coherent,
     eval_fock,
+    evaluate,
     harmonic_eigenstate,
     method1_grid,
     method4_moments,
@@ -38,7 +39,6 @@ from quasitone import (
     sample_field,
     score_to_json,
     synth,
-    wigner_transform,
     write_field,
     write_wav,
 )
@@ -66,7 +66,7 @@ def test_criterion_02_transform_negativity_at_origin():
     x = default_psi_grid()
     psi = harmonic_eigenstate(1, x)
     t0 = time.perf_counter()
-    w = float(wigner_transform(x, psi, 0.0, 0.0))
+    w = float(evaluate(SampledState(x, psi), 0.0, 0.0))
     elapsed = time.perf_counter() - t0
     err = abs(w - (-1.0 / math.pi))
     ok = w < 0 and err < 1e-6 and elapsed < 1.0
@@ -83,7 +83,7 @@ def test_criterion_03_transform_matches_closed_form():
     p = np.linspace(-3, 3, 21)
     R, P = np.meshgrid(r, p, indexing="ij")
     t0 = time.perf_counter()
-    w = wigner_transform(x, psi, R, P)
+    w = evaluate(SampledState(x, psi), R, P)
     elapsed = time.perf_counter() - t0
     err = float(np.max(np.abs(w - eval_fock(1, R, P))))
     ok = err < 1e-6 and elapsed < 10.0

@@ -362,6 +362,51 @@ class TestExitCodes:
         assert not out.exists()
 
 
+class TestFarAndUnresolvable:
+    """Far points of closed forms print 0, and a default grid that float64
+    cannot resolve is refused naming its centroid, before any output."""
+
+    @pytest.mark.parametrize(
+        "state, r, p",
+        [
+            ("fock:1", "1e200", "0"),
+            ("fock:3", "1e60", "0"),
+            ("fock:20", "1e8", "0"),
+            ("fock:0", "1e200", "0"),
+            ("coherent:0", "1e200", "0"),
+            ("cat:3", "1e200", "0"),
+            ("coherent:1e200", "0", "0"),
+        ],
+    )
+    def test_far_point_prints_zero(self, state, r, p, capsys):
+        # a RuntimeWarning is an error under this suite
+        assert cli_main(["eval", "--state", state, "--r", r, "--p", p]) == 0
+        assert capsys.readouterr() == ("0\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, centroid",
+        [
+            (["field", "--state", "coherent:1e15", "--out", "{out}"], "(1000000000000000.0, 0.0)"),
+            (["sweep", "--segments", "0:1e15:1", "--sr", "8000", "--out", "{out}"], "(375000000000000.0, 0.0)"),
+            (["sweep", "--segments", "0:1e150:1", "--sr", "8000", "--out", "{out}"], "(1.25e+149, 0.0)"),
+        ],
+        ids=["field", "sweep-1e15", "sweep-1e150"],
+    )
+    def test_unresolvable_default_grid_is_2(self, argv, centroid, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main([a.format(out=out) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: the default grid around centroid {centroid} is not resolved in float64: its edges are not evenly 0.15625 apart\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_exact_far_edges_are_kept(self, tmp_path, capsys):
+        out = tmp_path / "cat.csv"
+        assert cli_main(["field", "--state", "cat:1e14", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "coverage 1.000000\n"
+        side = json.loads(Path(str(out) + ".json").read_text())
+        assert side["r_edges"] == (1e14 - 5.0 + 0.15625 * np.arange(65)).tolist()
+
+
 def _valid_csv_input(source, tmp_path):
     """A valid Fock 0 field CSV, read by moments, or a ground-state
     wavefunction CSV, read by eval; returns its path and that argv."""
@@ -641,6 +686,29 @@ class TestSampledCoverage:
         assert err.startswith("error: coverage reference window r in [-10, 10]")
         assert "sample span [-8, 8]" in err and err.count("\n") == 1
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "--state", "psi:{src}", "--out", "{out}"],
+            ["eval", "--state", "psi:{src}", "--r", "0.5", "--p", "-0.25"],
+        ],
+        ids=["field", "eval"],
+    )
+    def test_one_spline_solve_per_command(self, argv, tmp_path, monkeypatch, capsys):
+        # the state holds its spline: the field, its row bounds and its
+        # coverage reference all read the one solve made when it is parsed
+        from quasitone import states
+
+        solve, calls = states._spline_coefficients, []
+        monkeypatch.setattr(
+            states, "_spline_coefficients", lambda x, y: calls.append(x.size) or solve(x, y)
+        )
+        src = _psi_csv(tmp_path / "psi.csv", 1, 257)
+        assert cli_main([a.format(src=src, out=tmp_path / "f.csv") for a in argv]) == 0
+        assert calls == [257]
+        capsys.readouterr()
 
 
 def _traced_metrics(argv):

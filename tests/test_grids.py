@@ -5,6 +5,7 @@ import pytest
 
 from oracles import truncated_gaussian_edges
 from quasitone import grids
+from quasitone.grids import default_edges
 from quasitone import (
     COVERAGE_MIN,
     CatState,
@@ -149,6 +150,24 @@ class TestDefaultGridAndCoverage:
         r0, p0 = state_centroid(st_)
         assert 0.5 * (g.bounds[0] + g.bounds[1]) == pytest.approx(r0, abs=1e-12)
         assert 0.5 * (g.bounds[2] + g.bounds[3]) == pytest.approx(p0, abs=1e-12)
+
+    def test_centroid_float64_cannot_resolve_is_refused_naming_it(self):
+        # at 1e15 the last place is 0.125, so edges 0.15625 apart round
+        # unevenly; at 1e14 it is 1/64 and every edge is exact
+        with pytest.raises(ValueError, match=r"centroid \(1000000000000000.0, 0.0\) is not resolved"):
+            default_grid(CoherentState(1e15))
+        r_edges, p_edges = default_edges(1e14, 0.0)
+        np.testing.assert_array_equal(r_edges, 1e14 - 5.0 + 0.15625 * np.arange(65))
+        assert default_grid(CatState(1e14)).r_edges[0] == 1e14 - 5.0
+
+    def test_first_unresolvable_centroid_of_many_is_named(self):
+        r0 = np.array([-3.0, 0.0, 2.5e14, 1e150])
+        with pytest.raises(ValueError, match=r"centroid \(0.0, 1000000000000000.0\)"):
+            default_edges(r0, np.array([0.0, 1e15, 0.0, 0.0]))
+        with pytest.raises(ValueError, match=r"centroid \(1e\+150, 0.0\)"):
+            default_edges(r0, 0.0)
+        r_edges, p_edges = default_edges(r0[:3], 1.0)
+        assert r_edges.shape == p_edges.shape == (3, 65)
 
     def test_default_grids_cover_states(self):
         for st_ in [FockState(0), FockState(2), CatState(-1.0), CoherentState(2.0 + 1.0j)]:

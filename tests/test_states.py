@@ -29,7 +29,6 @@ from quasitone import (
     laguerre,
     sample_field,
     state_centroid,
-    wigner_transform,
 )
 from quasitone.states import (
     _CZT_MIN_POINTS,
@@ -127,16 +126,32 @@ class TestCat:
         # just above the floor is fine
         CatState(EPS_SHIFT * 2.0)
 
+    def test_state_and_formula_refuse_a_shift_alike(self):
+        # one check behind both, naming the shift
+        for shift in (0.0, 4e-4j, complex(math.nan, 1.0), 1e200):
+            with pytest.raises((ValueError, DegenerateShift)) as state_error:
+                CatState(shift)
+            with pytest.raises((ValueError, DegenerateShift)) as formula_error:
+                eval_cat(np.array([-1.0, shift]), 0.0, 0.0)
+            assert type(state_error.value) is type(formula_error.value)
+            assert str(state_error.value) == str(formula_error.value)
+            assert repr(complex(shift)) in str(state_error.value)
+        with pytest.raises(DegenerateShift, match=r"^\|delta_alpha\| = 0.0004 <= 0.001 for delta_alpha = 0.0004j;"):
+            CatState(4e-4j)
+
     @pytest.mark.parametrize(
-        "make, name",
+        "make, message",
         [
-            (lambda: CatState(complex(math.nan, 0.0)), "delta_alpha"),
-            (lambda: CoherentState(complex(math.inf, 0.0)), "alpha"),
+            (
+                lambda: CatState(complex(math.nan, 0.0)),
+                r"^\|delta_alpha\|\^2 of delta_alpha = \(nan\+0j\) is not finite",
+            ),
+            (lambda: CoherentState(complex(math.inf, 0.0)), "^alpha must be finite"),
         ],
         ids=["cat-shift", "coherent"],
     )
-    def test_nonfinite_displacement_raises(self, make, name):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    def test_nonfinite_displacement_raises(self, make, message):
+        with pytest.raises(ValueError, match=message):
             make()
 
     @pytest.mark.parametrize(
@@ -205,6 +220,70 @@ class TestSampledState:
         st_ = SampledState(x, harmonic_eigenstate(2, x))
         assert st_.describe()["kind"] == "psi"
 
+    def test_holds_read_only_copies_and_its_spline(self):
+        x = default_psi_grid()
+        psi = harmonic_eigenstate(2, x).astype(complex)
+        state = SampledState(x, psi)
+        assert len(state.coef) == 4
+        for a in (state.x, state.psi, *state.coef):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        with pytest.raises(AttributeError):
+            state.coef = ()
+        # the caller's arrays stay the caller's
+        assert x.flags.writeable and psi.flags.writeable
+        first = state.psi[0]
+        psi[0] = 1.0
+        assert state.psi[0] == first != 1.0
+        t = np.linspace(-3.0, 3.0, 13)
+        np.testing.assert_array_equal(
+            _spline_at(state.x, state.coef, t), _spline_at(x, _spline_coefficients(x, state.psi), t)
+        )
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestFarPoints:
+    """Far from a closed form's lobes, where its exponentials underflow,
+    the value is +0: never NaN from 0 * inf, and never an overflow, which
+    this suite turns into an error. Every value the formula as written
+    gives finite keeps its bits."""
+
+    # every scale from the lobes out to the largest float, both signs
+    T = np.concatenate([np.linspace(-40.0, 40.0, 161), np.geomspace(1.0, 1.7e308, 160)])
+    T = np.concatenate([T, -T[161:]])
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 20])
+    def test_fock(self, m):
+        r, p = self.T[:, None], self.T[None, :]
+        with np.errstate(all="ignore"):
+            s = r * r + p * p
+            want = ((-1.0) ** m / math.pi) * np.exp(-s) * laguerre(m, 2.0 * s)
+        got = eval_fock(m, r, p)
+        kept = np.isfinite(want)
+        assert kept.all() == (m == 0)  # L_0 = 1 never overflows
+        np.testing.assert_array_equal(_bits(got[kept]), _bits(want[kept]))
+        np.testing.assert_array_equal(_bits(got[~kept]), _bits(0.0))
+
+    @pytest.mark.parametrize("alpha", [0j, 1.5 - 2.0j, 1e200 + 0j, -3e150j])
+    def test_coherent(self, alpha):
+        r, p = self.T[:, None], self.T[None, :]
+        with np.errstate(all="ignore"):
+            want = PEAK_BOUND * np.exp(-((r - alpha.real) ** 2 + (p - alpha.imag) ** 2))
+        got = eval_coherent(alpha, r, p)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("shift", [3.0, -1.0 + 2.0j, 1e150, -2e100j])
+    def test_cat_is_zero_outside_its_lobes(self, shift):
+        r, p = self.T[:, None], self.T[None, :]
+        d = complex(shift)
+        far = (np.abs(r) > 2.0 * abs(d.real) + 28.0) | (np.abs(p) > 2.0 * abs(d.imag) + 28.0)
+        got = eval_cat(shift, r, p)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(_bits(got[far]), _bits(0.0))
+
 
 class TestHarmonicEigenstate:
     def test_orthonormal(self):
@@ -225,13 +304,13 @@ class TestWignerTransform:
         r = np.linspace(-3, 3, 11)
         p = np.linspace(-3, 3, 11)
         R, P = np.meshgrid(r, p, indexing="ij")
-        w = wigner_transform(x, psi, R, P)
+        w = evaluate(SampledState(x, psi), R, P)
         assert np.max(np.abs(w - eval_fock(1, R, P))) < 1e-6
 
     def test_matches_closed_form_ground(self):
         x = default_psi_grid()
         psi = harmonic_eigenstate(0, x)
-        assert wigner_transform(x, psi, 0.7, -0.3) == pytest.approx(
+        assert evaluate(SampledState(x, psi), 0.7, -0.3) == pytest.approx(
             eval_fock(0, 0.7, -0.3), abs=1e-9
         )
 
@@ -240,13 +319,14 @@ class TestWignerTransform:
         psi = harmonic_eigenstate(0, x)
         norm = np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
         with pytest.raises(QuadratureSpanTooSmall):
-            wigner_transform(x, psi / norm, 0.0, 0.0)
+            evaluate(SampledState(x, psi / norm), 0.0, 0.0)
 
     def test_scalar_and_array_agree(self):
         x = default_psi_grid()
         psi = harmonic_eigenstate(1, x)
-        arr = wigner_transform(x, psi, np.array([0.5, 1.0]), np.array([0.0, 0.0]))
-        one = wigner_transform(x, psi, 1.0, 0.0)
+        state = SampledState(x, psi)
+        arr = evaluate(state, np.array([0.5, 1.0]), np.array([0.0, 0.0]))
+        one = evaluate(state, 1.0, 0.0)
         assert arr[1] == pytest.approx(one, rel=1e-12)
 
 
@@ -272,7 +352,7 @@ class TestClosedFormsMatchTransform:
     R, P = np.meshgrid(np.linspace(-4.0, 4.0, 17), np.linspace(-4.0, 4.0, 17), indexing="ij")
 
     def _max_error(self, state, psi):
-        w = wigner_transform(self.X, _normalized(self.X, psi), self.R, self.P)
+        w = evaluate(SampledState(self.X, _normalized(self.X, psi)), self.R, self.P)
         return np.max(np.abs(evaluate(state, self.R, self.P) - w))
 
     @pytest.mark.parametrize("alpha", [0.7 + 0.2j, -1.0 + 0j, 1.5 - 0.5j])
@@ -296,11 +376,11 @@ class TestClosedFormsMatchTransform:
             )
 
 
-def _dense(x, psi, r, p):
+def _dense(state, r, p):
     """Transform by the dense product alone: rows too short for chirp-z."""
     r, p = np.broadcast_arrays(np.ravel(r), np.ravel(p))
     k = _CZT_MIN_POINTS - 1
-    chunks = [wigner_transform(x, psi, r[i : i + k], p[i : i + k]) for i in range(0, r.size, k)]
+    chunks = [evaluate(state, r[i : i + k], p[i : i + k]) for i in range(0, r.size, k)]
     return np.concatenate([np.atleast_1d(c) for c in chunks])
 
 
@@ -327,7 +407,7 @@ class TestChirpZRows:
         # every row of the small grid; six of the large one, both edge rows included
         picks = np.unique(np.linspace(0, cells - 1, rows).round().astype(int))
         for i in picks:
-            want = _dense(state.x, state.psi, grid.r_centers[i], grid.p_centers)
+            want = _dense(state, grid.r_centers[i], grid.p_centers)
             assert np.max(np.abs(w[i] - want)) < 1e-12
 
     def test_row_order_does_not_matter(self):
@@ -335,11 +415,11 @@ class TestChirpZRows:
         r = np.linspace(-3.0, 3.0, 9)
         p = np.linspace(-4.0, 4.0, 33)
         R, P = np.meshgrid(r, p, indexing="ij")
-        ordered = wigner_transform(state.x, state.psi, R, P)
-        descending = wigner_transform(state.x, state.psi, R[:, ::-1], P[:, ::-1])
+        ordered = evaluate(state, R, P)
+        descending = evaluate(state, R[:, ::-1], P[:, ::-1])
         np.testing.assert_array_equal(descending[:, ::-1], ordered)
         perm = np.random.default_rng(7).permutation(R.size)
-        shuffled = wigner_transform(state.x, state.psi, R.ravel()[perm], P.ravel()[perm])
+        shuffled = evaluate(state, R.ravel()[perm], P.ravel()[perm])
         np.testing.assert_array_equal(shuffled, ordered.ravel()[perm])
 
     def test_gaussian_grid_takes_dense_path(self):
@@ -428,8 +508,9 @@ class TestTransformBound:
         # knots, midpoints and scattered rows, at p = 0 and scattered p
         r = np.concatenate([x[1:-1], 0.5 * (x[1:] + x[:-1]), rng.uniform(x[0], x[-1], 400)])
         p = np.concatenate([np.zeros(2 * nodes - 3), rng.uniform(-30.0, 30.0, 400)])
-        w = np.abs(wigner_transform(x, psi, r, p))
-        bound = transform_bound(x, psi, r)
+        state = SampledState(x, psi)
+        w = np.abs(evaluate(state, r, p))
+        bound = transform_bound(state, r)
         assert np.all(w <= bound)
         assert np.all(w[bound == 0.0] == 0.0)
 
