@@ -23,7 +23,7 @@ from .errors import (
     QuadratureSpanTooSmall,
 )
 from .states import SampledState, StateSpec, evaluate, state_centroid, transform_bound
-from .textfmt import json_value, read_csv_table
+from .textfmt import csv_row_line, json_value, read_csv_table
 
 KIND_REGULAR = "regular"
 KIND_GAUSSIAN = "gaussian"
@@ -296,6 +296,12 @@ def _sidecar_path(path) -> str:
     return str(path) + ".json"
 
 
+def _center_columns(grid: GridSpec):
+    """The r and p columns of a field CSV: cell centers in row-major order."""
+    n_r, n_p = grid.shape
+    return np.repeat(grid.r_centers, n_p), np.tile(grid.p_centers, n_r)
+
+
 def write_field(field: WignerField, path) -> None:
     """Write cell centers and values as CSV plus a JSON sidecar.
 
@@ -307,8 +313,7 @@ def write_field(field: WignerField, path) -> None:
     bad = field.values[~np.isfinite(field.values)]
     if bad.size:
         raise ValueError(f"non-finite value cannot be serialized: {float(bad[0])!r}")
-    n_r, n_p = grid.shape
-    r, p = np.repeat(grid.r_centers, n_p), np.tile(grid.p_centers, n_r)
+    r, p = _center_columns(grid)
     cells = zip(r.tolist(), p.tolist(), field.values.ravel().tolist())
     sidecar = {
         "kind": grid.kind,
@@ -353,8 +358,9 @@ def _state_from_sidecar(info):
 def read_field(path) -> WignerField:
     """Read a field written by write_field; bit-exact round trip.
 
-    A malformed sidecar, header or row, or a cell that is not a finite
-    number, raises ValueError naming the file.
+    A malformed sidecar, header or row, a cell that is not a finite
+    number, or a row whose r or p is not its cell center on the sidecar's
+    grid, raises ValueError naming the file (and the first such line).
     """
     side = _sidecar_path(path)
     table = read_csv_table(path, "r,p,value")
@@ -375,4 +381,13 @@ def read_field(path) -> WignerField:
     n_r, n_p = grid.shape
     if len(table) != n_r * n_p:
         raise ValueError(f"{path}: {len(table)} rows for a {n_r}x{n_p} grid")
+    r, p = _center_columns(grid)
+    off = np.flatnonzero((table[:, 0] != r) | (table[:, 1] != p))
+    if off.size:
+        i = int(off[0])
+        (got_r, got_p), want = table[i, :2].tolist(), (float(r[i]), float(p[i]))
+        raise ValueError(
+            f"{path}: line {csv_row_line(path, i)}: (r, p) = ({got_r!r}, {got_p!r}) "
+            f"is not the cell center {want!r} of the sidecar's grid"
+        )
     return WignerField(grid, np.ascontiguousarray(table[:, 2]).reshape(n_r, n_p), state)

@@ -40,7 +40,7 @@ _TAIL_FRACTION = 0.05
 # declared too small.
 _TAIL_MASS_LIMIT = 1e-6
 
-# Fewest points of one r that the transform sums as a chirp-z row, and how
+# Fewest distinct p of one call that the transform sums by chirp-z, and how
 # far, in units of the last place of the largest |p|, a sorted p value may
 # sit from its uniform lattice point; grid cell centers sit within one.
 _CZT_MIN_POINTS = 8
@@ -60,6 +60,16 @@ _BAND_TAPS = 32
 # (exp underflows below -745.14); coordinates are clipped there.
 _FAR = 28.0
 
+# Largest photon number whose L_m(2 s) stays finite for every s <= _FAR^2:
+# from m = 288 on it overflows near s = _FAR^2, where exp(-s) is already 0,
+# and W_m is inf * 0 = NaN; a scan of the r axis to _FAR shows 287 finite.
+_FOCK_MAX = 287
+
+# Largest |delta_alpha| of a cat: at the corners of eval_cat's clip box its
+# largest intermediate, the lobe's exponent at a quarter of its size, is
+# about 1.5625 |d|^2 <= 1.6e308, short of the largest double (1.8e308).
+_SHIFT_MAX = 1e154
+
 
 # === state descriptions ===
 
@@ -73,6 +83,7 @@ class FockState:
     def __post_init__(self):
         if not isinstance(self.m, (int, np.integer)) or self.m < 0:
             raise ValueError(f"photon number must be a non-negative integer, got {self.m!r}")
+        _refuse_photon_number(self.m)
 
     def describe(self) -> dict:
         return {"kind": "fock", "m": int(self.m)}
@@ -124,11 +135,14 @@ class SampledState:
     Its Wigner function is the transform of the spline, extended beyond the
     samples by its end cubics. At each r the y integral runs over the
     overlap of the shifted copies of the sample span, with composite
-    Simpson weights on 2 x.size + 1 nodes. Eight or more points of one r
-    whose p values, in any order, lie on a uniform lattice are summed by a
-    chirp-z transform (Rabiner, Schafer & Rader 1969), rows of equal length
-    batched through numpy's FFT; other points by the dense product with
-    e^{-i p y}. The two agree to a few 1e-15 on this package's grids.
+    Simpson weights on 2 x.size + 1 nodes. evaluate sums the table whose
+    rows are a call's distinct r and whose columns are its distinct p.
+    When eight or more distinct p lie on a uniform lattice and the points
+    fill the table, as a grid or a block of grid rows does, a chirp-z
+    transform (Rabiner, Schafer & Rader 1969) sums every row over the whole
+    lattice, rows batched through numpy's FFT; otherwise each point gets
+    the dense product with e^{-i p y}. The two agree to a few 1e-15 on
+    this package's grids.
     """
 
     x: np.ndarray
@@ -182,9 +196,15 @@ def squared_shift(delta_alpha) -> float:
 
 def cat_half_square(delta_alpha) -> float:
     """h = |delta_alpha|^2 / 2 of a cat shift, as eval_cat forms it; as
-    squared_shift refuses, and DegenerateShift where |delta_alpha| <=
-    EPS_SHIFT, at which the cat formula is 0/0."""
+    squared_shift refuses, ValueError where |delta_alpha| > _SHIFT_MAX, and
+    DegenerateShift where |delta_alpha| <= EPS_SHIFT, at which the cat
+    formula is 0/0."""
     h = 0.5 * squared_shift(delta_alpha)
+    if abs(delta_alpha) > _SHIFT_MAX:
+        raise ValueError(
+            f"|delta_alpha| = {abs(delta_alpha):.3g} of delta_alpha = {delta_alpha!r} exceeds "
+            f"{_SHIFT_MAX:g}, past which the cat's terms overflow"
+        )
     if abs(delta_alpha) <= EPS_SHIFT:
         raise DegenerateShift(
             f"|delta_alpha| = {abs(delta_alpha):.3g} <= {EPS_SHIFT} for delta_alpha = "
@@ -211,12 +231,23 @@ def laguerre(m, x):
     return cur if cur.ndim else float(cur)
 
 
+def _refuse_photon_number(m):
+    """ValueError naming an integer m above _FOCK_MAX."""
+    if isinstance(m, (int, np.integer)) and m > _FOCK_MAX:
+        raise ValueError(
+            f"photon number {m!r} exceeds {_FOCK_MAX}, past which L_m(2 (r^2 + p^2)) "
+            f"overflows where exp(-(r^2 + p^2)) is 0"
+        )
+
+
 def eval_fock(m, r, p):
     """W_m(r, p) = ((-1)^m / pi) exp(-(r^2 + p^2)) L_m(2 (r^2 + p^2)).
 
     The origin value alternates between +1/pi and -1/pi with the parity
-    of m; odd states are negative at the origin.
+    of m; odd states are negative at the origin. m above _FOCK_MAX is
+    refused with a ValueError.
     """
+    _refuse_photon_number(m)
     # clipped where exp(-s) is 0 and L_m, past its roots, has the sign of
     # (-1)^m, so the product stays +0 and nothing overflows
     r = np.clip(np.asarray(r, dtype=float), -_FAR, _FAR)
@@ -232,10 +263,19 @@ def eval_coherent(alpha, r, p):
     A displaced vacuum lobe: alpha moves the peak without reshaping it.
     """
     alpha = complex(alpha)
-    dr = np.clip(np.asarray(r, dtype=float) - alpha.real, -_FAR, _FAR)
-    dp = np.clip(np.asarray(p, dtype=float) - alpha.imag, -_FAR, _FAR)
+    # the difference of halves cannot overflow, and doubled it is r - Re alpha
+    dr = 2.0 * np.clip(np.asarray(r, dtype=float) / 2.0 - alpha.real / 2.0, -_FAR / 2, _FAR / 2)
+    dp = 2.0 * np.clip(np.asarray(p, dtype=float) / 2.0 - alpha.imag / 2.0, -_FAR / 2, _FAR / 2)
     w = PEAK_BOUND * np.exp(-(dr**2 + dp**2))
     return w if np.ndim(w) else float(w)
+
+
+def _exp_quarter(e):
+    """exp(4 e) in place, for an exponent formed at a quarter of its size:
+    4 e is exact, and e is first raised to -200, below which exp(4 e) is 0."""
+    np.maximum(e, -200.0, out=e)
+    e *= 4.0
+    return np.exp(e, out=e)
 
 
 def eval_cat(delta_alpha, r, p):
@@ -261,21 +301,23 @@ def eval_cat(delta_alpha, r, p):
     # expm1 keeps the normalization accurate for small shifts
     h = np.array([cat_half_square(z) for z in d.ravel().tolist()]).reshape(d.shape)
     norm = np.array([math.pi * -math.expm1(-x) for x in h.ravel().tolist()]).reshape(d.shape)
-    # a coordinate clipped at 2 |d| + _FAR along its axis lies _FAR or more
-    # from 0, d and d/2, so all three terms are 0 there, as they are beyond
-    bound_r, bound_p = 2.0 * np.abs(d.real) + _FAR, 2.0 * np.abs(d.imag) + _FAR
+    # a coordinate clipped at 1.5 |d| + _FAR along its axis lies _FAR or
+    # more from 0, d and d/2 along it, also where rounding drops the _FAR,
+    # so all three terms are 0 there, as they are beyond
+    bound_r, bound_p = 1.5 * np.abs(d.real) + _FAR, 1.5 * np.abs(d.imag) + _FAR
     zr = np.clip(np.asarray(r, dtype=float), -bound_r, bound_r)
     zp = np.clip(np.asarray(p, dtype=float), -bound_p, bound_p)
-    # the three terms in place, every value rounded as in the formula above,
-    # so that a large batch allocates a few arrays rather than a dozen
-    damped = np.asarray(-h - (zr * zr + zp * zp))
-    w = np.asarray(-((zr - d.real) ** 2) - (zp - d.imag) ** 2)
-    np.exp(w, out=w)
-    w += np.exp(damped)
+    # the three terms in place, so that a large batch allocates a few arrays
+    # rather than a dozen; each exponent is formed at a quarter of its size,
+    # every value rounded as in the formula above but finite up to _SHIFT_MAX
+    qr, qp = 0.25 * zr, 0.25 * zp
+    w = _exp_quarter(np.asarray(-((0.5 * zr - 0.5 * d.real) ** 2) - (0.5 * zp - 0.5 * d.imag) ** 2))
+    damped = np.asarray(-0.25 * h - (qr * zr + qp * zp))
+    w += _exp_quarter(damped.copy())
     fringe = damped
-    fringe += zr * d.real
-    fringe += zp * d.imag
-    np.exp(fringe, out=fringe)
+    fringe += qr * d.real
+    fringe += qp * d.imag
+    _exp_quarter(fringe)
     # Im(z conj(d)) = zp Re d - zr Im d; for real shifts the second term is
     # exactly zero and the cosine varies along p alone, so take it there;
     # e (2 cos) rounds the same exact product as (2 e) cos
@@ -426,19 +468,17 @@ def _czt(a, m, theta):
 
 
 def _p_lattice(ps):
-    """(order, p0, dp) when ps sorted by order is p0 + j dp, else None.
+    """(p0, dp) when the sorted distinct values ps are p0 + j dp, else None.
 
-    A lattice needs _CZT_MIN_POINTS distinct finite values whose sorted
-    offsets from p0 + j dp stay within rounding of the largest |p|.
+    A lattice needs _CZT_MIN_POINTS finite values whose offsets from
+    p0 + j dp stay within rounding of the largest |p|.
     """
     if ps.size < _CZT_MIN_POINTS:
         return None
-    order = np.argsort(ps, kind="stable")
-    q = ps[order]
-    dp = (q[-1] - q[0]) / (q.size - 1)
-    offset = np.max(np.abs(q - (q[0] + dp * np.arange(q.size))))
-    if dp > 0 and offset <= _LATTICE_ULPS * np.spacing(np.max(np.abs(q))):
-        return order, q[0], dp
+    dp = (ps[-1] - ps[0]) / (ps.size - 1)
+    offset = np.max(np.abs(ps - (ps[0] + dp * np.arange(ps.size))))
+    if dp > 0 and offset <= _LATTICE_ULPS * np.spacing(np.max(np.abs(ps))):
+        return ps[0], dp
     return None
 
 
@@ -455,52 +495,53 @@ def _core(x, coef, simpson, r, half_span):
     return y, core * (simpson * (h / 3.0))
 
 
-def _transform_points(state, rs, ps):
-    """Simpson quadrature of the y integral for flat point lists.
-
-    Points sharing r share one Simpson core; see SampledState for when a
-    group is summed by chirp-z and when by the dense product. Lattice rows
-    are collected first, then transformed in chunks of rows of equal
-    length.
-    """
+def _transform(state, r, p):
+    """Simpson quadrature of the y integral at the points (r, p), which
+    broadcast, summed as the table of their distinct r by their distinct p
+    (see SampledState) in chunks of rows, each row's core formed once, that
+    count n_nodes toward _CZT_CHUNK_NODES per chirp-z row or dense cell."""
     x, coef = state.x, state.coef
     n_nodes = 2 * x.size + 1  # odd count, about half the sample spacing
     simpson = np.ones(n_nodes)
     simpson[1:-1:2] = 4.0
     simpson[2:-1:2] = 2.0
-    out = np.empty(rs.size, dtype=float)
-    order = np.argsort(rs, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(rs[order])) + 1) if rs.size else []
-    lattice_rows = {}  # row length -> [(points in p order, r, half_span, p0, dp)]
-    for idx in groups:
-        r = rs[idx[0]]
-        half_span = min(x[-1] - r, r - x[0])
-        if half_span <= 0:
-            raise QuadratureSpanTooSmall(
-                f"evaluation point r = {r:.4g} lies outside the sample span"
-            )
-        p = ps[idx]
-        lattice = _p_lattice(p)
-        if lattice is None:
-            y, core = _core(x, coef, simpson, r, half_span)
-            out[idx] = (np.exp(-1j * np.outer(p, y)) @ core).real / (2.0 * math.pi)
-        else:
-            row, p0, dp = lattice
-            lattice_rows.setdefault(p.size, []).append((idx[row], r, half_span, p0, dp))
+    (rs, row), (ps, col) = (np.unique(v, return_inverse=True) for v in (r, p))
+    row, col = np.broadcast_arrays(row.reshape(r.shape), col.reshape(p.shape))  # flat in numpy 1.x
+    half_span = np.minimum(x[-1] - rs, rs - x[0])
+    if np.any(half_span <= 0):
+        raise QuadratureSpanTooSmall(
+            f"evaluation point r = {rs[half_span <= 0][0]:.4g} lies outside the sample span"
+        )
+    lattice = _p_lattice(ps) if rs.size * ps.size <= row.size else None
+    if lattice:  # first[i]: the chunk units, rows or dense cells, before row i
+        out, first = np.empty((rs.size, ps.size)), np.arange(rs.size + 1)
+    else:
+        cells, at = np.unique(row * ps.size + col, return_inverse=True)
+        cell_row, cell_col = np.divmod(cells, ps.size)
+        out, first = np.empty(cells.size), np.searchsorted(cell_row, np.arange(rs.size + 1))
     chunk = max(1, _CZT_CHUNK_NODES // n_nodes)
-    for m, rows in lattice_rows.items():
-        for start in range(0, len(rows), chunk):
-            points, r, half_span, p0, dp = zip(*rows[start : start + chunk])
-            y, core = _core(x, coef, simpson, np.array(r)[:, None], np.array(half_span))
-            half_span, p0, dp = (np.array(v)[:, None] for v in (half_span, p0, dp))
+    start = 0
+    while start < rs.size:
+        stop = max(start + 1, np.searchsorted(first, first[start] + chunk, "right") - 1)
+        y, core = _core(x, coef, simpson, rs[start:stop, None], half_span[start:stop])
+        if lattice:
+            (p0, dp), half = lattice, half_span[start:stop, None]
             # y_k = -H + k step, so e^{-i p_j y_k} with p_j = p0 + j dp is
             # e^{-i p0 y_k} e^{i j dp H} e^{-i dp step j k}
-            step = 2.0 * half_span / (n_nodes - 1)
-            sums = np.exp(1j * dp * half_span * np.arange(m)) * _czt(
-                core * np.exp(-1j * p0 * y), m, dp * step
+            step = 2.0 * half / (n_nodes - 1)
+            sums = np.exp(1j * dp * half * np.arange(ps.size)) * _czt(
+                core * np.exp(-1j * p0 * y), ps.size, dp * step
             )
-            out[np.array(points)] = sums.real / (2.0 * math.pi)
-    return out
+            out[start:stop] = sums.real
+        else:  # Re(e^{-i p y} core) on one row of nodes per cell
+            cell = slice(first[start], first[stop])
+            local = cell_row[cell] - start
+            theta = y[local] * ps[cell_col[cell], None]
+            sums = np.einsum("ij,ij->i", np.cos(theta), core.real[local])
+            out[cell] = sums + np.einsum("ij,ij->i", np.sin(theta), core.imag[local])
+        start = stop
+    out /= 2.0 * math.pi
+    return out[row, col] if lattice else out[at].reshape(row.shape)
 
 
 # === dispatch ===
@@ -526,8 +567,7 @@ def evaluate(state: StateSpec, r, p):
             raise QuadratureSpanTooSmall(
                 f"edge probability {tail:.3e} exceeds {_TAIL_MASS_LIMIT:.0e}; widen the sample span"
             )
-        r_arr, p_arr = np.broadcast_arrays(np.asarray(r, float), np.asarray(p, float))
-        out = _transform_points(state, r_arr.ravel(), p_arr.ravel()).reshape(r_arr.shape)
+        out = _transform(state, np.asarray(r, float), np.asarray(p, float))
         return out if out.ndim else float(out)
     raise TypeError(f"unsupported state: {type(state)!r}")
 

@@ -78,6 +78,14 @@ def read_csv_table(path, header: str) -> np.ndarray:
     return table
 
 
+def csv_row_line(path, index) -> int:
+    """Line number in path, from 1, of row `index` of the table that
+    read_csv_table returns: the header is line 1, empty lines are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return [n for n, line in enumerate(lines[1:], start=2) if line][index]
+
+
 def _raise_first_bad_row(path, rows, width):
     """Raise ValueError for the first row, line 2 of the file onward, of
     the wrong width or with a cell that np.loadtxt, which parses the whole

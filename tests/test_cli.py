@@ -241,6 +241,23 @@ class TestExitCodes:
         assert "unknown key 'event_duration'" in capsys.readouterr().err
         assert not (tmp_path / "x.wav").exists()
 
+    def test_field_row_off_its_cell_center_is_2(self, tmp_path, capsys):
+        # a moved r once loaded silently and gave the original moments
+        fp = tmp_path / "f.csv"
+        argv = ["field", "--state", "fock:1", "--grid", "regular:4:-4:4", "--out", str(fp)]
+        assert cli_main(argv) == 0
+        lines = fp.read_text().split("\n")
+        assert lines[2].startswith("-3,-1,")
+        lines[2] = "7.25" + lines[2][len("-3"):]
+        fp.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert cli_main(["moments", "--field", str(fp)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: {fp}: line 3: (r, p) = (7.25, -1.0) is not the cell center (-3.0, -1.0) "
+            "of the sidecar's grid\n",
+        )
+
     def test_degenerate_cat_is_2(self, capsys):
         # cat:0 collapses; the state grammar reports it as a usage fault
         assert cli_main(["eval", "--state", "cat:0", "--r", "0", "--p", "0"]) == 2
@@ -376,12 +393,32 @@ class TestFarAndUnresolvable:
             ("coherent:0", "1e200", "0"),
             ("cat:3", "1e200", "0"),
             ("coherent:1e200", "0", "0"),
+            ("coherent:-1e308", "1e308", "0"),
+            ("cat:1e154", "-1e154", "0"),
         ],
     )
     def test_far_point_prints_zero(self, state, r, p, capsys):
         # a RuntimeWarning is an error under this suite
-        assert cli_main(["eval", "--state", state, "--r", r, "--p", p]) == 0
+        assert cli_main(["eval", "--state", state, f"--r={r}", f"--p={p}"]) == 0
         assert capsys.readouterr() == ("0\n", "")
+
+    @pytest.mark.parametrize(
+        "state, r, p, refused",
+        [
+            ("cat:9e153,9e153", "9e153", "9e153", "|delta_alpha| = 1.27e+154 of delta_alpha = (9e+153+9e+153j) exceeds 1e+154"),
+            ("cat:1.3e154", "2.6e154", "0", "|delta_alpha| = 1.3e+154 of delta_alpha = (1.3e+154+0j) exceeds 1e+154"),
+            ("cat:1.3e154", "2e154", "0", "|delta_alpha| = 1.3e+154 of delta_alpha = (1.3e+154+0j) exceeds 1e+154"),
+            ("fock:400", "26.6", "0", "photon number 400 exceeds 287"),
+            ("fock:288", "0", "0", "photon number 288 exceeds 287"),
+        ],
+    )
+    def test_state_whose_formula_overflows_is_2(self, state, r, p, refused, capsys):
+        # each state gave NaN, or 0 through an overflow warning, somewhere in
+        # its domain before it was refused
+        assert cli_main(["eval", "--state", state, f"--r={r}", f"--p={p}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: state {state!r}: {refused}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, centroid",
@@ -667,6 +704,8 @@ class TestSampledCoverage:
             (257, 0, 1.5, None, "coverage 0.903601"),
             (257, 2, 3.0, "regular:40:-3:3", "coverage 0.933602"),
             (193, 2, 3.0, None, "coverage 0.962975"),
+            # a Gaussian-quantile grid: the field takes the dense product
+            (257, 2, None, "gauss:64:3", "coverage 0.997151"),
         ],
     )
     def test_printed_coverage_keeps_its_digits(self, nodes, n, cut, grid, line, tmp_path, capsys):

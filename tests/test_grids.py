@@ -204,13 +204,38 @@ class TestFieldIo:
         assert back.grid.kind == fock1_30_field.grid.kind
         assert back.state == fock1_30_field.state
 
-    def test_round_trip_cat_state(self, tmp_path):
-        f = sample_field(CatState(-1.5 + 0.25j), build_regular(-6, 4, -5, 5, 12, 12))
-        path = tmp_path / "cat.csv"
+    @pytest.mark.parametrize(
+        "state", [CatState(-1.5 + 0.25j), CoherentState(0.75 - 1.25j)], ids=["cat", "coherent"]
+    )
+    def test_round_trip_shifted_state(self, tmp_path, state):
+        f = sample_field(state, build_regular(-6, 4, -5, 5, 12, 12))
+        path = tmp_path / "state.csv"
         write_field(f, path)
         back = read_field(path)
         assert back.state == f.state
         assert np.array_equal(back.values, f.values)
+
+    @pytest.mark.parametrize(
+        "line, old, new, named",
+        [
+            (3, "-3,-1,", "7.25,-1,", "line 3: (r, p) = (7.25, -1.0) is not the cell center (-3.0, -1.0)"),
+            (4, "-3,1,", "-3,-0.40000000000000002,", "line 4: (r, p) = (-3.0, -0.4) is not the cell center (-3.0, 1.0)"),
+            (17, "3,3,", "3,3.0000000000000004,", "line 17: (r, p) = (3.0, 3.0000000000000004) is not the cell center (3.0, 3.0)"),
+        ],
+        ids=["r", "p", "last-bit"],
+    )
+    def test_row_off_its_cell_center_refused(self, tmp_path, line, old, new, named):
+        path = tmp_path / "f.csv"
+        write_field(sample_field(FockState(1), build_regular(-4, 4, -4, 4, 4, 4)), path)
+        lines = path.read_text().split("\n")
+        assert lines[line - 1].startswith(old)
+        lines[line - 1] = new + lines[line - 1][len(old):]
+        # an empty line is skipped, and the line named is still the file's
+        path.write_text("\n".join(lines[:1] + [""] + lines[1:]))
+        with pytest.raises(ValueError) as refused:
+            read_field(path)
+        assert str(refused.value).startswith(f"{path}: ")
+        assert named.replace(f"line {line}", f"line {line + 1}") in str(refused.value)
 
     def test_cat_sidecar_with_zero_carrier_loads(self, tmp_path):
         # sidecars written before the cat lost its carrier record "alpha": [0, 0]

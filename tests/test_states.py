@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +32,11 @@ from quasitone import (
     sample_field,
     state_centroid,
 )
+from quasitone import grids, states
 from quasitone.states import (
     _CZT_MIN_POINTS,
+    _FOCK_MAX,
+    _SHIFT_MAX,
     _fast_len,
     _p_lattice,
     _spline_at,
@@ -267,7 +272,9 @@ class TestFarPoints:
         np.testing.assert_array_equal(_bits(got[kept]), _bits(want[kept]))
         np.testing.assert_array_equal(_bits(got[~kept]), _bits(0.0))
 
-    @pytest.mark.parametrize("alpha", [0j, 1.5 - 2.0j, 1e200 + 0j, -3e150j])
+    @pytest.mark.parametrize(
+        "alpha", [0j, 1.5 - 2.0j, 1e200 + 0j, -3e150j, -1e308 + 0j, complex(1.7e308, -1.7e308)]
+    )
     def test_coherent(self, alpha):
         r, p = self.T[:, None], self.T[None, :]
         with np.errstate(all="ignore"):
@@ -283,6 +290,60 @@ class TestFarPoints:
         got = eval_cat(shift, r, p)
         assert np.all(np.isfinite(got))
         np.testing.assert_array_equal(_bits(got[far]), _bits(0.0))
+
+    @pytest.mark.parametrize("shift", [3.0, -1.0 + 2.0j, 0.5j, 54.0 + 1.0j, 1e150, -2e100j])
+    def test_cat_keeps_the_bits_of_its_formula(self, shift):
+        # every value the formula as written forms finite, at full size and
+        # unclipped, keeps its bits
+        r, p = self.T[:, None], self.T[None, :]
+        d = complex(shift)
+        h = abs(d) ** 2 / 2.0
+        with np.errstate(all="ignore"):
+            damped = -h - (r * r + p * p)
+            want = np.exp(-((r - d.real) ** 2) - (p - d.imag) ** 2) + np.exp(damped)
+            fringe = np.exp(damped + r * d.real + p * d.imag) * (2.0 * np.cos(p * d.real - r * d.imag))
+            want = (want - fringe) / (math.pi * -math.expm1(-h))
+        got = eval_cat(shift, r, p)
+        kept = np.isfinite(want)
+        np.testing.assert_array_equal(_bits(got[kept]), _bits(want[kept]))
+
+    @pytest.mark.parametrize("angle", np.linspace(0.0, 2.0 * math.pi, 13))
+    def test_cat_at_the_largest_shift_is_finite(self, angle):
+        # out to the largest double, and at the multiples of the shift where
+        # its lobes and fringes sit; an overflow is an error under this suite
+        d = cmath.rect(_SHIFT_MAX * (1.0 - 2.0**-52), angle)
+        assert abs(d) <= _SHIFT_MAX
+        t = np.concatenate([self.T, np.linspace(-2.0, 2.0, 81) * _SHIFT_MAX])
+        assert np.all(np.isfinite(eval_cat(d, t[:, None], t[None, :])))
+
+    def test_shift_past_the_largest_is_refused(self):
+        shift = 1.0000000000000002e154
+        message = r"^\|delta_alpha\| = 1e\+154 of delta_alpha = \(1\.0000000000000002e\+154\+0j\) exceeds 1e\+154"
+        with pytest.raises(ValueError, match=message):
+            CatState(shift)
+        with pytest.raises(ValueError, match=message):
+            eval_cat(np.array([-1.0, shift]), 0.0, 0.0)
+        assert CatState(_SHIFT_MAX).delta_alpha == _SHIFT_MAX
+
+
+class TestLargestPhotonNumber:
+    """Above _FOCK_MAX, L_m(2 s) overflows inside the clip box while
+    exp(-s) is 0, so W_m would be NaN there; such m are refused."""
+
+    def test_largest_is_finite_on_the_whole_axis(self):
+        # W_m depends on s = min(r^2 + p^2, 28^2) alone, so the r axis to 28
+        # covers the clip box; a RuntimeWarning is an error under this suite
+        r = np.concatenate([np.arange(28001) * 0.001, [1e9]])
+        assert np.all(np.isfinite(eval_fock(_FOCK_MAX, r, 0.0)))
+        assert FockState(_FOCK_MAX).m == 287
+
+    @pytest.mark.parametrize("m", [_FOCK_MAX + 1, 400])
+    def test_larger_is_refused_naming_it(self, m):
+        message = f"^photon number {m} exceeds 287"
+        with pytest.raises(ValueError, match=message):
+            FockState(m)
+        with pytest.raises(ValueError, match=message):
+            eval_fock(m, 0.0, 0.0)
 
 
 class TestHarmonicEigenstate:
@@ -431,6 +492,101 @@ class TestChirpZRows:
         R, P = np.meshgrid(grid.r_centers, grid.p_centers, indexing="ij")
         w = sample_field(state, grid).values
         assert np.max(np.abs(w - eval_fock(1, R, P))) < 1e-6
+
+
+class TestTransformTable:
+    """The transform sums the table of a call's distinct r by its distinct
+    p: one lattice decision per call, whatever the points' layout."""
+
+    STATE = TestChirpZRows._state(193, 10.5)
+
+    @staticmethod
+    def _counted_lattice(monkeypatch):
+        calls = []
+        lattice = states._p_lattice
+        monkeypatch.setattr(states, "_p_lattice", lambda ps: calls.append(ps.size) or lattice(ps))
+        return calls
+
+    def test_one_lattice_decision_for_a_field(self, monkeypatch):
+        calls = self._counted_lattice(monkeypatch)
+        sample_field(self.STATE, default_grid(self.STATE))
+        assert calls == [64]
+
+    def test_one_lattice_decision_for_the_coverage_reference(self, monkeypatch):
+        calls = self._counted_lattice(monkeypatch)
+        grids._reference_abs_mass.__wrapped__(self.STATE)
+        assert calls == [512]
+
+    def test_points_that_do_not_fill_the_table_take_the_dense_product(self, monkeypatch):
+        # a diagonal of a 512-value lattice: chirp-z would sum 512^2 cells
+        # for 512 points, so each point gets the dense product instead
+        t = np.linspace(-4.0, 4.0, 512)
+        monkeypatch.setattr(states, "_czt", None)
+        w = evaluate(self.STATE, t, t)
+        assert w.shape == (512,)
+        assert w[100] == evaluate(self.STATE, t[100], t[100])
+
+    @staticmethod
+    def _layout(kind, r, p, rng):
+        """Points (r, p) on the grid r x p, laid out as `kind`."""
+        R, P = np.meshgrid(r, p, indexing="ij")
+        if kind == "outer":
+            return r[:, None], p
+        if kind == "meshgrid":
+            return R, P
+        if kind == "reversed":
+            return R[::-1, ::-1], P[::-1, ::-1]
+        if kind == "shuffled":
+            perm = rng.permutation(R.size)
+            return R.ravel()[perm], P.ravel()[perm]
+        if kind == "duplicates":
+            pick = rng.integers(0, R.size, 2 * R.size)
+            return R.ravel()[pick], P.ravel()[pick]
+        if kind == "subset":
+            keep = rng.random(R.size) < 0.5
+            return R.ravel()[keep], P.ravel()[keep]
+        # scattered: every point its own r and p
+        return rng.uniform(r[0], r[-1], R.size), rng.uniform(p[0], p[-1], R.size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["outer", "meshgrid", "reversed", "shuffled", "duplicates", "subset", "scattered"]
+        ),
+        n_r=st.integers(1, 6),
+        n_p=st.integers(1, 12),
+        r0=st.floats(-4.0, 4.0),
+        p0=st.floats(-5.0, 5.0),
+        width=st.floats(0.1, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_layout_matches_each_point_alone(self, kind, n_r, n_p, r0, p0, width, seed):
+        r = r0 + width * (np.arange(n_r) + 0.5) / n_r
+        p = p0 + 2.0 * width * (np.arange(n_p) + 0.5) / n_p
+        R, P = self._layout(kind, r, p, np.random.default_rng(seed))
+        got = evaluate(self.STATE, R, P)
+        Rb, Pb = np.broadcast_arrays(R, P)
+        assert np.shape(got) == Rb.shape
+        alone = [evaluate(self.STATE, float(a), float(b)) for a, b in zip(Rb.ravel(), Pb.ravel())]
+        assert np.max(np.abs(np.ravel(got) - alone), initial=0.0) < 1e-12
+
+    def test_dense_chunks_keep_the_peak_of_one_row(self):
+        # a 64 x 64 Gaussian-quantile grid is dense; at 257 nodes each chunk
+        # holds one row of 64 cells, and the peak stays at the 1.22 MB that
+        # the per-row dense product took before (chunks of whole rows alone
+        # would hold 63 rows at once, tens of MB)
+        x = np.linspace(-10.5, 10.5, 257)
+        state = SampledState(x, _normalized(x, harmonic_eigenstate(2, x)))
+        grid = build_gaussian(compute_moments(sample_field(state, default_grid(state))), 64, 64, 3.0)
+        assert _p_lattice(grid.p_centers) is None
+        r, p = grid.r_centers[:, None], grid.p_centers
+        tracemalloc.start()
+        try:
+            evaluate(state, r, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.22e6
 
 
 class TestSpline:
