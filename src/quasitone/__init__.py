@@ -48,6 +48,7 @@ from .render import (
     DEFAULT_SAMPLE_RATE,
     AudioBuffer,
     Sonogram,
+    SonogramStream,
     SweepTrajectory,
     default_trajectory,
     read_wav,

@@ -43,10 +43,10 @@ FADE_SECONDS = 0.010
 
 DB_FLOOR = -120.0
 
-# Samples per batch of sonogram FFTs: 16 frames of the default 2048-sample
-# window. Small batches keep the windowed copy and its spectrum in cache;
-# batches of 512 such frames ran no faster and raised the peak RSS of a
-# 20 s sweep's sonogram from 57 to 78 MB (2-core x86-64 host).
+# Samples per batch of sonogram frames: 16 frames of the default 2048-sample
+# window, from channel mean to dB and on into the CSV. Small batches keep
+# the windowed copy and its spectrum in cache; batches of 256 and 512 such
+# frames ran no faster and took more memory (2-core x86-64 host).
 _STFT_CHUNK_SAMPLES = 1 << 15
 
 
@@ -453,63 +453,136 @@ class Sonogram:
         if self.magnitude_db.shape != (self.times.size, self.freqs.size):
             raise ValueError("magnitude matrix must be (n_times, n_freqs)")
 
+    def chunks(self):
+        """(times, magnitude_db) for blocks of about _STFT_CHUNK_SAMPLES cells."""
+        per = max(1, _STFT_CHUNK_SAMPLES // self.freqs.size)
+        for lo in range(0, self.times.size, per):
+            yield self.times[lo : lo + per], self.magnitude_db[lo : lo + per]
+
+
+@dataclass(frozen=True, eq=False)
+class SonogramStream:
+    """The sonogram of a buffer, computed a batch of frames at a time.
+
+    Checks window, hop and the audio's length when made, so that a caller
+    can refuse before it opens any output: ValueError for window < 8 or
+    hop < 1, BufferTooShort for audio shorter than one window. chunks()
+    computes the spectrum afresh on each call; the memory it takes does not
+    grow with the length of the audio.
+    """
+
+    buffer: AudioBuffer
+    window: int = 2048
+    hop: int = 512
+
+    def __post_init__(self):
+        if self.window < 8 or self.hop < 1:
+            raise ValueError("window must be >= 8 samples and hop >= 1")
+        n = self.buffer.samples.shape[0]
+        if n < self.window:
+            raise BufferTooShort(f"{n} samples but the window needs {self.window}")
+
+    @property
+    def n_frames(self) -> int:
+        return 1 + (self.buffer.samples.shape[0] - self.window) // self.hop
+
+    @property
+    def freqs(self) -> np.ndarray:
+        return np.fft.rfftfreq(self.window, 1.0 / self.buffer.sample_rate)
+
+    def chunks(self):
+        """(times, magnitude_db) of each batch of _STFT_CHUNK_SAMPLES //
+        window frames, in order.
+
+        Each batch takes the channel mean of its own samples in float64,
+        then the Hann window, one batched rfft, |X| * scale, the floor,
+        log10 and * 20. Every step acts on one sample or one frame, so each
+        value has the same bits whatever the batch.
+        """
+        window, hop, sr = self.window, self.hop, self.buffer.sample_rate
+        w = np.hanning(window)
+        scale = 2.0 / float(np.sum(w))
+        n_frames = self.n_frames
+        per = max(1, _STFT_CHUNK_SAMPLES // window)
+        for lo in range(0, n_frames, per):
+            hi = min(lo + per, n_frames)
+            block = self.buffer.samples[lo * hop : (hi - 1) * hop + window]
+            # the channels summed in order and divided by their count, as
+            # block.mean(axis=1, dtype=np.float64) does at 4x the cost in quad
+            mono = block[:, 0].astype(np.float64)
+            for c in range(1, block.shape[1]):
+                mono += block[:, c]
+            mono /= block.shape[1]
+            frames = np.lib.stride_tricks.sliding_window_view(mono, window)[::hop]
+            db = np.abs(np.fft.rfft(frames * w, axis=1))
+            db *= scale
+            np.maximum(db, 10.0 ** (DB_FLOOR / 20.0), out=db)
+            np.log10(db, out=db)
+            db *= 20.0
+            yield (np.arange(lo, hi) * hop + window / 2.0) / sr, db
+
 
 def stft_sonogram(buffer: AudioBuffer, window=2048, hop=512) -> Sonogram:
-    """Hann-windowed short-time spectrum of the buffer, channels averaged.
+    """Hann-windowed short-time spectrum of the buffer, channels averaged,
+    as one matrix.
 
     Magnitudes are scaled so a full-scale sine reads near 0 dB, then
-    floored at -120 dB. Raises BufferTooShort when the audio is shorter
-    than one window.
+    floored at -120 dB. The rows are SonogramStream's chunks, laid end to
+    end; write_sonogram_csv takes a SonogramStream directly, without the
+    matrix. Raises BufferTooShort when the audio is shorter than one
+    window.
     """
-    if window < 8 or hop < 1:
-        raise ValueError("window must be >= 8 samples and hop >= 1")
-    mono = buffer.samples.mean(axis=1, dtype=np.float64)
-    if mono.size < window:
-        raise BufferTooShort(f"{mono.size} samples but the window needs {window}")
-    w = np.hanning(window)
-    scale = 2.0 / float(np.sum(w))
-    frames = np.lib.stride_tricks.sliding_window_view(mono, window)[::hop]
-    n_frames = frames.shape[0]
-    mags = np.empty((n_frames, window // 2 + 1), dtype=float)
-    chunk = max(1, _STFT_CHUNK_SAMPLES // window)
-    for lo in range(0, n_frames, chunk):
-        spectrum = np.fft.rfft(frames[lo : lo + chunk] * w, axis=1)
-        mags[lo : lo + chunk] = np.abs(spectrum) * scale
-    # in place: a sweep-sized sonogram is 15 MB per temporary
-    db = np.maximum(mags, 10.0 ** (DB_FLOOR / 20.0), out=mags)
-    np.log10(db, out=db)
-    db *= 20.0
-    times = (np.arange(n_frames) * hop + window / 2.0) / buffer.sample_rate
-    freqs = np.fft.rfftfreq(window, 1.0 / buffer.sample_rate)
+    stream = SonogramStream(buffer, window, hop)
+    freqs = stream.freqs
+    times, db = np.empty(stream.n_frames), np.empty((stream.n_frames, freqs.size))
+    lo = 0
+    for t, d in stream.chunks():  # into the matrix, not through a list of chunks
+        times[lo : lo + t.size], db[lo : lo + t.size] = t, d
+        lo += t.size
     return Sonogram(times=times, freqs=freqs, magnitude_db=db)
 
 
-def write_sonogram_csv(sono: Sonogram, path) -> None:
+def write_sonogram_csv(sono: Sonogram | SonogramStream, path) -> None:
     """CSV with the frequency axis across the first row and times down the
     first column; the corner cell is empty.
 
+    sono is a Sonogram or a SonogramStream; rows go out a chunk at a time,
+    so a stream is written without its whole matrix or text in memory.
     Every value is written as format(v, ".9g"). Most cells of a sweep's
-    sonogram sit exactly at DB_FLOOR, whose text is "-120", so each row
-    formats only the cells that differ from the floor and fills every run
-    of floor cells with a slice of one precomputed ",-120" * n_freqs string.
+    sonogram sit exactly at DB_FLOOR, whose text is "-120": each run of
+    such cells is a slice of one precomputed ",-120" * n_freqs string, and
+    each run of the other cells is formatted by one % operation.
     """
-    floor_cell = "," + format(DB_FLOOR, ".9g")
+    floor_cell = ("," + format(DB_FLOOR, ".9g")).encode()
     width = len(floor_cell)
-    floor_run = floor_cell * sono.freqs.size
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("," + ",".join(["%.9g" % f for f in sono.freqs.tolist()]) + "\n")
-        # row by row, so no copy of the whole text is held in memory
-        for t, row in zip(sono.times.tolist(), sono.magnitude_db):
-            live = np.flatnonzero(row != DB_FLOOR)
-            parts = ["%.9g" % t]
-            start = 0
-            for k, v in zip(live.tolist(), row[live].tolist()):
-                parts.append(floor_run[: width * (k - start)])
-                parts.append(",%.9g" % v)
-                start = k + 1
-            parts.append(floor_run[: width * (row.size - start)])
-            parts.append("\n")
-            fh.write("".join(parts))
+    n = sono.freqs.size
+    floor_run = floor_cell * n
+    with open(path, "wb") as fh:
+        fh.write(("," + ",".join(["%.9g" % f for f in sono.freqs.tolist()]) + "\n").encode())
+        for times, db in sono.chunks():
+            live = db != DB_FLOOR
+            # the rows end to end, each led by one false flag: a run of live
+            # cells [a, b) in row r toggles the flags at r * (n + 1) + a and b
+            flags = np.zeros(live.size + times.size + 1, dtype=bool)
+            flags[:-1].reshape(times.size, n + 1)[:, 1:] = live
+            rows, cols = np.divmod(np.flatnonzero(flags[1:] != flags[:-1]), n + 1)
+            runs = iter(zip(cols[0::2].tolist(), cols[1::2].tolist()))
+            counts = np.bincount(rows[0::2], minlength=times.size).tolist()
+            values = db[live].tolist()
+            parts = []
+            v = 0
+            for t, count in zip(times.tolist(), counts):
+                parts.append(b"%.9g" % t)
+                pos = 0
+                for _ in range(count):
+                    a, b = next(runs)
+                    parts.append(floor_run[: width * (a - pos)])
+                    parts.append((b",%.9g" * (b - a)) % tuple(values[v : v + b - a]))
+                    v += b - a
+                    pos = b
+                parts.append(floor_run[: width * (n - pos)])
+                parts.append(b"\n")
+            fh.write(b"".join(parts))
 
 
 # === WAV I/O ===
@@ -533,9 +606,10 @@ def read_wav(path) -> AudioBuffer:
     """Read a 32-bit float WAV written by write_wav (or anything like it).
 
     The file is read once into one buffer, and the samples view its data
-    chunk. Rejects every other encoding with UnsupportedFormat, including
-    truncated files, integer PCM, a zero sample rate, and data with no
-    frame or with NaN or infinite samples.
+    chunk; no other array the size of the samples is made. Rejects every
+    other encoding with UnsupportedFormat, including truncated files,
+    integer PCM, a zero sample rate, and data with no frame or with NaN or
+    infinite samples.
     """
     with open(path, "rb") as fh:
         blob = bytearray(os.fstat(fh.fileno()).st_size)
@@ -571,6 +645,8 @@ def read_wav(path) -> AudioBuffer:
     if n_ch < 1 or len(data) % (4 * n_ch):
         raise UnsupportedFormat(f"{path}: data size does not divide into {n_ch}-channel frames")
     samples = np.frombuffer(data, dtype="<f4").reshape(-1, n_ch)
-    if not (samples.size and np.isfinite(samples).all()):
+    # min and max carry any NaN and reach any infinity, without a bool mask
+    # the size of the samples
+    if not (samples.size and math.isfinite(samples.min()) and math.isfinite(samples.max())):
         raise UnsupportedFormat(f"{path}: need one or more frames of finite samples")
     return AudioBuffer(samples, sr)

@@ -478,8 +478,9 @@ class TestArgumentChecks:
             ["score", "--state", "fock:1", "--method", "I", "--duration", "-1", "--out", "x.json"],
             ["sonify", "--state", "fock:1", "--method", "IV", "--sr", "0", "--out", "x.wav"],
             ["sonogram", "--audio", "{wav}", "--window", "4", "--out", "s.csv"],
+            ["sonogram", "--audio", "{wav}", "--hop", "0", "--out", "s.csv"],
         ],
-        ids=["sweep-frame", "score-duration", "sonify-sr", "sonogram-window"],
+        ids=["sweep-frame", "score-duration", "sonify-sr", "sonogram-window", "sonogram-hop"],
     )
     def test_bad_value_is_2(self, argv, tmp_path, wav, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -487,6 +488,15 @@ class TestArgumentChecks:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not any(tmp_path.glob("x.*")) and not (tmp_path / "s.csv").exists()
+
+    def test_window_longer_than_audio_is_4(self, tmp_path, wav, capsys, monkeypatch):
+        # the sonogram streams into its CSV, so it is refused before the CSV is opened
+        monkeypatch.chdir(tmp_path)
+        argv = ["sonogram", "--audio", str(wav), "--window", "8192", "--out", "s.csv"]
+        assert cli_main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: 4096 samples but the window needs 8192")
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",
