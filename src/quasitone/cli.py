@@ -118,13 +118,10 @@ def parse_grid(text, state):
     parts = text.split(":")
     try:
         if parts[0] == "regular" and len(parts) == 4:
-            n = int(parts[1])
-            lo = float(parts[2])
-            hi = float(parts[3])
+            n, lo, hi = int(parts[1]), float(parts[2]), float(parts[3])
             return build_regular(lo, hi, lo, hi, n, n)
         if parts[0] == "gauss" and len(parts) == 3:
-            n = int(parts[1])
-            span = float(parts[2])
+            n, span = int(parts[1]), float(parts[2])
             moments = compute_moments(sample_field(state, default_grid(state)))
             return build_gaussian(moments, n, n, span_sigmas=span)
     except (ValueError, QuasitoneError) as exc:
@@ -179,59 +176,59 @@ def _build_parser():
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        return sub.add_parser(name, help=help_text)
+    def mapping(name, help_text, channels):
+        """sonify and score: the flags of one mapping of a state's field."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--state", required=True)
+        p.add_argument("--method", required=True, choices=["I", "II", "III", "IV"])
+        p.add_argument("--grid")
+        p.add_argument("--duration", type=float, default=DEFAULT_DURATION)
+        p.add_argument("--channels", type=int, default=channels, choices=[1, 2, 4])
+        p.add_argument("--out", required=True)
+        return p
 
-    p = add("eval", "print one Wigner value")
+    p = sub.add_parser("eval", help="print one Wigner value")
     p.add_argument("--state", required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
 
-    p = add("field", "sample a state onto a grid and write CSV + sidecar")
+    p = sub.add_parser("field", help="sample a state onto a grid and write CSV + sidecar")
     p.add_argument("--state", required=True)
     p.add_argument("--grid")
     p.add_argument("--out", required=True)
 
-    p = add("moments", "statistics of a stored field as JSON")
+    p = sub.add_parser("moments", help="statistics of a stored field as JSON")
     p.add_argument("--field", required=True)
     p.add_argument("--out")
 
-    p = add("sonify", "render one mapping of a state to WAV")
-    p.add_argument("--state", required=True)
-    p.add_argument("--method", required=True, choices=["I", "II", "III", "IV"])
-    p.add_argument("--grid")
-    p.add_argument("--duration", type=float, default=DEFAULT_DURATION)
+    p = mapping("sonify", "render one mapping of a state to WAV", channels=1)
     p.add_argument("--sr", type=int, default=DEFAULT_SAMPLE_RATE)
-    p.add_argument("--channels", type=int, default=1, choices=[1, 2, 4])
-    p.add_argument("--out", required=True)
     p.add_argument("--score")
 
-    p = add("sweep", "render a shift trajectory to WAV")
+    p = sub.add_parser("sweep", help="render a shift trajectory to WAV")
     p.add_argument("--out", required=True)
     p.add_argument("--sr", type=int, default=DEFAULT_SAMPLE_RATE)
     p.add_argument("--frame", type=float, default=0.25)
     p.add_argument("--channels", type=int, default=1, choices=[1, 2, 4])
     p.add_argument("--segments", help="<start>:<end>:<seconds>[;...] with complex endpoints re[,im]")
 
-    p = add("sonogram", "short-time spectrum of a WAV as CSV")
+    p = sub.add_parser("sonogram", help="short-time spectrum of a WAV as CSV")
     p.add_argument("--audio", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--window", type=int, default=2048)
     p.add_argument("--hop", type=int, default=512)
 
-    p = add("score", "transcribe one mapping of a state to JSON events")
-    p.add_argument("--state", required=True)
-    p.add_argument("--method", required=True, choices=["I", "II", "III", "IV"])
-    p.add_argument("--grid")
-    p.add_argument("--duration", type=float, default=DEFAULT_DURATION)
-    p.add_argument("--channels", type=int, default=2, choices=[1, 2, 4])
+    p = mapping("score", "transcribe one mapping of a state to JSON events", channels=2)
     p.add_argument("--arpeggiate", action="store_true")
-    p.add_argument("--out", required=True)
 
     # only the commands that map a field to sound read a config
     for name in ("sonify", "sweep", "score"):
         sub.choices[name].add_argument("--config", help="key=value text file of mapping constants")
     return top
+
+
+# Built once at import; every cli_main call parses with it.
+_PARSER = _build_parser()
 
 
 def _run(args) -> int:
@@ -255,30 +252,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "moments":
-        field = read_field(args.field)
-        moments = compute_moments(field)
+        moments = compute_moments(read_field(args.field))
         if args.out:
             write_moments(moments, args.out)
         else:
             sys.stdout.write(moments_to_json(moments))
-        return 0
-
-    if args.command == "sonify":
-        cfg = _load_cfg(args, MapConfig())
-        field = _sampled_field(args)
-        require_coverage(field)
-        bank = _bank_for(args.method, field, cfg, args.duration)
-        gains = None if args.channels == 1 else partial_gains(bank, field, args.channels)
-        # transcribe before writing anything, and write both files or neither
-        score = bank_to_events(bank, field, cfg, channels=args.channels) if args.score else None
-        buffer = synth(bank, sample_rate=args.sr, gains=gains)
-        write_wav(buffer, args.out)
-        if score is not None:
-            try:
-                write_score(score, args.score)
-            except OSError:
-                os.remove(args.out)
-                raise
         return 0
 
     if args.command == "sweep":
@@ -300,20 +278,31 @@ def _run(args) -> int:
         write_sonogram_csv(sono, args.out)
         return 0
 
-    # score, the last command argparse admits
+    # sonify and score, the commands that map the state's field to a bank
     cfg = _load_cfg(args, MapConfig())
     field = _sampled_field(args)
     require_coverage(field)
     bank = _bank_for(args.method, field, cfg, args.duration)
-    score = bank_to_events(bank, field, cfg, channels=args.channels, arpeggiate=args.arpeggiate)
-    write_score(score, args.out)
+    if args.command == "score":
+        score = bank_to_events(bank, field, cfg, channels=args.channels, arpeggiate=args.arpeggiate)
+        write_score(score, args.out)
+        return 0
+    gains = None if args.channels == 1 else partial_gains(bank, field, args.channels)
+    # transcribe before writing anything, and write both files or neither
+    score = bank_to_events(bank, field, cfg, channels=args.channels) if args.score else None
+    write_wav(synth(bank, sample_rate=args.sr, gains=gains), args.out)
+    if score is not None:
+        try:
+            write_score(score, args.score)
+        except OSError:
+            os.remove(args.out)
+            raise
     return 0
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     InvalidBounds,
     QuadratureSpanTooSmall,
 )
-from .states import SampledState, StateSpec, evaluate, state_centroid, transform_bound
+from .states import SampledState, StateSpec, evaluate, state_centroid, state_from_description, transform_bound
 from .textfmt import csv_row_line, json_value, read_csv_table
 
 KIND_REGULAR = "regular"
@@ -321,38 +322,17 @@ def write_field(field: WignerField, path) -> None:
         "p_edges": [float(e) for e in grid.p_edges],
         "state": field.state.describe() if field.state is not None else None,
     }
-    sidecar_text = json_value(sidecar) + "\n"  # before the CSV, so a failure writes neither
+    # serialized before the CSV is opened, and the CSV removed if the
+    # sidecar cannot be written, so a failure leaves neither file
+    sidecar_text = json_value(sidecar) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("r,p,value\n" + "".join(map("%.17g,%.17g,%.17g\n".__mod__, cells)))
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-        fh.write(sidecar_text)
-
-
-def _complex_pair(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
-
-
-def _state_from_sidecar(info):
-    """The state a sidecar's "state" entry describes, None for null or a
-    sampled wavefunction; KeyError, TypeError or ValueError when malformed."""
-    from .states import CatState, CoherentState, FockState
-
-    if info is None:
-        return None
-    kind = info["kind"]
-    if kind == "fock":
-        return FockState(info["m"])
-    if kind == "cat":
-        # sidecars once recorded a carrier, always zero; a cat has none
-        if _complex_pair(info.get("alpha", (0, 0))):
-            raise ValueError(f"a cat state has no carrier alpha, got {info['alpha']!r}")
-        return CatState(_complex_pair(info["delta_alpha"]))
-    if kind == "coherent":
-        return CoherentState(_complex_pair(info["alpha"]))
-    if kind == "psi":
-        return None  # sampled wavefunctions are not reconstructible from metadata
-    raise ValueError(f"unknown state kind {kind!r}")
+    try:
+        with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
+            fh.write(sidecar_text)
+    except OSError:
+        os.remove(path)
+        raise
 
 
 def read_field(path) -> WignerField:
@@ -375,7 +355,7 @@ def read_field(path) -> WignerField:
             np.array(sidecar["r_edges"], dtype=float),
             np.array(sidecar["p_edges"], dtype=float),
         )
-        state = _state_from_sidecar(sidecar.get("state"))
+        state = state_from_description(sidecar.get("state"))
     except (KeyError, TypeError, ValueError, InvalidBounds, DegenerateShift) as exc:
         raise ValueError(f"{side}: malformed sidecar: {exc!r}") from exc
     n_r, n_p = grid.shape

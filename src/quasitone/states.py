@@ -179,6 +179,32 @@ class SampledState:
 StateSpec = FockState | CatState | CoherentState | SampledState
 
 
+def _complex_pair(pair) -> complex:
+    re, im = pair
+    return complex(float(re), float(im))
+
+
+def state_from_description(info):
+    """The state a describe() entry names, None for null or a sampled
+    wavefunction, whose samples it does not hold; KeyError, TypeError or
+    ValueError when malformed."""
+    if info is None:
+        return None
+    kind = info["kind"]
+    if kind == "fock":
+        return FockState(info["m"])
+    if kind == "cat":
+        # sidecars once recorded a carrier, always zero; a cat has none
+        if _complex_pair(info.get("alpha", (0, 0))):
+            raise ValueError(f"a cat state has no carrier alpha, got {info['alpha']!r}")
+        return CatState(_complex_pair(info["delta_alpha"]))
+    if kind == "coherent":
+        return CoherentState(_complex_pair(info["alpha"]))
+    if kind == "psi":
+        return None
+    raise ValueError(f"unknown state kind {kind!r}")
+
+
 # === closed-form evaluators ===
 
 

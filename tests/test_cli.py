@@ -320,6 +320,17 @@ class TestExitCodes:
             # sonify writes its WAV and its score, or neither
             assert not (tmp_path / "x.wav").exists()
 
+    def test_field_sidecar_fault_leaves_no_csv(self, tmp_path, capsys):
+        # field writes its CSV and its sidecar, or neither
+        out = tmp_path / "out.csv"
+        (tmp_path / "out.csv.json").mkdir()
+        assert cli_main(["field", "--state", "fock:1", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"{out}.json" in err
+        assert not out.exists()
+
     def test_sweep_nyquist_is_4_before_any_output(self, tmp_path, capsys):
         # a band topping out at 4 kHz reaches the 8 kHz Nyquist limit
         cfg_path, wav = tmp_path / "m.cfg", tmp_path / "x.wav"
@@ -808,6 +819,116 @@ class TestBenchmarkTracer:
         # each triangle adds its odd harmonics below Nyquist
         assert metrics["render.osc_sample_ops"] > 21 * 800
         assert "render.synth_triangle" in names
+
+
+# A minimal valid argv of each command and every flag's parsed value.
+_GRAMMAR = {
+    "eval": (
+        ["--state", "fock:0", "--r", "0", "--p", "-1.5"],
+        {"state": "fock:0", "r": 0.0, "p": -1.5},
+    ),
+    "field": (
+        ["--state", "fock:0", "--out", "f.csv"],
+        {"state": "fock:0", "grid": None, "out": "f.csv"},
+    ),
+    "moments": (["--field", "f.csv"], {"field": "f.csv", "out": None}),
+    "sonify": (
+        ["--state", "fock:1", "--method", "IV", "--out", "x.wav"],
+        {
+            "state": "fock:1", "method": "IV", "grid": None, "duration": 4.0, "sr": 48000,
+            "channels": 1, "out": "x.wav", "score": None, "config": None,
+        },
+    ),
+    "sweep": (
+        ["--out", "s.wav"],
+        {"out": "s.wav", "sr": 48000, "frame": 0.25, "channels": 1, "segments": None, "config": None},
+    ),
+    "sonogram": (
+        ["--audio", "a.wav", "--out", "s.csv"],
+        {"audio": "a.wav", "out": "s.csv", "window": 2048, "hop": 512},
+    ),
+    "score": (
+        ["--state", "fock:1", "--method", "I", "--out", "e.json"],
+        {
+            "state": "fock:1", "method": "I", "grid": None, "duration": 4.0, "channels": 2,
+            "arpeggiate": False, "out": "e.json", "config": None,
+        },
+    ),
+}
+
+# The flags each command requires, in the order argparse names them.
+_REQUIRED = {
+    "eval": "--state, --r, --p",
+    "field": "--state, --out",
+    "moments": "--field",
+    "sonify": "--state, --method, --out",
+    "sweep": "--out",
+    "sonogram": "--audio, --out",
+    "score": "--state, --method, --out",
+}
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("command", sorted(_GRAMMAR))
+    def test_minimal_argv_parses_to_pinned_values(self, command, monkeypatch):
+        from quasitone import cli
+
+        seen = []
+        monkeypatch.setattr(cli, "_run", lambda args: seen.append(vars(args)) or 0)
+        argv, values = _GRAMMAR[command]
+        assert cli_main([command, *argv]) == 0
+        assert seen == [{"command": command, **values}]
+        assert all(type(seen[0][k]) is type(v) for k, v in values.items())
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED))
+    def test_required_flags(self, command, capsys):
+        assert cli_main([command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: quasitone " + command)
+        assert err.endswith(f"error: the following arguments are required: {_REQUIRED[command]}\n")
+
+    def test_top_level_help_names_every_command(self, capsys):
+        assert cli_main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: quasitone ")
+        assert all(command in out for command in _GRAMMAR)
+
+    @pytest.mark.parametrize("command", sorted(_GRAMMAR))
+    def test_command_help_names_every_flag(self, command, capsys):
+        assert cli_main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: quasitone " + command)
+        assert all(f"--{flag}" in out for flag in _GRAMMAR[command][1])
+
+
+class TestOneParser:
+    def test_calls_in_one_process_do_not_leak(self, tmp_path, capsys):
+        evaluation = ["eval", "--state", "fock:0", "--r", "0", "--p", "0"]
+        assert cli_main([]) == 2
+        assert "usage:" in capsys.readouterr().err
+        assert cli_main(evaluation) == 0
+        first = capsys.readouterr().out
+        assert float(first) == pytest.approx(1.0 / math.pi, abs=1e-15)
+        assert cli_main(["--help"]) == 0
+        capsys.readouterr()
+        bad = ["sonify", "--state", "fock:0", "--method", "V", "--out", str(tmp_path / "x.wav")]
+        assert cli_main(bad) == 2
+        assert "invalid choice: 'V'" in capsys.readouterr().err
+        assert cli_main(evaluation) == 0
+        assert capsys.readouterr().out == first
+        assert not any(tmp_path.iterdir())
+
+    def test_no_parser_is_built_per_call(self, monkeypatch, capsys):
+        import argparse
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("cli_main built an ArgumentParser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert cli_main(["eval", "--state", "fock:0", "--r", "0", "--p", "0"]) == 0
+        assert cli_main(["sonify", "--help"]) == 0
+        assert cli_main(["score", "--method", "V"]) == 2
+        capsys.readouterr()
 
 
 class TestInstalledScript:
