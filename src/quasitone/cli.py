@@ -9,7 +9,8 @@ exception class:
   2  ValueError: an argument, grammar, config or out-of-range value,
      including a non-finite one, or a psi: or --config file that cannot
      be read (UsageFault is a ValueError)
-  3  CoverageError: the grid captures too little of the state
+  3  CoverageError: the grid captures too little of the state, or a
+     mass of the gate is not finite
   4  any other QuasitoneError, or an OSError: numeric or I/O failures
 """
 

@@ -37,6 +37,12 @@ COVERAGE_MIN = 0.99
 DEFAULT_CELLS = 64
 DEFAULT_HALF_WIDTH = 5.0
 
+# Most cells a built grid may hold: 1024 x 1024, 8 MB per float64 array of
+# its field. `field` on a grid this size peaks at about 310 MB RSS, most of
+# it the CSV text; the 512 x 512 coverage reference is the largest grid the
+# package builds for itself.
+MAX_CELLS = 1024 * 1024
+
 # Reference window for the coverage denominator: a half-width 10 square
 # around the state centroid at 512 cells per axis captures all but a
 # negligible sliver of every state this package evaluates. A sampled
@@ -48,6 +54,14 @@ _REF_CELLS = 512
 # Most absolute mass, by their bounds, that the reference rows skipped for
 # a sampled state may hold in all.
 _SKIP_BUDGET = 1e-9
+
+# Reference rows per evaluate call: 32 rows of 512 cells, 128 kB per
+# float64 array, which stay in cache. Fock 5's reference took 9.6, 7.2,
+# 6.2, 6.0 and 16.7 ms in blocks of 8, 16, 32, 64 and 512 rows (fastest of
+# 25 interleaved runs, 2-core x86-64 host). A 257-node sampled state's took
+# 34-43 ms at every size from 16 rows up, within the host's noise, but its
+# traced peak grows with the block: 3.6 MB at 32 rows against 6.8 MB at 64.
+_REF_BLOCK_ROWS = 32
 
 
 def edge_centers(edges):
@@ -77,9 +91,16 @@ class GridSpec:
                 raise InvalidBounds(f"{name} needs at least two edge values")
             if not np.all(np.isfinite(e)):
                 raise InvalidBounds(f"{name} contains non-finite values")
-            if not np.all(np.diff(e) > 0):
+            if not np.all(e[1:] > e[:-1]):
                 raise InvalidBounds(f"{name} must increase strictly")
+            _check_width(e[0], e[-1], name)
             object.__setattr__(self, name, e)
+        # every cell is at most as wide as its axis, so these diffs are finite
+        widest = (float(np.diff(self.r_edges).max()), float(np.diff(self.p_edges).max()))
+        if not math.isfinite(widest[0] * widest[1]):
+            raise InvalidBounds(
+                f"a cell of {widest[0]:.4g} x {widest[1]:.4g} has an area float64 cannot hold"
+            )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -131,20 +152,35 @@ class WignerField:
         return float(np.sum(np.abs(self.values) * self.grid.cell_areas))
 
 
+def _check_width(lo, hi, what):
+    """InvalidBounds when float64 cannot hold hi - lo; formed in Python
+    floats, which overflow to inf without a warning."""
+    if not math.isfinite(float(hi) - float(lo)):
+        raise InvalidBounds(f"{what} [{float(lo):.4g}, {float(hi):.4g}] is wider than float64 can hold")
+
+
+def _cell_counts(n_r, n_p) -> tuple[int, int]:
+    """(n_r, n_p) as ints: InvalidBounds unless each is a positive integer,
+    ValueError naming the count when they make more than MAX_CELLS cells."""
+    for n, axis in ((n_r, "r"), (n_p, "p")):
+        if int(n) != n or n < 1:
+            raise InvalidBounds(f"{axis} cell count must be a positive integer, got {n!r}")
+    n_r, n_p = int(n_r), int(n_p)
+    if n_r * n_p > MAX_CELLS:
+        raise ValueError(f"{n_r} x {n_p} = {n_r * n_p} cells exceed the limit of {MAX_CELLS}")
+    return n_r, n_p
+
+
 def build_regular(r_min, r_max, p_min, p_max, n_r, n_p) -> GridSpec:
     """Equidistant grid with n_r x n_p cells on [r_min,r_max]x[p_min,p_max]."""
-    for lo, hi, n, axis in ((r_min, r_max, n_r, "r"), (p_min, p_max, n_p, "p")):
+    n_r, n_p = _cell_counts(n_r, n_p)
+    for lo, hi, axis in ((r_min, r_max, "r"), (p_min, p_max, "p")):
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InvalidBounds(f"{axis} bounds must be finite")
         if not hi > lo:
             raise InvalidBounds(f"{axis} bounds reversed or empty: [{lo}, {hi}]")
-        if int(n) != n or n < 1:
-            raise InvalidBounds(f"{axis} cell count must be a positive integer, got {n!r}")
-    return GridSpec(
-        KIND_REGULAR,
-        np.linspace(r_min, r_max, int(n_r) + 1),
-        np.linspace(p_min, p_max, int(n_p) + 1),
-    )
+        _check_width(lo, hi, f"{axis} range")
+    return GridSpec(KIND_REGULAR, np.linspace(r_min, r_max, n_r + 1), np.linspace(p_min, p_max, n_p + 1))
 
 
 def _gaussian_edges(mu, sigma, n, span_sigmas):
@@ -173,17 +209,18 @@ def build_gaussian(moments, n_r, n_p, span_sigmas=3.0) -> GridSpec:
     narrowest at the center and the outer edges land exactly on the
     truncation points.
     """
-    if int(n_r) != n_r or n_r < 1 or int(n_p) != n_p or n_p < 1:
-        raise InvalidBounds("cell counts must be positive integers")
+    n_r, n_p = _cell_counts(n_r, n_p)
     if not (np.isfinite(span_sigmas) and span_sigmas > 0):
         raise InvalidBounds(f"span_sigmas must be positive and finite, got {span_sigmas!r}")
     for name, sigma in (("sigma_r", moments.sigma_r), ("sigma_p", moments.sigma_p)):
         if not (np.isfinite(sigma) and sigma > 0):
             raise DegenerateMoments(f"{name} = {sigma!r} cannot shape a grid")
+        half = float(sigma) * float(span_sigmas)
+        _check_width(-half, half, f"+-span_sigmas {name} window")
     return GridSpec(
         KIND_GAUSSIAN,
-        _gaussian_edges(moments.r0, moments.sigma_r, int(n_r), span_sigmas),
-        _gaussian_edges(moments.p0, moments.sigma_p, int(n_p), span_sigmas),
+        _gaussian_edges(moments.r0, moments.sigma_r, n_r, span_sigmas),
+        _gaussian_edges(moments.p0, moments.sigma_p, n_p, span_sigmas),
     )
 
 
@@ -251,9 +288,17 @@ def _reference_abs_mass(state: StateSpec) -> float:
     ref = build_regular(
         r0 - _REF_HALF, r0 + _REF_HALF, p0 - _REF_HALF, p0 + _REF_HALF, _REF_CELLS, _REF_CELLS
     )
-    rows = _counted_rows(state, ref) if isinstance(state, SampledState) else slice(None)
-    values = evaluate(state, ref.r_centers[rows, None], ref.p_centers)
-    return float(np.sum(np.abs(values) * ref.cell_areas[rows]))
+    rows = _counted_rows(state, ref) if isinstance(state, SampledState) else np.arange(_REF_CELLS)
+    r, p = ref.r_centers, ref.p_centers
+    heights, widths = np.diff(ref.r_edges), np.diff(ref.p_edges)
+    totals = np.empty(rows.size)
+    for lo in range(0, rows.size, _REF_BLOCK_ROWS):
+        block = rows[lo : lo + _REF_BLOCK_ROWS]
+        values = evaluate(state, r[block, None], p)
+        np.abs(values, out=values)
+        values *= heights[block, None] * widths  # the block's cell areas
+        totals[lo : lo + block.size] = values.sum(axis=1)
+    return float(np.sum(totals))
 
 
 def coverage(field: WignerField) -> float:
@@ -261,7 +306,11 @@ def coverage(field: WignerField) -> float:
 
     Both numerator and denominator are cell-center Riemann sums of |W|;
     the denominator comes from a wide fixed reference window, 512 x 512
-    cells over the state centroid +- 10. Clamped to [0, 1].
+    cells over the state centroid +- 10, evaluated and summed in blocks of
+    rows: each row's total first, then the sum of the row totals, so its
+    value does not depend on the block size. A mass that is not finite,
+    the field's or the reference's, raises CoverageError naming the grid's
+    bounds. Clamped to [0, 1].
 
     For a SampledState the denominator skips reference rows whose mass is
     provably negligible. states.transform_bound(state, r) bounds |W(r, p)|
@@ -276,10 +325,16 @@ def coverage(field: WignerField) -> float:
     """
     if field.state is None:
         raise ValueError("field has no state attached; coverage needs the source state")
-    ref = _reference_abs_mass(field.state)
+    mass, ref = field.abs_mass, _reference_abs_mass(field.state)
+    if not (math.isfinite(mass) and math.isfinite(ref)):
+        r_lo, r_hi, p_lo, p_hi = field.grid.bounds
+        raise CoverageError(
+            f"absolute mass {mass!r} of the grid on r in [{r_lo:.6g}, {r_hi:.6g}], "
+            f"p in [{p_lo:.6g}, {p_hi:.6g}], against the reference {ref!r}: both must be finite"
+        )
     if ref <= 0:
         return 0.0
-    return float(min(1.0, field.abs_mass / ref))
+    return float(min(1.0, mass / ref))
 
 
 def require_coverage(field: WignerField) -> float:

@@ -455,6 +455,47 @@ class TestFarAndUnresolvable:
         assert side["r_edges"] == (1e14 - 5.0 + 0.15625 * np.arange(65)).tolist()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGridsThatCannotBeHeld:
+    """A grid with more than MAX_CELLS cells, or with a width or a cell area
+    that float64 cannot hold, is refused naming the grid before any array
+    of its size exists; a mass that is not finite fails the coverage gate
+    instead of reading as full coverage."""
+
+    @pytest.mark.parametrize(
+        "grid, refused",
+        [
+            ("regular:1025:-5:5", "1025 x 1025 = 1050625 cells exceed the limit of 1048576"),
+            ("gauss:1025:3", "1025 x 1025 = 1050625 cells exceed the limit of 1048576"),
+            ("regular:64:-1e308:1e308", "r range [-1e+308, 1e+308] is wider than float64 can hold"),
+            ("gauss:8:1e308", "+-span_sigmas sigma_r window [-1.225e+308, 1.225e+308] is wider than float64 can hold"),
+            ("regular:64:-1e200:1e200", "a cell of 3.125e+198 x 3.125e+198 has an area float64 cannot hold"),
+        ],
+        ids=["count-regular", "count-gauss", "width-regular", "width-gauss", "cell-area"],
+    )
+    def test_grid_is_2_naming_it(self, grid, refused, tmp_path, capsys):
+        argv = ["field", "--state", "fock:1", "--grid", grid, "--out", str(tmp_path / "f.csv")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: grid {grid!r}: {refused}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["field", "sonify"])
+    @pytest.mark.parametrize("broken", ["field", "reference"])
+    def test_mass_that_is_not_finite_is_3_naming_the_grid(self, command, broken, tmp_path, capsys, monkeypatch):
+        from quasitone import WignerField, cli, grids
+
+        if broken == "field":
+            monkeypatch.setattr(cli, "sample_field", lambda s, g: WignerField(g, np.full(g.shape, np.nan), s))
+        else:
+            monkeypatch.setattr(grids, "_reference_abs_mass", lambda state: math.inf)
+        argv = [command, "--state", "fock:1", "--grid", "regular:8:-5:5", "--out", str(tmp_path / "out")]
+        assert cli_main(argv + (["--method", "IV"] if command == "sonify" else [])) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: absolute mass ") and err.count("\n") == 1
+        assert "of the grid on r in [-5, 5], p in [-5, 5]" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def _valid_csv_input(source, tmp_path):
     """A valid Fock 0 field CSV, read by moments, or a ground-state
     wavefunction CSV, read by eval; returns its path and that argv."""

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +64,39 @@ class TestBuildRegular:
     def test_nonmonotone_edges_rejected(self):
         with pytest.raises(InvalidBounds):
             GridSpec(KIND_REGULAR, np.array([0.0, 2.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+
+    def test_cell_count_limit(self, monkeypatch):
+        side = math.isqrt(grids.MAX_CELLS)
+        assert build_regular(0, 1, 0, 1, side, side).shape == (side, side)
+        over = f"^{side + 1} x {side} = {(side + 1) * side} cells exceed the limit of {grids.MAX_CELLS}$"
+        with pytest.raises(ValueError, match=over):
+            build_regular(0, 1, 0, 1, side + 1, side)
+        # refused before any edge is computed
+        moments = compute_moments(sample_field(FockState(0), default_grid(FockState(0))))
+        monkeypatch.setattr(grids, "_gaussian_edges", lambda *a: pytest.fail("edges computed"))
+        with pytest.raises(ValueError, match=r"^100000 x 100000 = 10000000000 cells exceed"):
+            build_gaussian(moments, 100000, 100000)
+
+    def test_width_float64_cannot_hold_is_refused(self):
+        # a RuntimeWarning is an error under this suite, so each refusal
+        # comes before numpy forms the width
+        with pytest.raises(InvalidBounds, match=r"^p range \[-1e\+308, 1e\+308\] is wider than float64 can hold$"):
+            build_regular(-1, 1, -1e308, 1e308, 4, 4)
+        with pytest.raises(InvalidBounds, match=r"^r_edges \[-1e\+308, 1e\+308\] is wider"):
+            GridSpec(KIND_REGULAR, np.array([-1e308, 0.0, 1e308]), np.array([0.0, 1.0]))
+
+        class M:
+            r0, p0, sigma_r, sigma_p = 0.0, 0.0, 1.0, 1e300
+
+        with pytest.raises(InvalidBounds, match=r"^\+-span_sigmas sigma_p window \[-1e\+308, 1e\+308\] is wider"):
+            build_gaussian(M(), 4, 4, span_sigmas=1e8)
+
+    def test_cell_area_float64_cannot_hold_is_refused(self):
+        with pytest.raises(InvalidBounds, match=r"^a cell of 1e\+160 x 1e\+160 has an area float64 cannot hold$"):
+            GridSpec(KIND_REGULAR, np.array([0.0, 1e160]), np.array([-1.0, 0.0, 1e160]))
+        with pytest.raises(InvalidBounds, match=r"^a cell of 3.125e\+198 x 3.125e\+198 has an area"):
+            build_regular(-1e200, 1e200, -1e200, 1e200, 64, 64)
+        assert build_regular(-1e200, 1e200, 0, 1, 64, 4).shape == (64, 4)
 
 
 class TestBuildGaussian:
@@ -184,6 +219,17 @@ class TestDefaultGridAndCoverage:
     def test_coverage_clamped_to_one(self, fock0_field):
         c = coverage(fock0_field)
         assert 0.0 <= c <= 1.0
+
+    @pytest.mark.parametrize("broken", ["field", "reference"])
+    def test_mass_that_is_not_finite_is_refused_naming_the_grid(self, broken, monkeypatch):
+        # min(1.0, nan) is 1.0: a NaN mass once read as full coverage
+        f = sample_field(FockState(1), build_regular(-5, 5, -4, 6, 8, 8))
+        if broken == "field":
+            f = WignerField(f.grid, np.full(f.grid.shape, np.nan), f.state)
+        else:
+            monkeypatch.setattr(grids, "_reference_abs_mass", lambda state: math.inf)
+        with pytest.raises(CoverageError, match=r"grid on r in \[-5, 5\], p in \[-4, 6\].*must be finite"):
+            coverage(f)
 
     def test_coverage_needs_state(self):
         g = build_regular(-1, 1, -1, 1, 4, 4)
@@ -369,15 +415,46 @@ class TestReferenceRowBound:
         assert np.sum(dense[skipped]) <= np.sum(budget[skipped]) < grids._SKIP_BUDGET
         assert np.any(np.diff(rows) > 1) == gaps
         got = grids._reference_abs_mass.__wrapped__(state)
-        assert got == pytest.approx(np.sum(dense[rows]), rel=1e-13)
+        assert got == np.sum(dense[rows])
         assert abs(got - np.sum(dense)) <= np.sum(budget[skipped])
 
     def test_closed_forms_take_every_row(self):
-        # the closed-form path is the dense sum over the whole window
-        state = CatState(-1.5 + 0.5j)
-        r0, p0 = state_centroid(state)
-        ref = build_regular(r0 - 10, r0 + 10, p0 - 10, p0 + 10, 512, 512)
-        assert grids._reference_abs_mass.__wrapped__(state) == sample_field(state, ref).abs_mass
+        # the closed-form path sums the dense window's row totals; the flat
+        # sum of its cells differs in the last place for this cat
+        for state in (CatState(-1.5 + 0.5j), CatState(0.05), FockState(3), FockState(8), CoherentState(0.8 - 0.6j)):
+            r0, p0 = state_centroid(state)
+            ref = build_regular(r0 - 10, r0 + 10, p0 - 10, p0 + 10, 512, 512)
+            dense = np.abs(sample_field(state, ref).values) * ref.cell_areas
+            assert grids._reference_abs_mass.__wrapped__(state) == np.sum(np.sum(dense, axis=1))
+
+    @pytest.mark.parametrize(
+        "state",
+        [CatState(-1.5 + 0.5j), _sampled(lambda x: harmonic_eigenstate(1, x), 257)],
+        ids=["cat", "sampled-257"],
+    )
+    def test_value_does_not_depend_on_the_block_size(self, state, monkeypatch):
+        values = set()
+        for rows in (1, 7, 32, 512):
+            monkeypatch.setattr(grids, "_REF_BLOCK_ROWS", rows)
+            values.add(grids._reference_abs_mass.__wrapped__(state))
+        assert len(values) == 1
+
+    @pytest.mark.parametrize(
+        "state, arrays",
+        [(FockState(8), 1), (_sampled(lambda x: harmonic_eigenstate(1, x), 257), 2)],
+        ids=["fock8", "sampled-257"],
+    )
+    def test_reference_holds_less_than_whole_window_arrays(self, state, arrays):
+        # one float64 array over the 512 x 512 window is 2 MB; the whole
+        # window in one call peaked at 14.7 and 8.0 MB for these states
+        grids._reference_abs_mass.__wrapped__(state)  # numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            grids._reference_abs_mass.__wrapped__(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arrays * grids._REF_CELLS**2 * 8
 
     def test_window_outside_the_span_is_refused_before_evaluation(self, monkeypatch):
         # an 8-wide span holds the state but not the centroid +- 10 window

@@ -513,9 +513,13 @@ class TestTransformTable:
         assert calls == [64]
 
     def test_one_lattice_decision_for_the_coverage_reference(self, monkeypatch):
+        # the reference evaluates its counted rows in blocks, one call each
         calls = self._counted_lattice(monkeypatch)
+        rows, evaluate = [], grids.evaluate
+        monkeypatch.setattr(grids, "evaluate", lambda s, r, p: rows.append(r.size) or evaluate(s, r, p))
         grids._reference_abs_mass.__wrapped__(self.STATE)
-        assert calls == [512]
+        assert len(rows) > 1 and max(rows) == grids._REF_BLOCK_ROWS
+        assert calls == [512] * len(rows)
 
     def test_points_that_do_not_fill_the_table_take_the_dense_product(self, monkeypatch):
         # a diagonal of a 512-value lattice: chirp-z would sum 512^2 cells
