@@ -47,7 +47,6 @@ from .grids import (
 from .render import (
     DEFAULT_SAMPLE_RATE,
     AudioBuffer,
-    Sonogram,
     SonogramStream,
     SweepTrajectory,
     default_trajectory,

@@ -38,16 +38,26 @@ class MomentSet:
 
 def _axis_stats(weights, coords, total):
     """Center, spread, skewness, and kurtosis from one axis's marginals,
-    one per row of weights (..., n) over coords (..., n)."""
-    mean = np.sum(weights * coords, axis=-1) / total
-    d = coords - mean[..., None]
-    d2 = d * d  # the higher powers from products: d**3 and d**4 go through libm pow
-    m2 = np.sum(weights * d2, axis=-1) / total
+    one per row of weights (..., n) over coords (..., n).
+
+    A moment that float64 cannot hold, as on cells far from the origin, is
+    refused with DegenerateMoments naming its value, without a
+    RuntimeWarning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.sum(weights * coords, axis=-1) / total
+        d = coords - mean[..., None]
+        d2 = d * d  # the higher powers from products: d**3 and d**4 go through libm pow
+        m2 = np.sum(weights * d2, axis=-1) / total
+        m3 = np.sum(weights * (d2 * d), axis=-1) / total
+        m4 = np.sum(weights * (d2 * d2), axis=-1) / total
     bad = np.asarray(m2)[~(np.isfinite(m2) & (m2 > 0))]
     if bad.size:
         raise DegenerateMoments(f"second central moment {float(bad[0])!r} is not positive")
-    m3 = np.sum(weights * (d2 * d), axis=-1) / total
-    m4 = np.sum(weights * (d2 * d2), axis=-1) / total
+    for order, m in (("third", m3), ("fourth", m4)):
+        bad = np.asarray(m)[~np.isfinite(m)]
+        if bad.size:
+            raise DegenerateMoments(f"{order} central moment {float(bad[0])!r} is not finite")
     # float_power goes through libm pow, as a Python float ** does
     return mean, np.sqrt(m2), m3 / np.float_power(m2, 1.5), m4 / np.float_power(m2, 2)
 
@@ -130,5 +140,8 @@ def moments_to_json(moments: MomentSet) -> str:
 
 
 def write_moments(moments: MomentSet, path) -> None:
+    """Write moments_to_json's text; serialized before the file is opened,
+    so a moment that cannot be serialized leaves no file."""
+    text = moments_to_json(moments)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(moments_to_json(moments))
+        fh.write(text)

@@ -35,10 +35,10 @@ from .grids import (
 )
 from .render import (
     DEFAULT_SAMPLE_RATE,
-    SonogramStream,
     SweepTrajectory,
     read_wav,
     render_sweep,
+    stft_sonogram,
     sweep_cfg,
     synth,
     write_sonogram_csv,
@@ -56,10 +56,6 @@ from .sonify import (
 )
 from .states import CatState, CoherentState, FockState, SampledState
 from .textfmt import fmt17, read_csv_table
-
-# perfbench/layers.py wraps this name by getattr; the sonogram command
-# streams through render.SonogramStream instead.
-from .render import stft_sonogram  # noqa: F401, E402
 
 
 class UsageFault(ValueError):
@@ -275,7 +271,7 @@ def _run(args) -> int:
 
     if args.command == "sonogram":
         # checks window, hop and length before the CSV is opened
-        sono = SonogramStream(read_wav(args.audio), window=args.window, hop=args.hop)
+        sono = stft_sonogram(read_wav(args.audio), window=args.window, hop=args.hop)
         write_sonogram_csv(sono, args.out)
         return 0
 

@@ -12,6 +12,10 @@ same input renders to the same bytes on every run.
 
 render_sweep takes each frame's field, moments and envelope bank as arrays
 over its frames, so every frame is known before any audio is rendered.
+
+The sonogram is one type, SonogramStream: it computes its spectrum a batch
+of frames at a time, and write_sonogram_csv writes each batch as it comes,
+so no whole matrix of the sonogram is ever held.
 """
 
 from __future__ import annotations
@@ -50,6 +54,17 @@ DB_FLOOR = -120.0
 _STFT_CHUNK_SAMPLES = 1 << 15
 
 
+# Most samples, times channels, that synth or render_sweep may render: 2**26,
+# which holds the default 273 s sweep at 4 channels (52.4 million). At the
+# limit `sonify` (mapping IV) and `sweep` each peak at about 550 MB RSS, mono
+# or 4 channels; the float64 mix alone is 512 MB (2-core x86-64 host).
+MAX_SAMPLES = 1 << 26
+
+# Most frames a sweep may take: 2**17, 60 times the default sweep's 2184.
+# Every frame's moments and bank are held at once: a 4-channel `sweep` at
+# the limit peaks at about 254 MB RSS and takes 18 s (same host).
+MAX_SWEEP_FRAMES = 1 << 17
+
 # float64 values per chunk of the in-place float32 cast of a mix.
 _CAST_CHUNK = 1 << 16
 
@@ -65,6 +80,20 @@ _FIELD_FRAMES = 32
 # such frames took the default sweep's audio 0.59, 0.47, 0.65 and 0.62 s;
 # the larger chunks' arrays no longer stay in cache (same host).
 _AUDIO_SAMPLES = 4 * 12000
+
+
+def _sample_count(what, seconds, sample_rate, channels) -> int:
+    """round(seconds * sample_rate) as an int. ValueError naming the count
+    when that many samples times channels exceed MAX_SAMPLES, or when
+    float64 cannot hold the product (the count reads inf)."""
+    n = seconds * sample_rate
+    count = round(n) * channels if math.isfinite(n) else math.inf
+    if count > MAX_SAMPLES:
+        raise ValueError(
+            f"{what} of {seconds!r} s at {sample_rate} Hz is {count} samples over "
+            f"{channels} channel(s), above the limit of {MAX_SAMPLES}"
+        )
+    return round(n)
 
 
 def _whole_rate(sample_rate) -> int:
@@ -219,15 +248,14 @@ def _accumulate(freq, amp, triangle, phases, gains, out, sample_rate):
             out[..., start:stop, :] += block.reshape(*lead, stop - start, n_ch)
 
 
-def _fade_window(n, sample_rate):
-    """Unity window with 10 ms raised-cosine ramps at both ends."""
-    w = np.ones(n, dtype=float)
-    L = min(int(round(FADE_SECONDS * sample_rate)), n // 2)
+def _fade(out, sample_rate):
+    """Apply 10 ms raised-cosine ramps to both ends of out (n, channels),
+    in place; the samples between them keep unit gain."""
+    L = min(int(round(FADE_SECONDS * sample_rate)), out.shape[0] // 2)
     if L >= 2:
         ramp = 0.5 * (1.0 - np.cos(math.pi * np.arange(L) / (L - 1)))
-        w[:L] *= ramp
-        w[-L:] *= ramp[::-1]
-    return w
+        out[:L] *= ramp[:, None]
+        out[-L:] *= ramp[::-1, None]
 
 
 def _normalized_f32(out):
@@ -257,12 +285,10 @@ def synth(bank: PartialBank, sample_rate=DEFAULT_SAMPLE_RATE, gains=None) -> Aud
     channel gains; omitted, the render is mono at unit gain. The mix gets
     10 ms raised-cosine ramps at both ends and a master normalization to
     peak 0.891 (-1 dBFS). Raises NyquistViolation if any partial reaches
-    half the sample rate.
+    half the sample rate, and ValueError, before any sample exists, if the
+    note's samples times channels exceed MAX_SAMPLES.
     """
     sample_rate = _whole_rate(sample_rate)
-    n = int(round(bank.duration * sample_rate))
-    if n < 1:
-        raise ValueError("bank too short to render a single sample")
     n_partials = bank.freq.size
     if gains is None:
         gains = np.ones((n_partials, 1), dtype=float)
@@ -273,9 +299,12 @@ def synth(bank: PartialBank, sample_rate=DEFAULT_SAMPLE_RATE, gains=None) -> Aud
         bad = gains[~np.isfinite(gains)]
         if bad.size:
             raise ValueError(f"gains must be finite, got {float(bad[0])!r}")
+    n = _sample_count("note", bank.duration, sample_rate, gains.shape[1])
+    if n < 1:
+        raise ValueError("bank too short to render a single sample")
     out = np.zeros((n, gains.shape[1]), dtype=float)
     _accumulate(bank.freq, bank.amp, bank.triangle, bank.phase, gains, out, sample_rate)
-    out *= _fade_window(n, sample_rate)[:, None]
+    _fade(out, sample_rate)
     return AudioBuffer(_normalized_f32(out), sample_rate)
 
 
@@ -381,7 +410,9 @@ def render_sweep(
     frames, then every frame's bank at once, then the audio of each chunk
     of frames through synth's oscillator kernel with a leading frame axis.
     So a fault in any frame (a partial at Nyquist, a degenerate field)
-    raises before any audio is rendered.
+    raises before any audio is rendered. More than MAX_SAMPLES samples
+    times channels, or more than MAX_SWEEP_FRAMES frames, raise ValueError
+    before anything of that size exists.
 
     Defaults reproduce the 273 s path; cfg defaults to the sigma_r-anchored
     envelope so every partial stays inside the audible band end to end.
@@ -393,12 +424,16 @@ def render_sweep(
         raise ValueError(f"frame_seconds must be positive and finite, got {frame_seconds!r}")
     if isinstance(channels, bool) or channels not in (1, 2, 4):
         raise ValueError(f"channels must be 1, 2, or 4, got {channels!r}")
-    n_total = int(round(trajectory.total_seconds * sample_rate))
-    n_frame = int(round(frame_seconds * sample_rate))
+    n_total = _sample_count("sweep", trajectory.total_seconds, sample_rate, channels)
+    n_frame = _sample_count("frame", frame_seconds, sample_rate, channels)
     if n_frame < 4 or n_total < n_frame:
         raise ValueError("trajectory shorter than a single frame")
     hop = n_frame // 2
     starts = range(0, n_total, hop)
+    if len(starts) > MAX_SWEEP_FRAMES:
+        raise ValueError(
+            f"{len(starts)} frames of {frame_seconds!r} s exceed the limit of {MAX_SWEEP_FRAMES}"
+        )
     shifts = np.array([trajectory.delta_alpha_at(start / sample_rate) for start in starts])
     r0, p0, sigma_r = _frame_moments(shifts)
     freq, amp = envelope(r0, sigma_r, cfg)
@@ -442,33 +477,16 @@ def render_sweep(
 
 
 @dataclass(frozen=True, eq=False)
-class Sonogram:
-    """Short-time magnitude spectrum in dB: times by frequencies."""
-
-    times: np.ndarray
-    freqs: np.ndarray
-    magnitude_db: np.ndarray
-
-    def __post_init__(self):
-        if self.magnitude_db.shape != (self.times.size, self.freqs.size):
-            raise ValueError("magnitude matrix must be (n_times, n_freqs)")
-
-    def chunks(self):
-        """(times, magnitude_db) for blocks of about _STFT_CHUNK_SAMPLES cells."""
-        per = max(1, _STFT_CHUNK_SAMPLES // self.freqs.size)
-        for lo in range(0, self.times.size, per):
-            yield self.times[lo : lo + per], self.magnitude_db[lo : lo + per]
-
-
-@dataclass(frozen=True, eq=False)
 class SonogramStream:
-    """The sonogram of a buffer, computed a batch of frames at a time.
+    """The Hann-windowed short-time spectrum of a buffer, channels averaged,
+    computed a batch of frames at a time.
 
-    Checks window, hop and the audio's length when made, so that a caller
-    can refuse before it opens any output: ValueError for window < 8 or
-    hop < 1, BufferTooShort for audio shorter than one window. chunks()
-    computes the spectrum afresh on each call; the memory it takes does not
-    grow with the length of the audio.
+    Magnitudes are scaled so a full-scale sine reads near 0 dB, then
+    floored at DB_FLOOR. Checks window, hop and the audio's length when
+    made, so that a caller can refuse before it opens any output:
+    ValueError for window < 8 or hop < 1, BufferTooShort for audio shorter
+    than one window. chunks() computes the spectrum afresh on each call;
+    the memory it takes does not grow with the length of the audio.
     """
 
     buffer: AudioBuffer
@@ -487,6 +505,11 @@ class SonogramStream:
         return 1 + (self.buffer.samples.shape[0] - self.window) // self.hop
 
     @property
+    def times(self) -> np.ndarray:
+        """Each frame's centre time in seconds."""
+        return (np.arange(self.n_frames) * self.hop + self.window / 2.0) / self.buffer.sample_rate
+
+    @property
     def freqs(self) -> np.ndarray:
         return np.fft.rfftfreq(self.window, 1.0 / self.buffer.sample_rate)
 
@@ -499,10 +522,11 @@ class SonogramStream:
         log10 and * 20. Every step acts on one sample or one frame, so each
         value has the same bits whatever the batch.
         """
-        window, hop, sr = self.window, self.hop, self.buffer.sample_rate
+        window, hop = self.window, self.hop
         w = np.hanning(window)
         scale = 2.0 / float(np.sum(w))
-        n_frames = self.n_frames
+        times = self.times
+        n_frames = times.size
         per = max(1, _STFT_CHUNK_SAMPLES // window)
         for lo in range(0, n_frames, per):
             hi = min(lo + per, n_frames)
@@ -519,35 +543,26 @@ class SonogramStream:
             np.maximum(db, 10.0 ** (DB_FLOOR / 20.0), out=db)
             np.log10(db, out=db)
             db *= 20.0
-            yield (np.arange(lo, hi) * hop + window / 2.0) / sr, db
+            yield times[lo:hi], db
 
 
-def stft_sonogram(buffer: AudioBuffer, window=2048, hop=512) -> Sonogram:
+def stft_sonogram(buffer: AudioBuffer, window=2048, hop=512) -> SonogramStream:
     """Hann-windowed short-time spectrum of the buffer, channels averaged,
-    as one matrix.
+    as a SonogramStream, checked as SonogramStream checks it.
 
-    Magnitudes are scaled so a full-scale sine reads near 0 dB, then
-    floored at -120 dB. The rows are SonogramStream's chunks, laid end to
-    end; write_sonogram_csv takes a SonogramStream directly, without the
-    matrix. Raises BufferTooShort when the audio is shorter than one
-    window.
+    The sonogram command calls this rather than SonogramStream itself,
+    because perfbench/layers.py wraps this name to count the frames; the
+    spectrum itself is computed as write_sonogram_csv reads the chunks.
     """
-    stream = SonogramStream(buffer, window, hop)
-    freqs = stream.freqs
-    times, db = np.empty(stream.n_frames), np.empty((stream.n_frames, freqs.size))
-    lo = 0
-    for t, d in stream.chunks():  # into the matrix, not through a list of chunks
-        times[lo : lo + t.size], db[lo : lo + t.size] = t, d
-        lo += t.size
-    return Sonogram(times=times, freqs=freqs, magnitude_db=db)
+    return SonogramStream(buffer, window, hop)
 
 
-def write_sonogram_csv(sono: Sonogram | SonogramStream, path) -> None:
+def write_sonogram_csv(sono: SonogramStream, path) -> None:
     """CSV with the frequency axis across the first row and times down the
     first column; the corner cell is empty.
 
-    sono is a Sonogram or a SonogramStream; rows go out a chunk at a time,
-    so a stream is written without its whole matrix or text in memory.
+    Rows go out a chunk of sono.chunks() at a time, so the sonogram is
+    written without its whole matrix or text in memory.
     Every value is written as format(v, ".9g"). Most cells of a sweep's
     sonogram sit exactly at DB_FLOOR, whose text is "-120": each run of
     such cells is a slice of one precomputed ",-120" * n_freqs string, and

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import fields
@@ -64,6 +65,22 @@ class TestMoments:
         v[4, 4] = 1.0 / g.cell_areas[4, 4]
         with pytest.raises(DegenerateMoments):
             compute_moments(WignerField(g, v))
+
+    def test_far_cells_refused_without_warning(self):
+        # gauss:8:1e150 puts the outer cell centers near +-3.5e149: d**3
+        # overflows there, and a zero weight times inf is NaN
+        state = FockState(0)
+        far = sample_field(state, parse_grid("gauss:8:1e150", state))
+        with pytest.raises(DegenerateMoments, match=r"^third central moment nan is not finite$"):
+            compute_moments(far)
+        # array-wise, as the sweep's stacks are checked: a finite field
+        # first in the stack does not hide the far one
+        near = sample_field(state, parse_grid("gauss:8:3", state))
+        values = np.stack([near.values, far.values])
+        r_edges = np.stack([near.grid.r_edges, far.grid.r_edges])
+        p_edges = np.stack([near.grid.p_edges, far.grid.p_edges])
+        with pytest.raises(DegenerateMoments, match="third central moment nan"):
+            stacked_moments(values, r_edges, p_edges)
 
 
 def _meshgrid_moments(field):
@@ -181,6 +198,13 @@ class TestMomentsIo:
         assert sorted(data) == sorted(
             ["r0", "p0", "sigma_r", "sigma_p", "skew_r", "skew_p", "kurt_r", "kurt_p", "negativity"]
         )
+
+    def test_unserializable_moment_leaves_no_file(self, tmp_path, fock0_field):
+        m = dataclasses.replace(compute_moments(fock0_field), kurt_r=math.nan)
+        path = tmp_path / "moments.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_moments(m, path)
+        assert not path.exists()
 
     def test_json_byte_stable(self, fock0_field):
         m = compute_moments(fock0_field)

@@ -496,6 +496,62 @@ class TestGridsThatCannotBeHeld:
         assert list(tmp_path.iterdir()) == []
 
 
+def _package_env():
+    """os.environ with this checkout's src directory first on PYTHONPATH."""
+    src = str(Path(quasitone.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _limited_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+class TestRendersThatCannotBeHeld:
+    """A render of more samples or sweep frames than render's limits is
+    refused naming the count, exit 2, before anything of its size exists.
+    Each runs as its own process under a 3 GiB address-space limit, so
+    that a render the limits miss fails fast instead of filling memory."""
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["sonify", "--state", "fock:1", "--method", "IV", "--duration", "1e7"],
+             "note of 10000000.0 s at 48000 Hz is 480000000000 samples over 1 channel(s)"),
+            (["sweep", "--segments", "0:-1:1e7"],
+             "sweep of 10000000.0 s at 48000 Hz is 480000000000 samples over 1 channel(s)"),
+            (["sweep", "--channels", "4", "--segments", "0:-1:350"],
+             "sweep of 350.0 s at 48000 Hz is 67200000 samples over 4 channel(s)"),
+            (["sweep", "--frame", "0.001", "--segments", "0:-1:65.537"],
+             "131074 frames of 0.001 s exceed the limit of 131072"),
+        ],
+        ids=["sonify-duration", "sweep-segments", "sweep-channels", "sweep-frames"],
+    )
+    def test_render_is_2_naming_the_count(self, argv, refused, tmp_path):
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "quasitone.cli", *argv,
+             "--out", "x.wav"],
+            capture_output=True, text=True, cwd=tmp_path, env=_package_env(), timeout=120,
+            preexec_fn=_limited_address_space,
+        )
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.startswith(f"error: {refused}") and res.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_far_field_moments_is_4_leaving_no_file(self, tmp_path, capsys):
+        # the outer cells of gauss:8:1e150 sit near +-3.5e149, where d**3 overflows
+        field = str(tmp_path / "f.csv")
+        assert cli_main(["field", "--state", "fock:0", "--grid", "gauss:8:1e150", "--out", field]) == 3
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        assert cli_main(["moments", "--field", field, "--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", "error: third central moment nan is not finite\n")
+        assert not out.exists()
+
+
 def _valid_csv_input(source, tmp_path):
     """A valid Fock 0 field CSV, read by moments, or a ground-state
     wavefunction CSV, read by eval; returns its path and that argv."""
@@ -838,7 +894,8 @@ def _traced_metrics(argv):
 
 class TestBenchmarkTracer:
     """The benchmark counts partials and oscillator work through
-    PartialBank.partials; these runs keep that view working."""
+    PartialBank.partials, and sonogram frames through the stream that
+    stft_sonogram returns; these runs keep those views working."""
 
     def test_mapping_one_counts(self, tmp_path):
         metrics, names = _traced_metrics(
@@ -860,6 +917,16 @@ class TestBenchmarkTracer:
         # each triangle adds its odd harmonics below Nyquist
         assert metrics["render.osc_sample_ops"] > 21 * 800
         assert "render.synth_triangle" in names
+
+    def test_sonogram_counts(self, tmp_path):
+        wav, csv = tmp_path / "tone.wav", tmp_path / "sono.csv"
+        t = np.arange(20000) / 8000
+        quasitone.write_wav(quasitone.AudioBuffer(0.5 * np.sin(2 * np.pi * 440.0 * t), 8000), wav)
+        metrics, names = _traced_metrics(["sonogram", "--audio", str(wav), "--out", str(csv)])
+        rows = csv.read_text().splitlines()[1:]
+        assert metrics["render.stft_frames"] == len(rows) == 1 + (20000 - 2048) // 512
+        assert metrics["render.sono_csv_bytes"] == csv.stat().st_size
+        assert {"render.stft", "render.sono_csv"} <= names
 
 
 # A minimal valid argv of each command and every flag's parsed value.
@@ -991,15 +1058,13 @@ class TestInstalledScript:
 
     def test_import_leaves_scipy_out(self):
         # every command pays for what importing the package imports
-        src = str(Path(quasitone.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import sys, quasitone.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         res = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env(),
+            check=True,
         )
         assert res.stdout.strip() == "[]"
 

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from quasitone import (
 )
 from quasitone import render
 from quasitone.cli import cli_main
-from quasitone.render import DB_FLOOR, Sonogram, SonogramStream
+from quasitone.render import DB_FLOOR, SonogramStream
 
 TARGET_PEAK = 10.0 ** (-1.0 / 20.0)
 
@@ -443,8 +444,7 @@ class TestRenderSweep:
 
         sr = 8000
         buf = render_sweep(trajectory=traj, cfg=cfg_sweep, sample_rate=sr)
-        sono = stft_sonogram(buf, window=2048, hop=1024)
-        interior = sono.magnitude_db[2:-2]
+        interior = sonogram_db(stft_sonogram(buf, window=2048, hop=1024))[2:-2]
         peaks = np.argmax(interior, axis=1)
         assert np.all(peaks == peaks[0])
 
@@ -455,8 +455,8 @@ class TestRenderSweep:
         sr = 48000
         buf = render_sweep(trajectory=traj, sample_rate=sr)
         window = 8192
-        sono = stft_sonogram(buf, window=window, hop=window)
-        frame = sono.magnitude_db[len(sono.magnitude_db) // 2]
+        db = sonogram_db(stft_sonogram(buf, window=window, hop=window))
+        frame = db[len(db) // 2]
 
         state = CatState(-3.0)
         m = compute_moments(sample_field(state, default_grid(state)))
@@ -469,6 +469,51 @@ class TestRenderSweep:
         coeffs = np.polyfit(freqs - freqs.mean(), dbs, 2)
         sigma_f = math.sqrt(-10.0 * math.log10(math.e) / coeffs[0])
         assert sigma_f == pytest.approx(cfg_sweep.q_slope * m.sigma_r, rel=0.05)
+
+
+class TestRenderSizeLimits:
+    """More samples times channels than MAX_SAMPLES, or more sweep frames
+    than MAX_SWEEP_FRAMES, are refused naming the count before any audio
+    is rendered; a render at a limit is made. Checked against small
+    limits."""
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_synth_samples(self, channels, monkeypatch):
+        monkeypatch.setattr(render, "MAX_SAMPLES", 800 * channels)
+        gains = None if channels == 1 else np.full((1, channels), 0.5)
+        buf = synth(one_partial_bank(duration=0.1), sample_rate=8000, gains=gains)
+        assert buf.samples.shape == (800, channels)
+        monkeypatch.setattr(render, "_accumulate", None)
+        refused = (
+            rf"^note of 0.1001 s at 8000 Hz is {801 * channels} samples over {channels} "
+            rf"channel\(s\), above the limit of {800 * channels}$"
+        )
+        with pytest.raises(ValueError, match=refused):
+            synth(one_partial_bank(duration=0.1001), sample_rate=8000, gains=gains)
+        with pytest.raises(ValueError, match=r"^note of 1e\+305 s at 8000 Hz is inf samples"):
+            synth(one_partial_bank(duration=1e305), sample_rate=8000, gains=gains)
+
+    def test_sweep_samples_and_frames(self, monkeypatch):
+        traj = SweepTrajectory(((0j, -1 + 0j, 1.0),))
+        # 8000 samples in frames of 400 every 200 samples: 40 frames
+        monkeypatch.setattr(render, "MAX_SAMPLES", 16000)
+        monkeypatch.setattr(render, "MAX_SWEEP_FRAMES", 40)
+        buf = render_sweep(traj, sample_rate=8000, frame_seconds=0.05, channels=2)
+        assert buf.samples.shape == (8000, 2)
+        monkeypatch.setattr(render, "_frame_moments", None)
+        refused = r"^sweep of 1.0 s at 8000 Hz is 32000 samples over 4 channel\(s\), above the limit of 16000$"
+        with pytest.raises(ValueError, match=refused):
+            render_sweep(traj, sample_rate=8000, frame_seconds=0.05, channels=4)
+        # frames of 392 samples every 196: 41 frames
+        with pytest.raises(ValueError, match=r"^41 frames of 0.049 s exceed the limit of 40$"):
+            render_sweep(traj, sample_rate=8000, frame_seconds=0.049, channels=2)
+        with pytest.raises(ValueError, match=r"^frame of 1e\+305 s at 8000 Hz is inf samples"):
+            render_sweep(traj, sample_rate=8000, frame_seconds=1e305)
+
+
+def sonogram_db(sono):
+    """The sonogram's (times, freqs) matrix: its chunks stacked in order."""
+    return np.concatenate([db for _, db in sono.chunks()])
 
 
 def reference_sonogram_db(buffer, window, hop):
@@ -494,14 +539,14 @@ class TestSonogram:
         buf = AudioBuffer(x, 8000)
         sono = stft_sonogram(buf, window=window, hop=hop)
         assert render._STFT_CHUNK_SAMPLES // window == 512 and sono.times.size == n_frames
-        assert np.array_equal(sono.magnitude_db, reference_sonogram_db(buf, window, hop))
+        assert np.array_equal(sonogram_db(sono), reference_sonogram_db(buf, window, hop))
 
     def test_pure_tone_peak_bin(self):
         sr = 8000
         t = np.arange(sr) / sr
         x = (0.5 * np.sin(2 * np.pi * 440.0 * t)).astype(np.float32).reshape(-1, 1)
         sono = stft_sonogram(AudioBuffer(x, sr), window=1024, hop=512)
-        frame = sono.magnitude_db[5]
+        frame = sonogram_db(sono)[5]
         peak = sono.freqs[int(np.argmax(frame))]
         assert peak == pytest.approx(440.0, abs=sr / 1024.0)
 
@@ -509,7 +554,7 @@ class TestSonogram:
         sr = 8000
         x = np.zeros((4096, 1), dtype=np.float32)
         sono = stft_sonogram(AudioBuffer(x, sr), window=1024, hop=256)
-        assert sono.magnitude_db.shape == (13, 513)
+        assert sonogram_db(sono).shape == (13, 513)
         assert sono.freqs[0] == 0.0
         assert sono.freqs[-1] == sr / 2.0
         assert sono.times[0] == pytest.approx(512.0 / sr)
@@ -518,8 +563,9 @@ class TestSonogram:
         sr = 8000
         x = np.zeros((2048, 1), dtype=np.float32)
         sono = stft_sonogram(AudioBuffer(x, sr), window=1024, hop=512)
-        assert float(sono.magnitude_db.min()) == -120.0
-        assert float(sono.magnitude_db.max()) == -120.0
+        db = sonogram_db(sono)
+        assert float(db.min()) == -120.0
+        assert float(db.max()) == -120.0
 
     def test_too_short_rejected(self):
         x = np.zeros((512, 1), dtype=np.float32)
@@ -542,13 +588,15 @@ class TestSonogram:
         sr = 44100  # times with more than nine digits
         x = np.zeros((4096, 1), dtype=np.float32)
         x[2048:, 0] = 0.3 * np.sin(2 * np.pi * 700.0 * np.arange(2048) / sr)
-        sono = stft_sonogram(AudioBuffer(x, sr), window=256, hop=200)
-        assert float(sono.magnitude_db.min()) == -120.0
-        sono.magnitude_db[-1, :4] = [-0.0, 1e-300, 1e21, 123456789.123]
+        stream = stft_sonogram(AudioBuffer(x, sr), window=256, hop=200)
+        db = sonogram_db(stream)
+        assert float(db.min()) == -120.0
+        db[-1, :4] = [-0.0, 1e-300, 1e21, 123456789.123]
+        sono = FakeSonogram(stream.times, stream.freqs, db)
         path = tmp_path / "sono.csv"
         write_sonogram_csv(sono, path)
         lines = ["," + ",".join(format(f, ".9g") for f in sono.freqs)]
-        for t, row in zip(sono.times, sono.magnitude_db):
+        for t, row in zip(sono.times, db):
             lines.append(format(t, ".9g") + "," + ",".join(format(v, ".9g") for v in row))
         assert path.read_text() == "\n".join(lines) + "\n"
 
@@ -565,14 +613,14 @@ class TestSonogram:
         ids=["no-floor", "all-floor", "floor-first", "floor-last", "live-between-runs", "live-as-floor-text"],
     )
     def test_csv_floor_runs_match_per_value_format(self, row, tmp_path):
-        sono = Sonogram(
-            times=np.array([0.0232199546, 1.0 / 3.0]),
-            freqs=np.linspace(0.0, 4000.0, len(row)),
-            magnitude_db=np.array([row, row[::-1]]),
+        sono = FakeSonogram(
+            np.array([0.0232199546, 1.0 / 3.0]),
+            np.linspace(0.0, 4000.0, len(row)),
+            np.array([row, row[::-1]]),
         )
         path = tmp_path / "sono.csv"
         write_sonogram_csv(sono, path)
-        assert path.read_text() == per_value_sonogram_csv(sono)
+        assert path.read_text() == per_value_sonogram_csv(sono.times, sono.freqs, sono.db)
 
     # window 2048 takes 16 frames a chunk: 15, 16, 17 frames sit around one
     # chunk, 31, 32, 33 around two, and hop 3000 leaves gaps between frames
@@ -592,7 +640,10 @@ class TestSonogram:
         assert sum(sizes) == n_frames and max(sizes) == min(16, n_frames)
         path = tmp_path / "sono.csv"
         write_sonogram_csv(stream, path)
-        assert path.read_text() == per_value_sonogram_csv(stft_sonogram(buf, window, hop))
+        times = (np.arange(n_frames) * hop + window / 2.0) / 44100
+        freqs = np.fft.rfftfreq(window, 1.0 / 44100)
+        want = per_value_sonogram_csv(times, freqs, reference_sonogram_db(buf, window, hop))
+        assert path.read_text() == want
 
     def test_stream_memory_does_not_grow_with_frames(self, tmp_path):
         # WAV to CSV through the command: past the WAV's own bytes, the peak
@@ -612,10 +663,23 @@ class TestSonogram:
         assert peaks[1] < 1.1 * peaks[0] + (64 << 10)
 
 
-def per_value_sonogram_csv(sono):
+@dataclass(frozen=True, eq=False)
+class FakeSonogram:
+    """What write_sonogram_csv reads of a sonogram, from given values: the
+    frequency axis and the rows in one chunk."""
+
+    times: np.ndarray
+    freqs: np.ndarray
+    db: np.ndarray
+
+    def chunks(self):
+        yield self.times, self.db
+
+
+def per_value_sonogram_csv(times, freqs, db):
     """The sonogram CSV text with format(v, ".9g") called on every value."""
-    lines = ["," + ",".join(format(f, ".9g") for f in sono.freqs)]
-    for t, row in zip(sono.times, sono.magnitude_db):
+    lines = ["," + ",".join(format(f, ".9g") for f in freqs)]
+    for t, row in zip(times, db):
         lines.append(format(t, ".9g") + "," + ",".join(format(v, ".9g") for v in row))
     return "\n".join(lines) + "\n"
 
