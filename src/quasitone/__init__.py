@@ -23,6 +23,7 @@ from .errors import (
     EmptyField,
     InvalidBounds,
     MassTooLow,
+    MomentumUnresolved,
     NyquistViolation,
     OutOfBounds,
     QuadratureSpanTooSmall,

@@ -54,7 +54,7 @@ from .sonify import (
     method3_sections,
     method4_moments,
 )
-from .states import CatState, CoherentState, FockState, SampledState
+from .states import CatState, CoherentState, FockState, SampledState, refuse_unresolved_momentum
 from .textfmt import fmt17, read_csv_table
 
 
@@ -216,7 +216,7 @@ def _build_parser():
     p.add_argument("--hop", type=int, default=512)
 
     p = mapping("score", "transcribe one mapping of a state to JSON events", channels=2)
-    p.add_argument("--arpeggiate", action="store_true")
+    p.add_argument("--arpeggiate", action="store_true", help="stagger method I's cell events by p column")
 
     # only the commands that map a field to sound read a config
     for name in ("sonify", "sweep", "score"):
@@ -236,6 +236,7 @@ def _run(args) -> int:
                 raise UsageFault(f"{flag} must be finite, got {value!r}")
         from .states import evaluate
 
+        refuse_unresolved_momentum(state, args.p)
         print(fmt17(float(evaluate(state, args.r, args.p))))
         return 0
 
@@ -276,6 +277,11 @@ def _run(args) -> int:
         return 0
 
     # sonify and score, the commands that map the state's field to a bank
+    if args.command == "score" and args.arpeggiate and args.method != "I":
+        raise UsageFault(
+            f"--arpeggiate staggers the per-cell events of method I; method {args.method} "
+            f"has no cells to stagger"
+        )
     cfg = _load_cfg(args, MapConfig())
     field = _sampled_field(args)
     require_coverage(field)

@@ -21,6 +21,10 @@ class QuadratureSpanTooSmall(QuasitoneError):
     """Sampled wavefunction carries visible mass at its grid edges."""
 
 
+class MomentumUnresolved(QuasitoneError):
+    """Momentum at or past what a sampled wavefunction's quadrature resolves."""
+
+
 class InvalidBounds(QuasitoneError):
     """Grid bounds empty, reversed, or not finite."""
 

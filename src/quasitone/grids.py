@@ -23,7 +23,15 @@ from .errors import (
     InvalidBounds,
     QuadratureSpanTooSmall,
 )
-from .states import SampledState, StateSpec, evaluate, state_centroid, state_from_description, transform_bound
+from .states import (
+    SampledState,
+    StateSpec,
+    evaluate,
+    refuse_unresolved_momentum,
+    state_centroid,
+    state_from_description,
+    transform_bound,
+)
 from .textfmt import csv_row_line, json_value, read_csv_table
 
 KIND_REGULAR = "regular"
@@ -225,7 +233,10 @@ def build_gaussian(moments, n_r, n_p, span_sigmas=3.0) -> GridSpec:
 
 
 def sample_field(state: StateSpec, grid: GridSpec) -> WignerField:
-    """Evaluate the state's Wigner function at every cell center."""
+    """Evaluate the state's Wigner function at every cell center; a
+    SampledState's grid must lie inside its momentum limit (see
+    states.momentum_limit), or MomentumUnresolved names the p."""
+    refuse_unresolved_momentum(state, grid.p_centers)
     values = np.asarray(evaluate(state, grid.r_centers[:, None], grid.p_centers), dtype=float)
     return WignerField(grid, values, state)
 
@@ -268,7 +279,8 @@ def _counted_rows(state: SampledState, ref: GridSpec) -> np.ndarray:
 
     Rows are skipped from the smallest budget up while the skipped budgets
     sum below _SKIP_BUDGET. A window with a row center outside the sample
-    span is refused before anything is evaluated.
+    span, or a column center at the state's momentum limit or past it, is
+    refused before anything is evaluated.
     """
     x, r = state.x, ref.r_centers
     if not (x[0] < r[0] and r[-1] < x[-1]):
@@ -277,6 +289,9 @@ def _counted_rows(state: SampledState, ref: GridSpec) -> np.ndarray:
             f"(centroid +- {_REF_HALF:g}) reaches outside the sample span "
             f"[{x[0]:.4g}, {x[-1]:.4g}]; widen the sample span"
         )
+    refuse_unresolved_momentum(
+        state, ref.p_centers, f"coverage reference window (centroid +- {_REF_HALF:g}) p"
+    )
     budget = _row_budgets(state, ref)
     order = np.argsort(budget, kind="stable")
     return np.sort(order[np.cumsum(budget[order]) >= _SKIP_BUDGET])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateShift, QuadratureSpanTooSmall
+from .errors import DegenerateShift, MomentumUnresolved, QuadratureSpanTooSmall
 
 # |W| can never exceed this bound in the units used here.
 PEAK_BOUND = 1.0 / math.pi
@@ -133,16 +133,23 @@ class SampledState:
     |psi|^2 dx = 1 within 1e-9.
 
     Its Wigner function is the transform of the spline, extended beyond the
-    samples by its end cubics. At each r the y integral runs over the
-    overlap of the shifted copies of the sample span, with composite
-    Simpson weights on 2 x.size + 1 nodes. evaluate sums the table whose
+    samples by its end cubics. Every r shares one y lattice, y_k = k h for
+    |k| <= x.size with h = (x[-1] - x[0]) / (2 x.size). The row at r
+    integrates |y| <= H_r = min(x[-1] - r, r - x[0]), half the overlap of
+    the shifted copies of the sample span, with composite Simpson weights
+    1, 4, 2, ..., 4, 1 on its nodes |k| <= K_r = floor(H_r / h) and 0
+    beyond; the spline is evaluated once per row, at r + y_k / 2, and at
+    r - y_k / 2 is the same row reversed. evaluate sums the table whose
     rows are a call's distinct r and whose columns are its distinct p.
     When eight or more distinct p lie on a uniform lattice and the points
     fill the table, as a grid or a block of grid rows does, a chirp-z
     transform (Rabiner, Schafer & Rader 1969) sums every row over the whole
-    lattice, rows batched through numpy's FFT; otherwise each point gets
-    the dense product with e^{-i p y}. The two agree to a few 1e-15 on
-    this package's grids.
+    lattice, its chirp and kernel spectrum formed once per call and rows
+    batched through numpy's FFT; otherwise each point gets the dense
+    product with e^{-i p y}. The two agree to a few 1e-15 on this
+    package's grids. Simpson's 4, 2 weights fold p onto p -+ pi / h, so
+    from |p| = pi / (2 h) on (momentum_limit) the sum aliases; the grids
+    and commands refuse such p (refuse_unresolved_momentum).
     """
 
     x: np.ndarray
@@ -441,13 +448,15 @@ def transform_bound(state: SampledState, r):
     The transform's row at r sums Simpson weights times the spline at
     r + y/2 times its conjugate at r - y/2. On the closed sample interval i
     the spline's modulus is at most M_i = |c0| + |c1| dx + |c2| dx^2 +
-    |c3| dx^3. The nodes r + y/2 are h/2 apart with h <= dx/2, so one
-    interval holds at most 2 dx/h + 1 of them, whose alternating 4, 2
-    weights of h/3 sum to at most 2 dx + 4h/3 <= 8 dx/3. Their partners
-    r - y/2 then lie in intervals K - i - 1 and K - i, K = floor((2r -
-    2 x_0)/dx), so |W(r, p)| <= (4 dx / (3 pi)) sum_i M_i G_{K-i} with
-    G_j = max(M_{j-1}, M_j): one convolution for all r. The spline rings
-    past its last nonzero sample, and M follows it there.
+    |c3| dx^3. The nodes r + y/2 are h/2 apart, the lattice step being
+    h = (x[-1] - x[0]) / (2 N) = dx (N - 1) / (2 N) <= dx/2 for N samples,
+    so one interval holds at most 2 dx/h + 1 of them, whose weights (1, 4
+    or 2 times h/3, and 0 past the row's last node) sum to at most
+    2 dx + 4h/3 <= 8 dx/3. Their partners r - y/2 then lie in intervals
+    K - i - 1 and K - i, K = floor((2r - 2 x_0)/dx), so |W(r, p)| <=
+    (4 dx / (3 pi)) sum_i M_i G_{K-i} with G_j = max(M_{j-1}, M_j): one
+    convolution for all r. The spline rings past its last nonzero sample,
+    and M follows it there.
     """
     x = state.x
     step = (x[-1] - x[0]) / (x.size - 1)
@@ -458,6 +467,34 @@ def transform_bound(state: SampledState, r):
     pairs = np.convolve(interval, knot)  # at K: sum_i M_i G_{K-i}
     k = np.floor(2.0 * (np.asarray(r, dtype=float) - x[0]) / step)
     return (4.0 * step / (3.0 * math.pi)) * pairs[np.clip(k, 0, pairs.size - 1).astype(np.intp)]
+
+
+def momentum_limit(state: SampledState) -> float:
+    """pi / (2 h), the |p| from which the transform of a SampledState
+    aliases, h = (x[-1] - x[0]) / (2 x.size) being its lattice step (see
+    _lattice). Simpson's alternating 4, 2 weights repeat every 2 h, so the
+    sum at p also carries the integral at its images p - pi/h and p + pi/h;
+    from |p| = pi / (2 h) on, one image lies as near the origin as p or
+    nearer."""
+    x = state.x
+    return math.pi / (2.0 * ((x[-1] - x[0]) / (2 * x.size)))
+
+
+def refuse_unresolved_momentum(state: StateSpec, p, what="p"):
+    """MomentumUnresolved naming the p of largest |p|, and the limit, when
+    it reaches momentum_limit of a SampledState; closed forms resolve
+    every p."""
+    if not isinstance(state, SampledState):
+        return
+    p = np.ravel(p)
+    worst = float(p[np.argmax(np.abs(p))])
+    limit = momentum_limit(state)
+    if not abs(worst) < limit:
+        raise MomentumUnresolved(
+            f"{what} = {worst:.6g} reaches |p| >= {limit:.6g} = pi / (2 h), past which the "
+            f"quadrature of the {state.x.size}-sample wavefunction folds p onto p -+ pi / h; "
+            f"sample psi more finely"
+        )
 
 
 def _fast_len(target):
@@ -473,24 +510,32 @@ def _fast_len(target):
         n += 1
 
 
-def _czt(a, m, theta):
-    """Bluestein chirp-z transform of each row of a.
+def _czt_factors(pre, post, theta):
+    """Factors of the Bluestein chirp-z transform
+    X_j = post_j sum_{q<n} a_q pre_q e^{-i theta j q}, j < m, of rows of
+    n = pre.size values, m = post.size.
 
-    X_j = sum_k a_k e^{-i theta j k} for j < m, with one theta per row
-    (shape (rows, 1)). With jk = (j^2 + k^2 - (j - k)^2) / 2 the sum becomes
-    a convolution with the chirp e^{i theta n^2 / 2}, done by FFT along the
-    rows at a length of at least n + m - 1 so the circular wrap never
-    reaches the kept outputs.
+    With jq = (j^2 + q^2 - (j - q)^2) / 2 the sum becomes a convolution with
+    the chirp e^{i theta t^2 / 2}, done by FFT at a length of at least
+    n + m - 1 so the circular wrap never reaches the kept outputs. Returns
+    pre and post times the chirp e^{-i theta t^2 / 2} and the FFT of the
+    wrapped kernel, which _czt applies to any number of rows.
     """
-    n = a.shape[-1]
+    n, m = pre.size, post.size
     size = _fast_len(n + m - 1)
-    k = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(-0.5j * theta * (k * k))
-    kernel = np.zeros((a.shape[0], size), dtype=complex)
-    kernel[:, :m] = np.conj(chirp[:, :m])
-    kernel[:, size - n + 1 :] = np.conj(chirp[:, n - 1 : 0 : -1])
-    spectrum = np.fft.fft(a * chirp[:, :n], size) * np.fft.fft(kernel)
-    return chirp[:, :m] * np.fft.ifft(spectrum)[:, :m]
+    t = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(-0.5j * theta * (t * t))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = np.conj(chirp[:m])
+    kernel[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
+    return pre * chirp[:n], np.fft.fft(kernel), post * chirp[:m]
+
+
+def _czt(a, pre, spectrum, post):
+    """X_j of each row of a, by the factors that _czt_factors returns."""
+    sums = np.fft.fft(a * pre, spectrum.size)
+    sums *= spectrum
+    return np.fft.ifft(sums)[:, : post.size] * post
 
 
 def _p_lattice(ps):
@@ -508,29 +553,46 @@ def _p_lattice(ps):
     return None
 
 
-def _core(x, coef, simpson, r, half_span):
-    """Simpson nodes y over [-half_span, half_span] and the weighted
-    integrand psi(r + y/2) conj(psi)(r - y/2) at them.
-
-    For a batch of rows, r is a (rows, 1) column and half_span a (rows,)
-    vector, and y and the integrand have one row each.
+def _lattice(x, half_span):
+    """The y lattice every row of a SampledState shares, nodes y_k = k h for
+    |k| <= n = x.size with h = (x[-1] - x[0]) / (2 n), as one array whose
+    node -k is exactly minus node k; and K_r of each row's half span H_r,
+    the largest k <= n with y_k <= H_r. A few ulps of slack keep the
+    central row's outermost node, n h, which rounding can put just past
+    its half span (x[-1] - x[0]) / 2.
     """
-    y = np.linspace(-half_span, half_span, simpson.size, axis=-1)
-    h = y[..., 1:2] - y[..., :1]
-    core = _spline_at(x, coef, r + y / 2.0) * np.conj(_spline_at(x, coef, r - y / 2.0))
-    return y, core * (simpson * (h / 3.0))
+    n = x.size
+    y = ((x[-1] - x[0]) / (2 * n)) * np.arange(-n, n + 1, dtype=float)
+    slack = _LATTICE_ULPS * np.spacing(2.0 * np.max(np.abs(x)))
+    return y, np.searchsorted(y[n:], half_span + slack, "right") - 1
+
+
+def _core(x, coef, y, r, reach):
+    """Simpson-weighted integrand psi(r + y/2) conj(psi)(r - y/2) of rows r,
+    a (rows, 1) column, on the lattice y: weights 1, 4, 2, ..., 4, 1 times
+    h/3 on a row's nodes |k| <= K_r (reach, also a column) and 0 beyond, so
+    a row of K_r = 0 is 0. The spline is evaluated once, at r + y/2; at
+    r - y/2 it is the same row reversed.
+    """
+    n = y.size // 2
+    k = np.abs(np.arange(-n, n + 1))
+    weight = np.where(k < reach, 2.0 + 2.0 * ((k + reach) % 2), 0.0)
+    weight += (k == reach) & (reach > 0)
+    weight *= y[n + 1] / 3.0
+    psi = _spline_at(x, coef, r + y / 2.0)
+    core = np.conj(psi[:, ::-1])
+    core *= psi
+    core *= weight
+    return core
 
 
 def _transform(state, r, p):
     """Simpson quadrature of the y integral at the points (r, p), which
     broadcast, summed as the table of their distinct r by their distinct p
     (see SampledState) in chunks of rows, each row's core formed once, that
-    count n_nodes toward _CZT_CHUNK_NODES per chirp-z row or dense cell."""
+    count the lattice's 2 x.size + 1 nodes toward _CZT_CHUNK_NODES per
+    chirp-z row or dense cell."""
     x, coef = state.x, state.coef
-    n_nodes = 2 * x.size + 1  # odd count, about half the sample spacing
-    simpson = np.ones(n_nodes)
-    simpson[1:-1:2] = 4.0
-    simpson[2:-1:2] = 2.0
     (rs, row), (ps, col) = (np.unique(v, return_inverse=True) for v in (r, p))
     row, col = np.broadcast_arrays(row.reshape(r.shape), col.reshape(p.shape))  # flat in numpy 1.x
     half_span = np.minimum(x[-1] - rs, rs - x[0])
@@ -538,31 +600,32 @@ def _transform(state, r, p):
         raise QuadratureSpanTooSmall(
             f"evaluation point r = {rs[half_span <= 0][0]:.4g} lies outside the sample span"
         )
+    y, reach = _lattice(x, half_span[:, None])
     lattice = _p_lattice(ps) if rs.size * ps.size <= row.size else None
     if lattice:  # first[i]: the chunk units, rows or dense cells, before row i
         out, first = np.empty((rs.size, ps.size)), np.arange(rs.size + 1)
+        # e^{-i p_j y_k} with p_j = p0 + j dp and y_k = (q - n) h, q = k + n,
+        # is e^{-i p0 y_k} e^{i j dp n h} e^{-i dp h j q}
+        (p0, dp), n = lattice, y.size // 2
+        theta = dp * y[n + 1]
+        pre, spectrum, post = _czt_factors(
+            np.exp(-1j * p0 * y), np.exp(1j * (theta * n) * np.arange(ps.size)), theta
+        )
     else:
         cells, at = np.unique(row * ps.size + col, return_inverse=True)
         cell_row, cell_col = np.divmod(cells, ps.size)
         out, first = np.empty(cells.size), np.searchsorted(cell_row, np.arange(rs.size + 1))
-    chunk = max(1, _CZT_CHUNK_NODES // n_nodes)
+    chunk = max(1, _CZT_CHUNK_NODES // y.size)
     start = 0
     while start < rs.size:
         stop = max(start + 1, np.searchsorted(first, first[start] + chunk, "right") - 1)
-        y, core = _core(x, coef, simpson, rs[start:stop, None], half_span[start:stop])
+        core = _core(x, coef, y, rs[start:stop, None], reach[start:stop])
         if lattice:
-            (p0, dp), half = lattice, half_span[start:stop, None]
-            # y_k = -H + k step, so e^{-i p_j y_k} with p_j = p0 + j dp is
-            # e^{-i p0 y_k} e^{i j dp H} e^{-i dp step j k}
-            step = 2.0 * half / (n_nodes - 1)
-            sums = np.exp(1j * dp * half * np.arange(ps.size)) * _czt(
-                core * np.exp(-1j * p0 * y), ps.size, dp * step
-            )
-            out[start:stop] = sums.real
+            out[start:stop] = _czt(core, pre, spectrum, post).real
         else:  # Re(e^{-i p y} core) on one row of nodes per cell
             cell = slice(first[start], first[stop])
             local = cell_row[cell] - start
-            theta = y[local] * ps[cell_col[cell], None]
+            theta = ps[cell_col[cell], None] * y
             sums = np.einsum("ij,ij->i", np.cos(theta), core.real[local])
             out[cell] = sums + np.einsum("ij,ij->i", np.sin(theta), core.imag[local])
         start = stop
@@ -578,7 +641,9 @@ def evaluate(state: StateSpec, r, p):
     one entry to a SampledState's transform, which raises
     QuadratureSpanTooSmall when more than 1e-6 of the probability sits in
     the outer 5 percent of the span on either side (mass the samples cannot
-    see), or for an r outside the span."""
+    see), or for an r outside the span. The transform takes every p, but
+    aliases from momentum_limit on; callers that take a p from outside
+    check it with refuse_unresolved_momentum first."""
     if isinstance(state, FockState):
         return eval_fock(state.m, r, p)
     if isinstance(state, CatState):

@@ -158,6 +158,17 @@ class TestCommands:
         assert len(events) == 256
         assert len({e["onset"] for e in events}) == 16
 
+    @pytest.mark.parametrize("method", ["II", "III", "IV"])
+    def test_arpeggiate_without_cells_is_2_naming_the_method(self, method, tmp_path, capsys):
+        # only mapping I has per-cell sources to stagger
+        out = tmp_path / "sc.json"
+        argv = ["score", "--state", "fock:1", "--method", method, "--arpeggiate", "--out", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --arpeggiate") and f"method {method} " in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_sweep_and_sonogram(self, tmp_path):
         wav = tmp_path / "sw.wav"
         code = cli_main(
@@ -819,7 +830,7 @@ class TestSampledCoverage:
             (257, 3, None, "regular:40:-3:3", "coverage 0.979586"),
             # samples that end in exact zeros, whose spline rings past the
             # last nonzero sample where the samples' |psi| * |psi| is 0
-            (257, 0, 1.5, None, "coverage 0.903601"),
+            (257, 0, 1.5, None, "coverage 0.903607"),
             (257, 2, 3.0, "regular:40:-3:3", "coverage 0.933602"),
             (193, 2, 3.0, None, "coverage 0.962975"),
             # a Gaussian-quantile grid: the field takes the dense product
@@ -833,6 +844,26 @@ class TestSampledCoverage:
         code = cli_main(argv + (["--grid", grid] if grid else []))
         assert capsys.readouterr().out == line + "\n"
         assert code == (0 if float(line.split()[1]) >= 0.99 else 3)
+
+    def test_cut_state_coverage_is_near_its_converged_value(self, tmp_path):
+        # the cut psi is discontinuous, so its quadrature converges slowly;
+        # on 16 and 32 times the nodes, the y lattice and per-row Simpson
+        # nodes both give 0.90360778153 for the field's coverage
+        from quasitone import coverage, default_grid, sample_field
+
+        state = parse_state(f"psi:{_psi_csv(tmp_path / 'psi.csv', 0, 257, cut=1.5)}")
+        assert abs(coverage(sample_field(state, default_grid(state))) - 0.90360778153) < 1e-6
+
+    @pytest.mark.parametrize("p", ["77", "153", "-38.45"])
+    def test_momentum_past_the_limit_is_4_naming_both(self, p, tmp_path, capsys):
+        # 257 samples over +-10.5 resolve |p| < 257 pi / 21 = 38.447; the
+        # transform would fold 77 onto 77 - 76.894, near the origin, and
+        # print a value there
+        src = _psi_csv(tmp_path / "psi.csv", 1, 257)
+        assert cli_main(["eval", "--state", f"psi:{src}", "--r", "0", "--p", p]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: p = {p} reaches |p| >= 38.4471")
+        assert "257-sample" in err and "more finely" in err and err.count("\n") == 1
 
     def test_span_narrower_than_the_reference_is_4_naming_both(self, tmp_path, capsys):
         # the default grid lies inside +-8; the centroid +- 10 window does not

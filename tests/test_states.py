@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from quasitone import (
     CoherentState,
     DegenerateShift,
     FockState,
+    MomentumUnresolved,
     QuadratureSpanTooSmall,
     SampledState,
     build_gaussian,
@@ -38,9 +40,11 @@ from quasitone.states import (
     _FOCK_MAX,
     _SHIFT_MAX,
     _fast_len,
+    _lattice,
     _p_lattice,
     _spline_at,
     _spline_coefficients,
+    momentum_limit,
     transform_bound,
 )
 
@@ -591,6 +595,99 @@ class TestTransformTable:
         finally:
             tracemalloc.stop()
         assert peak <= 1.22e6
+
+
+class TestLattice:
+    """Every row of a sampled state sums on the one y lattice y_k = k h,
+    |k| <= x.size, over its own nodes |k| <= K_r."""
+
+    @pytest.mark.parametrize("span", [0.37, 1.0, 7.0, 10.5, 12.0, 123.4])
+    @pytest.mark.parametrize("left", [-1.0, -1 / 3, 0.0, 1.25])
+    def test_central_row_keeps_its_outermost_node(self, span, left):
+        # n h, computed, can land just past the half span (x[-1] - x[0]) / 2
+        # of the central row; without slack 535 of these 4104 cases drop it
+        for nodes in range(8, 1200, 7):
+            x = np.linspace(left * span, (left + 2.0) * span, nodes)
+            r = 0.5 * (x[0] + x[-1])
+            y, reach = _lattice(x, np.array([min(x[-1] - r, r - x[0])]))
+            assert reach[0] == nodes
+            np.testing.assert_array_equal(y[::-1], -y)
+
+    def test_rows_are_simpson_sums_on_their_nodes(self):
+        # each row, one node at a time: Simpson's rule over the lattice
+        # nodes k h <= H_r, with the spline at r + y/2 and r - y/2
+        state = TestChirpZRows._state(193, 10.5)
+        x = state.x
+        h = (x[-1] - x[0]) / (2 * x.size)
+        p = np.linspace(-4.0, 4.0, 9)
+        r = np.array([x[0] + 0.3 * h, x[0] + 2.7 * h, -6.3, 0.0, 0.41, 7.9, x[-1] - 1.2 * h])
+        got = evaluate(state, r[:, None], p)
+        for i, rv in enumerate(r):
+            half = min(x[-1] - rv, rv - x[0])
+            reach = max(k for k in range(x.size + 1) if k * h <= half)
+            want = np.zeros(p.size)
+            for k in range(-reach, reach + 1):
+                j = k + reach
+                w = 0.0 if reach == 0 else 1.0 if j in (0, 2 * reach) else 4.0 if j % 2 else 2.0
+                y = k * h
+                core = _spline_at(x, state.coef, rv + y / 2) * np.conj(_spline_at(x, state.coef, rv - y / 2))
+                want += w * h / 3.0 * (core * np.exp(-1j * p * y)).real
+            assert np.max(np.abs(got[i] - want / (2.0 * math.pi))) < 1e-13
+
+    @pytest.mark.parametrize("steps, zero", [(0.4, True), (0.999, True), (1.5, False), (2.5, False)])
+    def test_edge_rows_agree_on_both_paths(self, steps, zero):
+        # a row less than one lattice step from the span's edge has one node
+        # and no interval (K_r = 0) and sums to 0; the next rows are short
+        x = np.linspace(-10.5, 10.5, 257)
+        state = SampledState(x, _normalized(x, harmonic_eigenstate(1, x) * np.exp(0.8j * x)))
+        h = (x[-1] - x[0]) / (2 * x.size)
+        r = np.array([x[0] + steps * h, x[-1] - steps * h])
+        p = np.linspace(-3.0, 3.0, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chirp = evaluate(state, r[:, None], p)
+            dense = np.stack([_dense(state, v, p) for v in r])
+        assert np.all(np.isfinite(chirp)) and np.max(np.abs(chirp - dense)) < 1e-12
+        assert np.all(chirp == 0.0) == zero
+
+
+class TestMomentumLimit:
+    """Simpson's 4, 2 weights fold p onto p -+ pi/h; from pi / (2 h) on the
+    sampled state's p is refused where a command takes it."""
+
+    @staticmethod
+    def _fock(n, nodes):
+        x = np.linspace(-10.5, 10.5, nodes)
+        return SampledState(x, _normalized(x, harmonic_eigenstate(n, x)))
+
+    def test_limit_of_the_benchmark_states(self):
+        assert momentum_limit(self._fock(0, 257)) == pytest.approx(38.4471, abs=1e-4)
+        assert momentum_limit(self._fock(0, 193)) == pytest.approx(28.8727, abs=1e-4)
+
+    @pytest.mark.parametrize("nodes, n", [(257, 0), (257, 1), (257, 2), (257, 3), (193, 0), (193, 1)])
+    def test_agrees_with_the_closed_form_just_inside_the_limit(self, nodes, n):
+        # the benchmark's states, each within 1e-6 of its closed form
+        state = self._fock(n, nodes)
+        limit = momentum_limit(state)
+        r = np.linspace(-3.0, 3.0, 7)[:, None]
+        for p in (0.5 * limit, 0.999 * limit, -0.999 * limit):
+            assert np.max(np.abs(evaluate(state, r, p) - eval_fock(n, r, p))) < 1e-6
+
+    def test_grid_reaching_the_limit_is_refused_naming_p(self):
+        state = self._fock(1, 257)
+        inside = build_regular(-3.0, 3.0, 30.0, 38.0, 4, 4)
+        assert np.all(np.isfinite(sample_field(state, inside).values))
+        grid = build_regular(-3.0, 3.0, 30.0, 40.0, 4, 4)
+        with pytest.raises(MomentumUnresolved, match=r"^p = 38\.75 reaches \|p\| >= 38\.4471"):
+            sample_field(state, grid)
+        # a closed form resolves every p
+        assert np.all(np.isfinite(sample_field(FockState(1), grid).values))
+
+    def test_reference_window_reaching_the_limit_is_refused(self):
+        state = self._fock(1, 257)
+        ref = build_regular(-10.0, 10.0, 20.0, 40.0, 512, 512)
+        with pytest.raises(MomentumUnresolved, match="^coverage reference window"):
+            grids._counted_rows(state, ref)
 
 
 class TestSpline:
