@@ -80,7 +80,6 @@ from .states import (
     CoherentState,
     FockState,
     SampledState,
-    default_psi_grid,
     evaluate,
     eval_cat,
     eval_coherent,

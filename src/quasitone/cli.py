@@ -246,7 +246,7 @@ def _run(args) -> int:
         write_field(field, args.out)
         print(f"coverage {cov:.6f}")
         # the files stay for inspection; the gate still sets the exit code
-        require_coverage(field)
+        require_coverage(cov)
         return 0
 
     if args.command == "moments":
@@ -284,7 +284,7 @@ def _run(args) -> int:
         )
     cfg = _load_cfg(args, MapConfig())
     field = _sampled_field(args)
-    require_coverage(field)
+    require_coverage(coverage(field))
     bank = _bank_for(args.method, field, cfg, args.duration)
     if args.command == "score":
         score = bank_to_events(bank, field, cfg, channels=args.channels, arpeggiate=args.arpeggiate)

@@ -352,12 +352,11 @@ def coverage(field: WignerField) -> float:
     return float(min(1.0, mass / ref))
 
 
-def require_coverage(field: WignerField) -> float:
-    """Return coverage, raising CoverageError below COVERAGE_MIN."""
-    cov = coverage(field)
+def require_coverage(cov: float) -> None:
+    """CoverageError when a coverage value, as coverage() returns it, is
+    below COVERAGE_MIN."""
     if cov < COVERAGE_MIN:
         raise CoverageError(f"grid captures {cov:.4f} of the state's absolute mass; need >= {COVERAGE_MIN}")
-    return cov
 
 
 # === CSV + sidecar I/O ===

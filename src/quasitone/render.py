@@ -426,7 +426,12 @@ def render_sweep(
         raise ValueError(f"channels must be 1, 2, or 4, got {channels!r}")
     n_total = _sample_count("sweep", trajectory.total_seconds, sample_rate, channels)
     n_frame = _sample_count("frame", frame_seconds, sample_rate, channels)
-    if n_frame < 4 or n_total < n_frame:
+    if n_frame < 4:
+        raise ValueError(
+            f"frame_seconds {frame_seconds!r} gives {n_frame} samples at {sample_rate} Hz; "
+            f"a frame needs at least 4"
+        )
+    if n_total < n_frame:
         raise ValueError("trajectory shorter than a single frame")
     hop = n_frame // 2
     starts = range(0, n_total, hop)

@@ -7,7 +7,7 @@ techniques and channel gains. It serializes to byte-stable JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -26,39 +26,40 @@ from .sonify import (
 # the per-event columns in JSON key order; gains follows as a list
 _COLUMNS = ("onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique")
 
-# How far, relative, the reference pitch of a row may sit from row 0's.
-_LATTICE_REL = 1e-12
 
-
-@dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Score:
     """Events as columns: row k is a note at onset[k] lasting duration[k]
-    seconds, on lattice step pitch_index[k] (freq_hz[k] Hz), at dynamic[k]
-    in [0, 1], played technique[k], panned by the gains[k] row of shape
-    (n, channels). len() is the event count. All rows lie on one
-    quarter-tone lattice: freq_hz[k] / 2^(pitch_index[k] / 24), the row's
-    reference pitch, is one value for every row, which a table of a single
-    row cannot show."""
+    seconds, on lattice step pitch_index[k], at dynamic[k] in [0, 1],
+    played technique[k], panned by the gains[k] row of shape (n, channels).
+    len() is the event count. All rows lie on one quarter-tone lattice:
+    freq_hz is not given but derived, ref_pitch * 2^(pitch_index / 24)."""
 
     onset: np.ndarray
     duration: np.ndarray
     pitch_index: np.ndarray
-    freq_hz: np.ndarray
     dynamic: np.ndarray
     technique: np.ndarray
     gains: np.ndarray
+    ref_pitch: float
+    freq_hz: np.ndarray = dataclasses.field(init=False)
 
     def __post_init__(self):
         pitch = np.array(self.pitch_index, dtype=float)  # the int64 cast below truncates
         dtypes = {"pitch_index": np.int64, "technique": str}
-        for name in _COLUMNS + ("gains",):
+        given = ("onset", "duration", "pitch_index", "dynamic", "technique", "gains")
+        for name in given:
             a = np.array(getattr(self, name), dtype=dtypes.get(name, float))
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        shapes = [getattr(self, name).shape for name in _COLUMNS + ("gains",)]
+        shapes = [getattr(self, name).shape for name in given]
         if self.gains.ndim != 2 or set(shapes[:-1]) != {shapes[-1][:1]}:
             raise ValueError(f"need 1-D columns and (n, channels) gains of one n, got {shapes}")
-        on, du, fr, dy, tech = self.onset, self.duration, self.freq_hz, self.dynamic, self.technique
+        with np.errstate(over="ignore"):  # an index past float64's range reads inf or 0, refused below
+            fr = quarter_tone_freq(self.pitch_index, self.ref_pitch)
+        fr.flags.writeable = False
+        object.__setattr__(self, "freq_hz", fr)
+        on, du, dy, tech = self.onset, self.duration, self.dynamic, self.technique
         for message, values, ok in (
             ("onset must be finite and >= 0", on, np.isfinite(on) & (on >= 0)),
             ("pitch_index must be integral", pitch, pitch == self.pitch_index),
@@ -70,14 +71,6 @@ class Score:
         ):
             if not ok.all():
                 raise ValueError(f"{message}, got {values[~ok].flat[0].item()!r}")
-        ref = fr / np.exp2(self.pitch_index / 24.0)
-        off = ~(np.abs(ref - ref[:1]) <= _LATTICE_REL * ref[:1])
-        if off.any():
-            k = int(np.argmax(off))
-            raise ValueError(
-                f"event {k} has freq_hz {fr[k].item()!r} at pitch_index {self.pitch_index[k]}, "
-                f"reference pitch {ref[k].item()!r}; event 0 has {ref[0].item()!r}"
-            )
 
     def __len__(self) -> int:
         return self.onset.size
@@ -120,7 +113,6 @@ def bank_to_events(
     """
     n = bank.freq.size
     indices = quarter_tone_index(bank.freq, cfg.ref_pitch)
-    freqs_q = quarter_tone_freq(indices, cfg.ref_pitch)
     gains = partial_gains(bank, field, channels)
     if bank.source_r is not None:
         negative = bank.source_value < 0
@@ -135,8 +127,8 @@ def bank_to_events(
     # np.lexsort's last key is the primary one; it is stable, as list.sort is
     order = np.lexsort((*gains.T[::-1], -bank.amp, indices, onset))
     return Score(
-        onset[order], np.full(n, float(bank.duration)), indices[order], freqs_q[order],
-        bank.amp[order], technique[order], gains[order],
+        onset[order], np.full(n, float(bank.duration)), indices[order], bank.amp[order],
+        technique[order], gains[order], cfg.ref_pitch,
     )
 
 

@@ -386,11 +386,6 @@ def harmonic_eigenstate(n, x):
     return h * np.exp(-x * x / 2.0) / norm
 
 
-def default_psi_grid(span=12.0, nodes=2049):
-    """Uniform sample grid wide enough for low oscillator states."""
-    return np.linspace(-span, span, nodes)
-
-
 def _spline_coefficients(x, y):
     """Not-a-knot cubic spline through complex samples y at uniform knots x.
 
@@ -675,7 +670,11 @@ def state_centroid(state: StateSpec) -> tuple[float, float]:
         dx = state.x[1] - state.x[0]
         prob = np.abs(state.psi) ** 2 * dx
         r0 = float(np.sum(state.x * prob))
-        dpsi = np.gradient(state.psi, state.x)
-        p0 = float(np.imag(np.sum(np.conj(state.psi) * dpsi) * dx))
-        return (r0, p0)
+        if not state.psi.imag.any():
+            return (r0, 0.0)  # exactly: the spectral sum reads about 1e-17 here
+        # <p> of the samples' trigonometric interpolant, sum k |F_k|^2 / sum |F_k|^2;
+        # a finite difference reads sin(p dx) / dx for e^{i p x}
+        power = np.abs(np.fft.fft(state.psi)) ** 2
+        k = 2.0 * np.pi * np.fft.fftfreq(state.x.size, dx)
+        return (r0, float(np.sum(k * power) / np.sum(power)))
     raise TypeError(f"unsupported state: {type(state)!r}")

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def laguerre_exact(m: int, x: Fraction) -> Fraction:
     """Laguerre polynomial L_m(x) summed term by term in exact rationals.
@@ -99,3 +101,9 @@ def simpson_mass(values, r_edges, p_edges) -> float:
             dp = p_edges[j + 1] - p_edges[j]
             total += values[i][j] * dr * dp
     return total
+
+
+def psi_grid():
+    """Sample points of the tests' wavefunctions: 2049 uniform nodes over
+    +-12, wide enough for low oscillator states."""
+    return np.linspace(-12.0, 12.0, 2049)

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from oracles import psi_grid
 from quasitone import (
     COVERAGE_MIN,
     CatState,
@@ -24,7 +25,6 @@ from quasitone import (
     compute_moments,
     coverage,
     default_grid,
-    default_psi_grid,
     eval_cat,
     eval_coherent,
     eval_fock,
@@ -63,7 +63,7 @@ def test_criterion_01_number_state_origin_values():
 
 
 def test_criterion_02_transform_negativity_at_origin():
-    x = default_psi_grid()
+    x = psi_grid()
     psi = harmonic_eigenstate(1, x)
     t0 = time.perf_counter()
     w = float(evaluate(SampledState(x, psi), 0.0, 0.0))
@@ -77,7 +77,7 @@ def test_criterion_02_transform_negativity_at_origin():
 
 
 def test_criterion_03_transform_matches_closed_form():
-    x = default_psi_grid()
+    x = psi_grid()
     psi = harmonic_eigenstate(1, x)
     r = np.linspace(-3, 3, 21)
     p = np.linspace(-3, 3, 21)
@@ -126,7 +126,7 @@ def test_criterion_06_coverage_gate(tmp_path):
         FockState(0), FockState(1), FockState(2), FockState(3), FockState(5),
         CatState(-0.5), CatState(-1.0), CatState(-3.0), CatState(-8.0),
         CoherentState(0j), CoherentState(2.0 + 1.0j),
-        SampledState(default_psi_grid(), harmonic_eigenstate(1, default_psi_grid())),
+        SampledState(psi_grid(), harmonic_eigenstate(1, psi_grid())),
     ]
     worst = 1.0
     for state in states:

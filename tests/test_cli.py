@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import quasitone
+from oracles import psi_grid
 from quasitone import read_field, read_wav
 from quasitone.cli import cli_main, parse_grid, parse_state
 from quasitone.states import CatState, CoherentState, FockState, SampledState
@@ -26,9 +27,9 @@ class TestStateGrammar:
         assert parse_state("coherent:1.5,-0.5") == CoherentState(complex(1.5, -0.5))
 
     def test_psi_csv(self, tmp_path):
-        from quasitone import default_psi_grid, harmonic_eigenstate
+        from quasitone import harmonic_eigenstate
 
-        x = default_psi_grid()
+        x = psi_grid()
         psi = harmonic_eigenstate(0, x)
         path = tmp_path / "psi.csv"
         rows = ["x,re,im"] + [
@@ -242,6 +243,20 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in err
+
+    def test_field_computes_coverage_once(self, tmp_path, capsys, monkeypatch):
+        # the printed coverage is the value the gate checks, not a second pass
+        from quasitone import cli, grids
+
+        calls, coverage = [], grids.coverage
+        counted = lambda field: calls.append(field) or coverage(field)  # noqa: E731
+        monkeypatch.setattr(grids, "coverage", counted)
+        monkeypatch.setattr(cli, "coverage", counted)
+        argv = ["field", "--state", "fock:1", "--grid", "regular:8:-0.5:0.5", "--out", str(tmp_path / "f.csv")]
+        assert cli_main(argv) == 3
+        assert len(calls) == 1
+        out, err = capsys.readouterr()
+        assert f"grid captures {float(out.split()[1]):.4f} of" in err
 
     def test_event_duration_is_an_unknown_key(self, tmp_path, capsys):
         # note length is --duration alone; the old config key is refused
@@ -570,9 +585,9 @@ def _valid_csv_input(source, tmp_path):
         fp = tmp_path / "f.csv"
         assert cli_main(["field", "--state", "fock:0", "--out", str(fp)]) == 0
         return fp, ["moments", "--field", str(fp)]
-    from quasitone import default_psi_grid, harmonic_eigenstate
+    from quasitone import harmonic_eigenstate
 
-    x = default_psi_grid()
+    x = psi_grid()
     rows = [f"{float(xv)!r},{float(pv)!r},0.0" for xv, pv in zip(x, harmonic_eigenstate(0, x))]
     fp = tmp_path / "psi.csv"
     fp.write_text("x,re,im\n" + "\n".join(rows) + "\n")
@@ -607,6 +622,14 @@ class TestArgumentChecks:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not any(tmp_path.glob("x.*")) and not (tmp_path / "s.csv").exists()
+
+    def test_frame_too_short_is_2_naming_the_minimum(self, tmp_path, capsys, monkeypatch):
+        # 1e-5 s is 0 samples at 48 kHz: the frame is too short, not the trajectory
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["sweep", "--segments", "0:-1:1", "--frame", "1e-5", "--out", "x.wav"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: frame_seconds 1e-05 gives 0 samples at 48000 Hz; a frame needs at least 4\n"
+        assert not (tmp_path / "x.wav").exists()
 
     def test_window_longer_than_audio_is_4(self, tmp_path, wav, capsys, monkeypatch):
         # the sonogram streams into its CSV, so it is refused before the CSV is opened
@@ -764,9 +787,9 @@ class TestArgumentChecks:
 
     def test_nonfinite_wavefunction_is_2(self, tmp_path, capsys):
         # a NaN sample makes the norm NaN, which no tolerance test rejects
-        from quasitone import default_psi_grid, harmonic_eigenstate
+        from quasitone import harmonic_eigenstate
 
-        x = default_psi_grid()
+        x = psi_grid()
         psi = harmonic_eigenstate(0, x)
         rows = [f"{float(xv)!r},{float(pv)!r},0.0" for xv, pv in zip(x, psi)]
         rows[x.size // 2] = f"{float(x[x.size // 2])!r},nan,0.0"
@@ -808,6 +831,16 @@ def _psi_csv(path, n, nodes, span=10.5, cut=None):
         psi = psi * (np.abs(x) <= cut)
     psi = psi / math.sqrt(float(np.sum(psi * psi)) * (x[1] - x[0]))
     path.write_text("x,re,im\n" + "".join(f"{a!r},{b!r},0.0\n" for a, b in zip(x.tolist(), psi.tolist())))
+    return path
+
+
+def _wavepacket_csv(path, p0):
+    """psi = e^{-x^2/2 + i p0 x} on 257 samples over +-10.5; returns the path."""
+    x = np.linspace(-10.5, 10.5, 257)
+    psi = np.exp(-x * x / 2.0 + 1j * p0 * x)
+    psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * (x[1] - x[0]))
+    rows = (f"{a!r},{b.real!r},{b.imag!r}\n" for a, b in zip(x.tolist(), psi.tolist()))
+    path.write_text("x,re,im\n" + "".join(rows))
     return path
 
 
@@ -854,6 +887,24 @@ class TestSampledCoverage:
         state = parse_state(f"psi:{_psi_csv(tmp_path / 'psi.csv', 0, 257, cut=1.5)}")
         assert abs(coverage(sample_field(state, default_grid(state))) - 0.90360778153) < 1e-6
 
+    @pytest.mark.parametrize("p0", [15.0, 20.0])
+    def test_moving_wavepacket_is_covered(self, p0, tmp_path, capsys):
+        # the default grid is centred on the spectral momentum; a finite
+        # difference read 11.47 for 15 (coverage 0.981634) and 12.14 for 20
+        src = _wavepacket_csv(tmp_path / "psi.csv", p0)
+        assert cli_main(["field", "--state", f"psi:{src}", "--out", str(tmp_path / "f.csv")]) == 0
+        assert capsys.readouterr().out == "coverage 1.000000\n"
+
+    def test_wavepacket_past_the_reference_window_is_4(self, tmp_path, capsys):
+        # the reference window around p0 = 30 reaches p = 40, past 38.447
+        src = _wavepacket_csv(tmp_path / "psi.csv", 30.0)
+        out = tmp_path / "f.csv"
+        assert cli_main(["field", "--state", f"psi:{src}", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: coverage reference window (centroid +- 10) p = 39.98")
+        assert "38.4471" in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("p", ["77", "153", "-38.45"])
     def test_momentum_past_the_limit_is_4_naming_both(self, p, tmp_path, capsys):
         # 257 samples over +-10.5 resolve |p| < 257 pi / 21 = 38.447; the
@@ -899,9 +950,9 @@ class TestSampledCoverage:
         capsys.readouterr()
 
 
-def _traced_metrics(argv):
-    """Run one command with the benchmark's layer tracer installed in this
-    process; return its per-layer metrics and span names. The modules'
+def _traced_metrics(*argvs):
+    """Run commands with the benchmark's layer tracer installed in this
+    process; return their per-layer metrics and spans. The modules'
     replaced names are put back afterwards."""
     import importlib.util
 
@@ -916,11 +967,12 @@ def _traced_metrics(argv):
     tracer = layers.Tracer()
     try:
         layers.install(tracer)
-        assert cli.cli_main(argv) == 0
+        for argv in argvs:
+            assert cli.cli_main(argv) == 0
     finally:
         for module, names in zip(modules, saved):
             vars(module).update(names)
-    return layers.layer_metrics(tracer.spans), {span[0] for span in tracer.spans}
+    return layers.layer_metrics(tracer.spans), tracer.spans
 
 
 class TestBenchmarkTracer:
@@ -929,35 +981,57 @@ class TestBenchmarkTracer:
     stft_sonogram returns; these runs keep those views working."""
 
     def test_mapping_one_counts(self, tmp_path):
-        metrics, names = _traced_metrics(
+        metrics, spans = _traced_metrics(
             ["sonify", "--state", "fock:1", "--method", "I", "--duration", "0.05",
              "--sr", "16000", "--out", str(tmp_path / "one.wav")]
         )
         assert metrics["sonify.partials"] == 900
         assert metrics["render.osc_sample_ops"] == 900 * 800
-        assert "render.synth_sine" in names
+        assert "render.synth_sine" in {span[0] for span in spans}
 
     def test_triangle_counts(self, tmp_path):
         cfg_path = tmp_path / "triangle.cfg"
         cfg_path.write_text("waveform=triangle\n")
-        metrics, names = _traced_metrics(
+        metrics, spans = _traced_metrics(
             ["sonify", "--state", "fock:1", "--method", "IV", "--config", str(cfg_path),
              "--duration", "0.05", "--sr", "16000", "--out", str(tmp_path / "tri.wav")]
         )
         assert metrics["sonify.partials"] == 21
         # each triangle adds its odd harmonics below Nyquist
         assert metrics["render.osc_sample_ops"] > 21 * 800
-        assert "render.synth_triangle" in names
+        assert "render.synth_triangle" in {span[0] for span in spans}
 
     def test_sonogram_counts(self, tmp_path):
         wav, csv = tmp_path / "tone.wav", tmp_path / "sono.csv"
         t = np.arange(20000) / 8000
         quasitone.write_wav(quasitone.AudioBuffer(0.5 * np.sin(2 * np.pi * 440.0 * t), 8000), wav)
-        metrics, names = _traced_metrics(["sonogram", "--audio", str(wav), "--out", str(csv)])
+        metrics, spans = _traced_metrics(["sonogram", "--audio", str(wav), "--out", str(csv)])
         rows = csv.read_text().splitlines()[1:]
         assert metrics["render.stft_frames"] == len(rows) == 1 + (20000 - 2048) // 512
         assert metrics["render.sono_csv_bytes"] == csv.stat().st_size
-        assert {"render.stft", "render.sono_csv"} <= names
+        assert {"render.stft", "render.sono_csv"} <= {span[0] for span in spans}
+
+    def test_one_coverage_span_per_gated_command(self, tmp_path):
+        # field, sonify and score each gate once, through the coverage that
+        # cli imports; the state's reference is computed once and reused
+        from quasitone import grids
+
+        grids._reference_abs_mass.cache_clear()
+        metrics, spans = _traced_metrics(
+            ["field", "--state", "fock:1", "--out", str(tmp_path / "f.csv")],
+            ["sonify", "--state", "fock:1", "--method", "IV", "--duration", "0.1", "--out", str(tmp_path / "x.wav")],
+            ["score", "--state", "fock:1", "--method", "II", "--out", str(tmp_path / "s.json")],
+        )
+
+        def root(i):
+            while spans[i][3] is not None:
+                i = spans[i][3]
+            return i
+
+        roots = [i for i, span in enumerate(spans) if span[0] == "cli.main"]
+        gates = [root(i) for i, span in enumerate(spans) if span[0] == "grids.coverage"]
+        assert gates == roots and len(roots) == 3
+        assert (metrics["grids.coverage_ref_misses"], metrics["grids.coverage_ref_hits"]) == (1, 2)
 
 
 # A minimal valid argv of each command and every flag's parsed value.

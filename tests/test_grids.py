@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import truncated_gaussian_edges
+from oracles import psi_grid, truncated_gaussian_edges
 from quasitone import grids
 from quasitone.grids import default_edges
 from quasitone import (
@@ -27,7 +27,6 @@ from quasitone import (
     compute_moments,
     coverage,
     default_grid,
-    default_psi_grid,
     eval_fock,
     harmonic_eigenstate,
     read_field,
@@ -212,9 +211,11 @@ class TestDefaultGridAndCoverage:
     def test_tiny_window_fails(self):
         st_ = FockState(1)
         f = sample_field(st_, build_regular(-0.1, 0.1, -0.1, 0.1, 8, 8))
-        assert coverage(f) < COVERAGE_MIN
-        with pytest.raises(CoverageError):
-            require_coverage(f)
+        cov = coverage(f)
+        assert cov < COVERAGE_MIN
+        with pytest.raises(CoverageError, match=f"^grid captures {cov:.4f} of"):
+            require_coverage(cov)
+        require_coverage(COVERAGE_MIN)
 
     def test_coverage_clamped_to_one(self, fock0_field):
         c = coverage(fock0_field)
@@ -311,7 +312,7 @@ class TestFieldIo:
         assert np.array_equal(back.grid.r_edges, g.r_edges)
 
     def test_sampled_state_sidecar_drops_to_none(self, tmp_path):
-        x = default_psi_grid()
+        x = psi_grid()
         st_ = SampledState(x, harmonic_eigenstate(0, x))
         f = sample_field(st_, build_regular(-3, 3, -3, 3, 6, 6))
         path = tmp_path / "psi.csv"

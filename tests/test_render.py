@@ -510,6 +510,14 @@ class TestRenderSizeLimits:
         with pytest.raises(ValueError, match=r"^frame of 1e\+305 s at 8000 Hz is inf samples"):
             render_sweep(traj, sample_rate=8000, frame_seconds=1e305)
 
+    def test_frame_and_trajectory_too_short_are_told_apart(self):
+        traj = SweepTrajectory(((0j, -1 + 0j, 1.0),))
+        short = r"^frame_seconds 0.000375 gives 3 samples at 8000 Hz; a frame needs at least 4$"
+        with pytest.raises(ValueError, match=short):
+            render_sweep(traj, sample_rate=8000, frame_seconds=0.000375)
+        with pytest.raises(ValueError, match="^trajectory shorter than a single frame$"):
+            render_sweep(SweepTrajectory(((0j, -1 + 0j, 0.1),)), sample_rate=8000, frame_seconds=0.5)
+
 
 def sonogram_db(sono):
     """The sonogram's (times, freqs) matrix: its chunks stacked in order."""

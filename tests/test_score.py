@@ -31,13 +31,18 @@ def _columns(**changes):
         onset=[0.0, 0.5],
         duration=[1.0, 1.0],
         pitch_index=[0, 2],
-        freq_hz=[440.0, 440.0 * 2.0 ** (2 / 24)],
         dynamic=[0.5, 1.0],
         technique=["ordinario", "ricochet"],
         gains=[[1.0], [1.0]],
+        ref_pitch=440.0,
     )
     cols.update(changes)
     return cols
+
+
+def _empty_columns():
+    cols = {name: [] for name in _columns()}
+    return {**cols, "gains": np.zeros((0, 2)), "ref_pitch": 440.0}
 
 
 class TestScore:
@@ -45,18 +50,20 @@ class TestScore:
         score = Score(**_columns())
         assert len(score) == 2
         assert score.gains.shape == (2, 1)
-        empty = {name: [] for name in _columns()}
-        empty["gains"] = np.zeros((0, 2))
-        assert len(Score(**empty)) == 0
+        assert score.freq_hz.tolist() == [440.0, 440.0 * 2.0 ** (2 / 24)]
+        assert not score.freq_hz.flags.writeable
+        assert len(Score(**_empty_columns())) == 0
 
     @pytest.mark.parametrize(
         "changes",
         [
             dict(onset=[-0.5, 0.5]),
             dict(duration=[0.0, 1.0]),
-            dict(freq_hz=[-5.0, 440.0]),
-            dict(freq_hz=[np.nan, 440.0]),
-            dict(freq_hz=[np.inf, 440.0]),
+            # freq_hz is derived: a bad reference pitch or an index past
+            # float64's range is what makes it negative, NaN or infinite
+            dict(ref_pitch=-5.0),
+            dict(ref_pitch=np.nan),
+            dict(pitch_index=[30000, 0]),
             dict(dynamic=[1.5, 1.0]),
             dict(dynamic=[-0.1, 1.0]),
             dict(dynamic=[np.nan, 1.0]),
@@ -82,24 +89,11 @@ class TestScore:
         with pytest.raises(ValueError):
             Score(**_columns(**changes))
 
-    def test_off_lattice_row_is_named(self):
-        # pitch_index 3 at 440 Hz among rows built on 440 Hz
-        cols = _columns(
-            onset=[0.0, 0.0, 0.5],
-            duration=[1.0] * 3,
-            pitch_index=[0, 2, 3],
-            freq_hz=[440.0, 440.0 * 2.0 ** (2 / 24), 440.0],
-            dynamic=[1.0] * 3,
-            technique=["ordinario"] * 3,
-            gains=[[1.0]] * 3,
-        )
-        with pytest.raises(ValueError, match="^event 2 has freq_hz 440.0 at pitch_index 3"):
-            Score(**cols)
-
     def test_any_reference_pitch_loads(self, fock1_30_field):
-        # the lattice is checked against row 0, whatever its reference pitch
+        # the score carries the configured reference pitch, whatever it is
         cfg = MapConfig(ref_pitch=432.0)
         score = bank_to_events(method1_grid(fock1_30_field, cfg), fock1_30_field, cfg)
+        assert score.ref_pitch == 432.0
         assert score.freq_hz / 2.0 ** (score.pitch_index / 24) == pytest.approx(432.0, rel=1e-12)
 
     def test_rules_on_written_rows(self, fock1_30_field, cfg):
@@ -112,18 +106,12 @@ class TestScore:
             ("gains", np.nan, "gains must be finite, got nan"),
             # read as 3, it would be a silently substituted pitch
             ("pitch_index", 3.7, "pitch_index must be integral, got 3.7"),
-            ("freq_hz", 440.0, "^event 7 has freq_hz 440.0 at pitch_index"),
         ]:
             columns = {key: getattr(score, key) for key in _columns()}
             column = np.array(columns[name], dtype=float if name == "pitch_index" else None)
             column[7] = value
             with pytest.raises(ValueError, match=match):
                 Score(**{**columns, name: column})
-
-    def test_one_row_cannot_be_checked(self):
-        # a score file does not record its reference pitch; one row sets it
-        cols = {name: values[1:] for name, values in _columns(pitch_index=[0, 3]).items()}
-        assert len(Score(**cols)) == 1
 
 
 class TestBankToEvents:
@@ -246,9 +234,7 @@ class TestScoreIo:
         )
 
     def test_empty_score(self, tmp_path):
-        columns = {name: [] for name in _columns()}
-        columns["gains"] = np.zeros((0, 2))
-        score = Score(**columns)
+        score = Score(**_empty_columns())
         path = tmp_path / "empty.json"
         write_score(score, path)
         assert path.read_text() == "[]\n" == _reference_json(score)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_regions, laguerre_exact
+from oracles import count_regions, laguerre_exact, psi_grid
 from quasitone import (
     EPS_SHIFT,
     PEAK_BOUND,
@@ -24,7 +24,6 @@ from quasitone import (
     build_regular,
     compute_moments,
     default_grid,
-    default_psi_grid,
     eval_cat,
     eval_coherent,
     eval_fock,
@@ -225,12 +224,12 @@ class TestSampledState:
             SampledState(x, psi)
 
     def test_accepts_eigenstate(self):
-        x = default_psi_grid()
+        x = psi_grid()
         st_ = SampledState(x, harmonic_eigenstate(2, x))
         assert st_.describe()["kind"] == "psi"
 
     def test_holds_read_only_copies_and_its_spline(self):
-        x = default_psi_grid()
+        x = psi_grid()
         psi = harmonic_eigenstate(2, x).astype(complex)
         state = SampledState(x, psi)
         assert len(state.coef) == 4
@@ -352,7 +351,7 @@ class TestLargestPhotonNumber:
 
 class TestHarmonicEigenstate:
     def test_orthonormal(self):
-        x = default_psi_grid()
+        x = psi_grid()
         dx = x[1] - x[0]
         states = [harmonic_eigenstate(n, x) for n in range(4)]
         for a in range(4):
@@ -364,7 +363,7 @@ class TestHarmonicEigenstate:
 
 class TestWignerTransform:
     def test_matches_closed_form_first_excited(self):
-        x = default_psi_grid()
+        x = psi_grid()
         psi = harmonic_eigenstate(1, x)
         r = np.linspace(-3, 3, 11)
         p = np.linspace(-3, 3, 11)
@@ -373,7 +372,7 @@ class TestWignerTransform:
         assert np.max(np.abs(w - eval_fock(1, R, P))) < 1e-6
 
     def test_matches_closed_form_ground(self):
-        x = default_psi_grid()
+        x = psi_grid()
         psi = harmonic_eigenstate(0, x)
         assert evaluate(SampledState(x, psi), 0.7, -0.3) == pytest.approx(
             eval_fock(0, 0.7, -0.3), abs=1e-9
@@ -387,7 +386,7 @@ class TestWignerTransform:
             evaluate(SampledState(x, psi / norm), 0.0, 0.0)
 
     def test_scalar_and_array_agree(self):
-        x = default_psi_grid()
+        x = psi_grid()
         psi = harmonic_eigenstate(1, x)
         state = SampledState(x, psi)
         arr = evaluate(state, np.array([0.5, 1.0]), np.array([0.0, 0.0]))
@@ -413,7 +412,7 @@ class TestClosedFormsMatchTransform:
     to the one the transform defines.
     """
 
-    X = default_psi_grid()
+    X = psi_grid()
     R, P = np.meshgrid(np.linspace(-4.0, 4.0, 17), np.linspace(-4.0, 4.0, 17), indexing="ij")
 
     def _max_error(self, state, psi):
@@ -488,7 +487,7 @@ class TestChirpZRows:
         np.testing.assert_array_equal(shuffled, ordered.ravel()[perm])
 
     def test_gaussian_grid_takes_dense_path(self):
-        x = default_psi_grid()
+        x = psi_grid()
         state = SampledState(x, harmonic_eigenstate(1, x))
         moments = compute_moments(sample_field(state, default_grid(state)))
         grid = build_gaussian(moments, 24, 24)
@@ -790,17 +789,29 @@ class TestEvaluateAndCentroid:
         assert p0 == pytest.approx(0.0, abs=1e-12)
 
     def test_sampled_centroid_tracks_displacement(self):
-        x = default_psi_grid()
+        x = psi_grid()
         shifted = harmonic_eigenstate(0, x - 2.0)
         dx = x[1] - x[0]
         shifted = shifted / np.sqrt(np.sum(np.abs(shifted) ** 2) * dx)
         boosted = shifted * np.exp(1.5j * x)
         state = SampledState(x, boosted)
         r0, p0 = state_centroid(state)
-        # the momentum read uses a finite-difference derivative, so its
-        # accuracy is quadratic in the sample spacing
         assert r0 == pytest.approx(2.0, abs=1e-3)
-        assert p0 == pytest.approx(1.5, abs=1e-3)
+        # the momentum is read from the samples' spectrum, not a derivative
+        assert p0 == pytest.approx(1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("p0", [3.0, 10.0, 15.0, 20.0])
+    def test_sampled_momentum_is_spectral(self, p0):
+        # a central difference reads sin(p dx) / dx: 11.47 for 15, 12.14 for 20
+        x = np.linspace(-10.5, 10.5, 257)
+        state = SampledState(x, np.exp(-x * x / 2.0 + 1j * p0 * x) / np.pi**0.25)
+        assert abs(state_centroid(state)[1] - p0) <= 1e-14
+
+    def test_real_wavefunction_has_momentum_exactly_zero(self):
+        # the spectral sum alone reads about 1e-17, which would move grids
+        x = np.linspace(-10.5, 10.5, 257)
+        p0 = state_centroid(SampledState(x, harmonic_eigenstate(1, x)))[1]
+        assert p0 == 0.0 and math.copysign(1.0, p0) == 1.0
 
 
 @settings(max_examples=60, deadline=None)
