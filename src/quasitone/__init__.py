@@ -68,7 +68,6 @@ from .sonify import (
     method2_extremes,
     method3_sections,
     method4_moments,
-    quantize_quarter_tone,
     quarter_tone_index,
     spatial_gains,
     technique_tag,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateMoments, DegenerateRange, MassTooLow
 from .grids import WignerField, edge_areas, edge_centers
-from .textfmt import json_value
+from .textfmt import json_value, written
 
 # Signed mass below this is too cancelled to normalize reliably.
 MASS_FLOOR = 0.5
@@ -140,8 +140,6 @@ def moments_to_json(moments: MomentSet) -> str:
 
 
 def write_moments(moments: MomentSet, path) -> None:
-    """Write moments_to_json's text; serialized before the file is opened,
-    so a moment that cannot be serialized leaves no file."""
-    text = moments_to_json(moments)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write moments_to_json's text through textfmt.written."""
+    with written(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(moments_to_json(moments))

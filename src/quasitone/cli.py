@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .analysis import compute_moments, moments_to_json, write_moments
@@ -55,7 +54,7 @@ from .sonify import (
     method4_moments,
 )
 from .states import CatState, CoherentState, FockState, SampledState, refuse_unresolved_momentum
-from .textfmt import fmt17, read_csv_table
+from .textfmt import fmt17, read_csv_table, written
 
 
 class UsageFault(ValueError):
@@ -291,15 +290,12 @@ def _run(args) -> int:
         write_score(score, args.out)
         return 0
     gains = None if args.channels == 1 else partial_gains(bank, field, args.channels)
-    # transcribe before writing anything, and write both files or neither
     score = bank_to_events(bank, field, cfg, channels=args.channels) if args.score else None
-    write_wav(synth(bank, sample_rate=args.sr, gains=gains), args.out)
-    if score is not None:
-        try:
-            write_score(score, args.score)
-        except OSError:
-            os.remove(args.out)
-            raise
+    # the WAV and the --score file are written together, or neither
+    with written(*((args.out, args.score) if args.score else (args.out,))) as paths:
+        write_wav(synth(bank, sample_rate=args.sr, gains=gains), paths[0])
+        if score is not None:
+            write_score(score, paths[1])
     return 0
 
 

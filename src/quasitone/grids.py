@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ from .states import (
     state_from_description,
     transform_bound,
 )
-from .textfmt import csv_row_line, json_value, read_csv_table
+from .textfmt import csv_row_line, json_value, read_csv_table, written
 
 KIND_REGULAR = "regular"
 KIND_GAUSSIAN = "gaussian"
@@ -391,17 +390,10 @@ def write_field(field: WignerField, path) -> None:
         "p_edges": [float(e) for e in grid.p_edges],
         "state": field.state.describe() if field.state is not None else None,
     }
-    # serialized before the CSV is opened, and the CSV removed if the
-    # sidecar cannot be written, so a failure leaves neither file
-    sidecar_text = json_value(sidecar) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("r,p,value\n" + "".join(map("%.17g,%.17g,%.17g\n".__mod__, cells)))
-    try:
-        with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-            fh.write(sidecar_text)
-    except OSError:
-        os.remove(path)
-        raise
+    with written(path, _sidecar_path(path)) as (csv_path, sidecar_path):
+        with open(csv_path, "w", encoding="utf-8") as fh, open(sidecar_path, "w", encoding="utf-8") as side:
+            fh.write("r,p,value\n" + "".join(map("%.17g,%.17g,%.17g\n".__mod__, cells)))
+            side.write(json_value(sidecar) + "\n")
 
 
 def read_field(path) -> WignerField:

@@ -34,6 +34,7 @@ from .errors import BufferTooShort, NyquistViolation, UnsupportedFormat
 from .grids import DEFAULT_HALF_WIDTH, default_edges, default_grid, edge_centers, sample_field
 from .sonify import TAU, WAVE_TRIANGLE, MapConfig, PartialBank, envelope, spatial_gains
 from .states import EPS_SHIFT, FockState, eval_cat, squared_shift
+from .textfmt import written
 
 # perfbench/layers.py wraps this name by getattr; render does not call it.
 from .sonify import method4_moments  # noqa: F401, E402
@@ -83,9 +84,15 @@ _AUDIO_SAMPLES = 4 * 12000
 
 
 def _sample_count(what, seconds, sample_rate, channels) -> int:
-    """round(seconds * sample_rate) as an int. ValueError naming the count
-    when that many samples times channels exceed MAX_SAMPLES, or when
-    float64 cannot hold the product (the count reads inf)."""
+    """round(seconds * sample_rate) as an int. ValueError naming the rate
+    and channels when a WAV header cannot hold their byte rate, and naming
+    the count when that many samples times channels exceed MAX_SAMPLES, or
+    when float64 cannot hold the product (the count reads inf)."""
+    if sample_rate * 4 * channels > 0xFFFFFFFF:
+        raise ValueError(
+            f"{sample_rate} Hz over {channels} channel(s) of 4-byte samples is {sample_rate * 4 * channels} "
+            f"bytes per second, above the WAV header's limit of {0xFFFFFFFF}"
+        )
     n = seconds * sample_rate
     count = round(n) * channels if math.isfinite(n) else math.inf
     if count > MAX_SAMPLES:
@@ -577,7 +584,7 @@ def write_sonogram_csv(sono: SonogramStream, path) -> None:
     width = len(floor_cell)
     n = sono.freqs.size
     floor_run = floor_cell * n
-    with open(path, "wb") as fh:
+    with written(path) as (tmp,), open(tmp, "wb") as fh:
         fh.write(("," + ",".join(["%.9g" % f for f in sono.freqs.tolist()]) + "\n").encode())
         for times, db in sono.chunks():
             live = db != DB_FLOOR
@@ -617,7 +624,7 @@ def write_wav(buffer: AudioBuffer, path) -> None:
     header = b"RIFF" + struct.pack("<I", 36 + data.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 3, n_ch, sr, sr * block, block, 32)
     header += b"data" + struct.pack("<I", data.nbytes)
-    with open(path, "wb") as fh:
+    with written(path) as (tmp,), open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(data)
 

@@ -22,6 +22,7 @@ from .sonify import (
     spatial_gains,
     technique_tag,
 )
+from .textfmt import written
 
 # the per-event columns in JSON key order; gains follows as a list
 _COLUMNS = ("onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique")
@@ -46,6 +47,9 @@ class Score:
 
     def __post_init__(self):
         pitch = np.array(self.pitch_index, dtype=float)  # the int64 cast below truncates
+        big = pitch[~(np.abs(pitch) < 2.0**63)]
+        if big.size:
+            raise ValueError(f"pitch_index must be finite and within int64, got {big.flat[0].item()!r}")
         dtypes = {"pitch_index": np.int64, "technique": str}
         given = ("onset", "duration", "pitch_index", "dynamic", "technique", "gains")
         for name in given:
@@ -147,5 +151,5 @@ def score_to_json(score: Score) -> str:
 
 
 def write_score(score: Score, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with written(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
         fh.write(score_to_json(score))

@@ -358,15 +358,6 @@ def quarter_tone_index(freq, ref_pitch=440.0):
     return idx if idx.ndim else int(idx)
 
 
-def quantize_quarter_tone(freq, ref_pitch=440.0):
-    """Snap freq onto the quarter-tone lattice ref_pitch * 2^(k/24).
-
-    Applying the map twice returns the identical float: a lattice point
-    measures an exactly integral step count, so it maps to itself.
-    """
-    return quarter_tone_freq(quarter_tone_index(freq, ref_pitch), ref_pitch)
-
-
 def quarter_tone_freq(idx, ref_pitch=440.0):
     """Frequency ref_pitch * 2^(idx/24) of lattice index idx."""
     _check_ref_pitch(ref_pitch)

@@ -12,11 +12,15 @@ not lossless.
 read_csv_table reads the field CSV (r,p,value) and the wavefunction CSV
 (x,re,im) alike: one parse of the whole text, and a line-by-line rescan
 only to name the file, line and cell of a fault.
+
+written is the one write path: a command writes all its files or none.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 
 import numpy as np
 
@@ -28,9 +32,13 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def json_scalar(value) -> str:
-    """One JSON scalar: floats via fmt17, strings escaped, ints verbatim,
-    None as null."""
+def json_value(value) -> str:
+    """Deterministic one-line JSON of nested dicts (in insertion order),
+    lists and scalars: floats via fmt17, strings escaped, ints verbatim, None null."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f'"{k}": {json_value(v)}' for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(json_value, value)) + "]"
     if value is None:
         return "null"
     if isinstance(value, int):
@@ -43,14 +51,28 @@ def json_scalar(value) -> str:
     raise TypeError(f"unsupported scalar type: {type(value)!r}")
 
 
-def json_value(value) -> str:
-    """Serialize nested dicts, lists, and scalars deterministically on one
-    line; dicts keep insertion order."""
-    if isinstance(value, dict):
-        return "{" + ", ".join(f'"{k}": {json_value(v)}' for k, v in value.items()) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(map(json_value, value)) + "]"
-    return json_scalar(value)
+class _Temporary(str):
+    """A temporary path that an open written() block gave; a nested block writes it in place."""
+
+
+@contextlib.contextmanager
+def written(*paths):
+    """Temporaries path + ".part" for the block to write: each replaces its
+    path, the first path last, when the block ends; all are removed if it
+    raises. A temporary of an enclosing block, or a path that exists as no
+    regular file (a device, a pipe, a symlink), is written in place."""
+    temps = [
+        p if isinstance(p, _Temporary) or os.path.islink(p) or (os.path.exists(p) and not os.path.isfile(p))
+        else _Temporary(f"{p}.part") for p in paths
+    ]
+    own = {t: str(p) for p, t in zip(paths, temps) if t is not p}
+    try:
+        yield temps
+        for temp in reversed(own):
+            os.replace(temp, own[temp])
+    finally:
+        for temp in filter(os.path.exists, own):
+            os.remove(temp)
 
 
 def read_csv_table(path, header: str) -> np.ndarray:

@@ -32,7 +32,7 @@ from quasitone import (
     harmonic_eigenstate,
     method1_grid,
     method4_moments,
-    quantize_quarter_tone,
+    quarter_tone_index,
     read_field,
     read_wav,
     render_sweep,
@@ -43,6 +43,7 @@ from quasitone import (
     write_wav,
 )
 from quasitone.cli import cli_main
+from quasitone.sonify import quarter_tone_freq
 
 
 def report(num, ok, detail):
@@ -199,11 +200,11 @@ def test_criterion_09_envelope_method_shape():
 def test_criterion_10_quarter_tone_lattice():
     rng = np.random.default_rng(20260815)
     freqs = rng.uniform(55.0, 7040.0, size=100_000)
-    out = quantize_quarter_tone(freqs)
+    out = quarter_tone_freq(quarter_tone_index(freqs))
     steps = 24.0 * np.log2(out / 440.0)
     lattice_err = float(np.max(np.abs(steps - np.round(steps))))
     ratio_err = float(np.max(np.abs(np.log2(out / freqs))))
-    idempotent = np.array_equal(quantize_quarter_tone(out), out)
+    idempotent = np.array_equal(quarter_tone_freq(quarter_tone_index(out)), out)
     ok = lattice_err < 1e-9 and ratio_err <= 1.0 / 48.0 + 1e-12 and idempotent
     report(
         10, ok,

@@ -22,6 +22,7 @@ from quasitone import (
     segment_four,
     write_moments,
 )
+from quasitone import analysis
 from quasitone.analysis import MomentSet, stacked_moments
 from quasitone.cli import parse_grid
 
@@ -205,6 +206,12 @@ class TestMomentsIo:
         with pytest.raises(ValueError, match="non-finite"):
             write_moments(m, path)
         assert not path.exists()
+
+    def test_failed_write_keeps_what_was_there(self, tmp_path, failed_write, fock0_field, cat1_field):
+        path, m = tmp_path / "moments.json", compute_moments(cat1_field)
+        failed_write(analysis, lambda: write_moments(m, path))
+        write_moments(compute_moments(fock0_field), path)
+        failed_write(analysis, lambda: write_moments(m, path))
 
     def test_json_byte_stable(self, fock0_field):
         m = compute_moments(fock0_field)

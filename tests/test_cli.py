@@ -346,6 +346,19 @@ class TestExitCodes:
             # sonify writes its WAV and its score, or neither
             assert not (tmp_path / "x.wav").exists()
 
+    def test_score_fault_keeps_the_old_wav(self, tmp_path, capsys):
+        # a --score file that cannot be written leaves the WAV already at
+        # --out as it was, and no temporary
+        wav = tmp_path / "x.wav"
+        assert cli_main(["sonify", *_SHORT_MAPPING, "--out", str(wav)]) == 0
+        old = wav.read_bytes()
+        argv = ["sonify", "--state", "fock:1", "--method", "IV", "--duration", "0.2", "--out", str(wav)]
+        assert cli_main([*argv, "--score", str(tmp_path / "missing" / "s.json")]) == 4
+        err = capsys.readouterr().err
+        # the score's temporary is named, not a temporary of a temporary
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("s.json.part'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["x.wav"] and wav.read_bytes() == old
+
     def test_field_sidecar_fault_leaves_no_csv(self, tmp_path, capsys):
         # field writes its CSV and its sidecar, or neither
         out = tmp_path / "out.csv"
@@ -553,8 +566,17 @@ class TestRendersThatCannotBeHeld:
              "sweep of 350.0 s at 48000 Hz is 67200000 samples over 4 channel(s)"),
             (["sweep", "--frame", "0.001", "--segments", "0:-1:65.537"],
              "131074 frames of 0.001 s exceed the limit of 131072"),
+            # a WAV header holds a byte rate below 2**32
+            (["sonify", "--state", "fock:1", "--method", "IV", "--sr", "300000000",
+              "--duration", "0.00001", "--channels", "4"],
+             "300000000 Hz over 4 channel(s) of 4-byte samples is 4800000000 bytes per second"),
+            (["sweep", "--sr", "5000000000", "--frame", "1e-8", "--segments", "0:-1:1e-6"],
+             "5000000000 Hz over 1 channel(s) of 4-byte samples is 20000000000 bytes per second"),
         ],
-        ids=["sonify-duration", "sweep-segments", "sweep-channels", "sweep-frames"],
+        ids=[
+            "sonify-duration", "sweep-segments", "sweep-channels", "sweep-frames",
+            "sonify-byte-rate", "sweep-byte-rate",
+        ],
     )
     def test_render_is_2_naming_the_count(self, argv, refused, tmp_path):
         res = subprocess.run(

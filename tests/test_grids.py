@@ -284,6 +284,15 @@ class TestFieldIo:
         assert str(refused.value).startswith(f"{path}: ")
         assert named.replace(f"line {line}", f"line {line + 1}") in str(refused.value)
 
+    @pytest.mark.parametrize("fail_at", [0, 1], ids=["csv", "sidecar"])
+    def test_failed_write_keeps_what_was_there(self, fail_at, tmp_path, failed_write, fock1_30_field):
+        # neither file of the pair is left, nor a temporary, and an old pair
+        # keeps its bytes, whichever of the two files fails
+        path = tmp_path / "field.csv"
+        failed_write(grids, lambda: write_field(fock1_30_field, path), fail_at)
+        write_field(sample_field(FockState(0), build_regular(-4, 4, -4, 4, 4, 4)), path)
+        failed_write(grids, lambda: write_field(fock1_30_field, path), fail_at)
+
     def test_cat_sidecar_with_zero_carrier_loads(self, tmp_path):
         # sidecars written before the cat lost its carrier record "alpha": [0, 0]
         f = sample_field(CatState(-1.5 + 0.25j), build_regular(-6, 4, -5, 5, 12, 12))

@@ -510,6 +510,24 @@ class TestRenderSizeLimits:
         with pytest.raises(ValueError, match=r"^frame of 1e\+305 s at 8000 Hz is inf samples"):
             render_sweep(traj, sample_rate=8000, frame_seconds=1e305)
 
+    def test_byte_rate_a_wav_header_cannot_hold(self, tmp_path, monkeypatch):
+        # 268435455 Hz is the highest rate whose 4-channel byte rate fits
+        # the header's 32 bits; one hertz more is refused before any render
+        gains = np.full((1, 4), 0.5)
+        buf = synth(one_partial_bank(duration=1e-6), sample_rate=268_435_455, gains=gains)
+        write_wav(buf, tmp_path / "fast.wav")
+        assert read_wav(tmp_path / "fast.wav").sample_rate == 268_435_455
+        monkeypatch.setattr(render, "_accumulate", None)
+        refused = (
+            r"^268435456 Hz over 4 channel\(s\) of 4-byte samples is 4294967296 bytes per second, "
+            r"above the WAV header's limit of 4294967295$"
+        )
+        with pytest.raises(ValueError, match=refused):
+            synth(one_partial_bank(duration=1e-6), sample_rate=268_435_456, gains=gains)
+        traj = SweepTrajectory(((0j, -1 + 0j, 1e-6),))
+        with pytest.raises(ValueError, match=r"^5000000000 Hz over 1 channel\(s\) of 4-byte"):
+            render_sweep(traj, sample_rate=5_000_000_000, frame_seconds=1e-8)
+
     def test_frame_and_trajectory_too_short_are_told_apart(self):
         traj = SweepTrajectory(((0j, -1 + 0j, 1.0),))
         short = r"^frame_seconds 0.000375 gives 3 samples at 8000 Hz; a frame needs at least 4$"
@@ -653,6 +671,13 @@ class TestSonogram:
         want = per_value_sonogram_csv(times, freqs, reference_sonogram_db(buf, window, hop))
         assert path.read_text() == want
 
+    def test_failed_write_keeps_what_was_there(self, tmp_path, failed_write):
+        x = np.random.default_rng(3).uniform(-0.9, 0.9, (8192, 1)).astype(np.float32)
+        path, sono = tmp_path / "sono.csv", SonogramStream(AudioBuffer(x, 8000), 1024, 512)
+        failed_write(render, lambda: write_sonogram_csv(sono, path))
+        write_sonogram_csv(SonogramStream(AudioBuffer(x[:2048], 8000), 1024, 512), path)
+        failed_write(render, lambda: write_sonogram_csv(sono, path))
+
     def test_stream_memory_does_not_grow_with_frames(self, tmp_path):
         # WAV to CSV through the command: past the WAV's own bytes, the peak
         # is a chunk of frames and its text, however long the audio
@@ -765,6 +790,23 @@ class TestWavIo:
         p2.write_bytes(bytes(spliced))
         back = read_wav(p2)
         assert np.array_equal(back.samples, buf.samples)
+
+    def test_failed_write_keeps_what_was_there(self, tmp_path, failed_write):
+        path, buf = tmp_path / "t.wav", synth(one_partial_bank(duration=0.1), sample_rate=8000)
+        failed_write(render, lambda: write_wav(buf, path))
+        write_wav(synth(one_partial_bank(freq=700.0, duration=0.05), sample_rate=8000), path)
+        failed_write(render, lambda: write_wav(buf, path))
+
+    def test_symlinked_path_is_written_through(self, tmp_path):
+        # a path that is no regular file is written in place: the link stays,
+        # and its target gets the new bytes
+        target, link = tmp_path / "target.wav", tmp_path / "link.wav"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        buf = synth(one_partial_bank(duration=0.05), sample_rate=8000)
+        write_wav(buf, link)
+        assert link.is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == ["link.wav", "target.wav"]
+        assert np.array_equal(read_wav(target).samples, buf.samples)
 
     def test_reads_a_pipe(self, tmp_path):
         # a pipe has no size to allocate the read buffer from

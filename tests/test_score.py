@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from quasitone import (
     method3_sections,
     method4_moments,
     partial_gains,
-    quantize_quarter_tone,
     quarter_tone_index,
     sample_field,
     score_to_json,
     write_score,
 )
+from quasitone import score as score_module
+from quasitone.sonify import quarter_tone_freq
 from quasitone.textfmt import json_value
 
 
@@ -89,6 +91,15 @@ class TestScore:
         with pytest.raises(ValueError):
             Score(**_columns(**changes))
 
+    @pytest.mark.parametrize("big", [1e20, -1e20, 2.0**63, np.inf, np.nan])
+    @pytest.mark.parametrize("column", [list, np.array], ids=["list", "array"])
+    def test_pitch_index_past_int64_refused(self, big, column):
+        # refused before the int64 cast, which overflows on a list and warns
+        # on an array
+        refused = re.escape(f"pitch_index must be finite and within int64, got {big!r}")
+        with pytest.raises(ValueError, match=refused):
+            Score(**_columns(pitch_index=column([0, big])))
+
     def test_any_reference_pitch_loads(self, fock1_30_field):
         # the score carries the configured reference pitch, whatever it is
         cfg = MapConfig(ref_pitch=432.0)
@@ -119,7 +130,7 @@ class TestBankToEvents:
         bank = method1_grid(fock1_30_field, cfg)
         score = bank_to_events(bank, fock1_30_field, cfg)
         freq, index = score.freq_hz[:50], score.pitch_index[:50]
-        assert freq == pytest.approx(quantize_quarter_tone(freq), rel=1e-12)
+        assert freq == pytest.approx(quarter_tone_freq(quarter_tone_index(freq)), rel=1e-12)
         # index and frequency agree
         assert freq == pytest.approx(cfg.ref_pitch * 2.0 ** (index / 24.0), rel=1e-9)
 
@@ -174,8 +185,9 @@ class TestBankToEvents:
         # functions give, to the bit
         bank = method1_grid(fock1_30_field, cfg)
         score = bank_to_events(bank, fock1_30_field, cfg)
+        ref = cfg.ref_pitch
         want = sorted(
-            (quarter_tone_index(f, cfg.ref_pitch), quantize_quarter_tone(f, cfg.ref_pitch))
+            (quarter_tone_index(f, ref), quarter_tone_freq(quarter_tone_index(f, ref), ref))
             for f in bank.freq.tolist()
         )
         assert sorted(zip(score.pitch_index.tolist(), score.freq_hz.tolist())) == want
@@ -232,6 +244,13 @@ class TestScoreIo:
         assert sorted(first) == sorted(
             ["onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique", "gains"]
         )
+
+    def test_failed_write_keeps_what_was_there(self, tmp_path, failed_write, fock1_30_field, cfg):
+        path = tmp_path / "score.json"
+        score = bank_to_events(method1_grid(fock1_30_field, cfg), fock1_30_field, cfg)
+        failed_write(score_module, lambda: write_score(score, path))
+        write_score(Score(**_columns()), path)
+        failed_write(score_module, lambda: write_score(score, path))
 
     def test_empty_score(self, tmp_path):
         score = Score(**_empty_columns())
