@@ -85,7 +85,6 @@ from .states import (
     eval_fock,
     harmonic_eigenstate,
     laguerre,
-    state_centroid,
 )
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .analysis import compute_moments, moments_to_json, write_moments
@@ -30,6 +31,7 @@ from .grids import (
     read_field,
     require_coverage,
     sample_field,
+    sidecar_path,
     write_field,
 )
 from .render import (
@@ -227,7 +229,37 @@ def _build_parser():
 _PARSER = _build_parser()
 
 
+def _refuse_shared_files(args):
+    """UsageFault naming both flags when a file the command writes is also
+    another of its outputs or one of its inputs, compared by real path; a
+    device or other non-regular file may be named twice."""
+    out, field = getattr(args, "out", None), getattr(args, "field", None)
+    kind, _, psi = getattr(args, "state", "").partition(":")
+    writes = {
+        "--out": out,
+        "--score": getattr(args, "score", None),
+        "the --out sidecar": args.command == "field" and sidecar_path(out),
+    }
+    reads = {
+        "--field": field,
+        "the --field sidecar": field and sidecar_path(field),
+        "--audio": getattr(args, "audio", None),
+        "--config": getattr(args, "config", None),
+        "--state": kind == "psi" and psi,
+    }
+    written_by = {}
+    for flag, path in [*writes.items(), *reads.items()]:
+        if not path or (os.path.exists(path) and not os.path.isfile(path)):
+            continue
+        real = os.path.realpath(path)
+        if real in written_by:
+            raise UsageFault(f"{written_by[real]} and {flag} name the same file {path!r}")
+        if flag in writes:
+            written_by[real] = flag
+
+
 def _run(args) -> int:
+    _refuse_shared_files(args)
     if args.command == "eval":
         state = parse_state(args.state)
         for flag, value in (("--r", args.r), ("--p", args.p)):

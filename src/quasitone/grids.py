@@ -27,7 +27,6 @@ from .states import (
     StateSpec,
     evaluate,
     refuse_unresolved_momentum,
-    state_centroid,
     state_from_description,
     transform_bound,
 )
@@ -234,7 +233,7 @@ def build_gaussian(moments, n_r, n_p, span_sigmas=3.0) -> GridSpec:
 def sample_field(state: StateSpec, grid: GridSpec) -> WignerField:
     """Evaluate the state's Wigner function at every cell center; a
     SampledState's grid must lie inside its momentum limit (see
-    states.momentum_limit), or MomentumUnresolved names the p."""
+    SampledState.momentum_limit), or MomentumUnresolved names the p."""
     refuse_unresolved_momentum(state, grid.p_centers)
     values = np.asarray(evaluate(state, grid.r_centers[:, None], grid.p_centers), dtype=float)
     return WignerField(grid, values, state)
@@ -261,7 +260,7 @@ def default_edges(r0, p0):
 
 def default_grid(state: StateSpec) -> GridSpec:
     """Regular DEFAULT_CELLS-square grid centered on the state's analytic centroid."""
-    return GridSpec(KIND_REGULAR, *default_edges(*state_centroid(state)))
+    return GridSpec(KIND_REGULAR, *default_edges(*state.centroid))
 
 
 def _row_budgets(state: SampledState, ref: GridSpec) -> np.ndarray:
@@ -298,7 +297,7 @@ def _counted_rows(state: SampledState, ref: GridSpec) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _reference_abs_mass(state: StateSpec) -> float:
-    r0, p0 = state_centroid(state)
+    r0, p0 = state.centroid
     ref = build_regular(
         r0 - _REF_HALF, r0 + _REF_HALF, p0 - _REF_HALF, p0 + _REF_HALF, _REF_CELLS, _REF_CELLS
     )
@@ -361,7 +360,8 @@ def require_coverage(cov: float) -> None:
 # === CSV + sidecar I/O ===
 
 
-def _sidecar_path(path) -> str:
+def sidecar_path(path) -> str:
+    """The JSON sidecar that write_field writes beside the field CSV at path."""
     return str(path) + ".json"
 
 
@@ -390,9 +390,11 @@ def write_field(field: WignerField, path) -> None:
         "p_edges": [float(e) for e in grid.p_edges],
         "state": field.state.describe() if field.state is not None else None,
     }
-    with written(path, _sidecar_path(path)) as (csv_path, sidecar_path):
-        with open(csv_path, "w", encoding="utf-8") as fh, open(sidecar_path, "w", encoding="utf-8") as side:
+    with written(path, sidecar_path(path)) as (csv_tmp, side_tmp):
+        # a nested block per file, so that a failed write names its file
+        with written(csv_tmp), open(csv_tmp, "w", encoding="utf-8") as fh:
             fh.write("r,p,value\n" + "".join(map("%.17g,%.17g,%.17g\n".__mod__, cells)))
+        with written(side_tmp), open(side_tmp, "w", encoding="utf-8") as side:
             side.write(json_value(sidecar) + "\n")
 
 
@@ -403,7 +405,7 @@ def read_field(path) -> WignerField:
     number, or a row whose r or p is not its cell center on the sidecar's
     grid, raises ValueError naming the file (and the first such line).
     """
-    side = _sidecar_path(path)
+    side = sidecar_path(path)
     table = read_csv_table(path, "r,p,value")
     with open(side, "r", encoding="utf-8") as fh:
         try:

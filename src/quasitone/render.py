@@ -66,6 +66,10 @@ MAX_SAMPLES = 1 << 26
 # the limit peaks at about 254 MB RSS and takes 18 s (same host).
 MAX_SWEEP_FRAMES = 1 << 17
 
+# Most partials, frames times n_osc, a sweep's banks may hold: as many as
+# MAX_SWEEP_FRAMES frames of the default 21, the size measured above.
+MAX_SWEEP_PARTIALS = MAX_SWEEP_FRAMES * 21
+
 # float64 values per chunk of the in-place float32 cast of a mix.
 _CAST_CHUNK = 1 << 16
 
@@ -418,8 +422,9 @@ def render_sweep(
     of frames through synth's oscillator kernel with a leading frame axis.
     So a fault in any frame (a partial at Nyquist, a degenerate field)
     raises before any audio is rendered. More than MAX_SAMPLES samples
-    times channels, or more than MAX_SWEEP_FRAMES frames, raise ValueError
-    before anything of that size exists.
+    times channels, more than MAX_SWEEP_FRAMES frames, or more than
+    MAX_SWEEP_PARTIALS frames times n_osc, raise ValueError before anything
+    of that size exists.
 
     Defaults reproduce the 273 s path; cfg defaults to the sigma_r-anchored
     envelope so every partial stays inside the audible band end to end.
@@ -445,6 +450,11 @@ def render_sweep(
     if len(starts) > MAX_SWEEP_FRAMES:
         raise ValueError(
             f"{len(starts)} frames of {frame_seconds!r} s exceed the limit of {MAX_SWEEP_FRAMES}"
+        )
+    if len(starts) * cfg.n_osc > MAX_SWEEP_PARTIALS:
+        raise ValueError(
+            f"{len(starts)} frames of n_osc = {cfg.n_osc} partials are {len(starts) * cfg.n_osc} "
+            f"partials, above the limit of {MAX_SWEEP_PARTIALS}"
         )
     shifts = np.array([trajectory.delta_alpha_at(start / sample_rate) for start in starts])
     r0, p0, sigma_r = _frame_moments(shifts)

@@ -62,7 +62,7 @@ class MapConfig:
     mapping IV: its center frequency is f0_base + f0_slope * r0 (or
     f0_base + f0_slope * sigma_r when f0_mode is "sigma_r") and its
     spectral width is q_slope * sigma_r. n_osc must stay odd so one
-    partial sits exactly on the envelope center.
+    partial sits exactly on the envelope center, and at most MAX_PARTIALS.
     """
 
     f_lo: float = 55.0
@@ -86,6 +86,8 @@ class MapConfig:
             raise ValueError("f0_base and f0_slope must be finite")
         if self.n_osc < 1 or self.n_osc % 2 == 0:
             raise ValueError(f"n_osc must be odd and positive, got {self.n_osc}")
+        if self.n_osc > MAX_PARTIALS:
+            raise ValueError(f"n_osc = {self.n_osc} exceeds the limit of {MAX_PARTIALS} partials")
         _check_ref_pitch(self.ref_pitch)
         if self.negative_technique not in _NEGATIVE_TECHNIQUES:
             raise ValueError(f"negative_technique must be one of {_NEGATIVE_TECHNIQUES}")

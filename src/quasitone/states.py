@@ -79,6 +79,8 @@ class FockState:
     """Number state |m>."""
 
     m: int
+    centroid = (0.0, 0.0)
+    momentum_limit = math.inf
 
     def __post_init__(self):
         if not isinstance(self.m, (int, np.integer)) or self.m < 0:
@@ -87,6 +89,9 @@ class FockState:
 
     def describe(self) -> dict:
         return {"kind": "fock", "m": int(self.m)}
+
+    def wigner(self, r, p):
+        return eval_fock(self.m, r, p)
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,7 @@ class CatState:
     """
 
     delta_alpha: complex
+    momentum_limit = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "delta_alpha", complex(self.delta_alpha))
@@ -108,12 +114,20 @@ class CatState:
     def describe(self) -> dict:
         return {"kind": "cat", "delta_alpha": [self.delta_alpha.real, self.delta_alpha.imag]}
 
+    def wigner(self, r, p):
+        return eval_cat(self.delta_alpha, r, p)
+
+    @property
+    def centroid(self) -> tuple[float, float]:
+        return (self.delta_alpha.real, self.delta_alpha.imag)
+
 
 @dataclass(frozen=True)
 class CoherentState:
     """Coherent state displaced to (Re alpha, Im alpha) in phase space."""
 
     alpha: complex = 0j
+    momentum_limit = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -123,12 +137,19 @@ class CoherentState:
     def describe(self) -> dict:
         return {"kind": "coherent", "alpha": [self.alpha.real, self.alpha.imag]}
 
+    def wigner(self, r, p):
+        return eval_coherent(self.alpha, r, p)
+
+    @property
+    def centroid(self) -> tuple[float, float]:
+        return (self.alpha.real, self.alpha.imag)
+
 
 @dataclass(frozen=True, eq=False)
 class SampledState:
     """Wavefunction sampled on a uniform position grid, with the not-a-knot
     cubic spline through its samples, solved once here: read-only x, psi
-    and coef (see _spline_coefficients), which evaluate and transform_bound
+    and coef (see _spline_coefficients), which wigner and transform_bound
     read. The samples must be finite and carry unit probability: sum
     |psi|^2 dx = 1 within 1e-9.
 
@@ -139,7 +160,7 @@ class SampledState:
     the shifted copies of the sample span, with composite Simpson weights
     1, 4, 2, ..., 4, 1 on its nodes |k| <= K_r = floor(H_r / h) and 0
     beyond; the spline is evaluated once per row, at r + y_k / 2, and at
-    r - y_k / 2 is the same row reversed. evaluate sums the table whose
+    r - y_k / 2 is the same row reversed. wigner sums the table whose
     rows are a call's distinct r and whose columns are its distinct p.
     When eight or more distinct p lie on a uniform lattice and the points
     fill the table, as a grid or a block of grid rows does, a chirp-z
@@ -182,7 +203,44 @@ class SampledState:
         x = self.x
         return {"kind": "psi", "n": int(x.size), "x_min": float(x[0]), "x_max": float(x[-1])}
 
+    def wigner(self, r, p):
+        """The transform at (r, p), after the tail-mass check of evaluate."""
+        k = max(1, round(_TAIL_FRACTION * self.x.size))
+        prob = np.abs(self.psi) ** 2 * (self.x[1] - self.x[0])
+        tail = max(float(np.sum(prob[:k])), float(np.sum(prob[-k:])))
+        if tail > _TAIL_MASS_LIMIT:
+            raise QuadratureSpanTooSmall(
+                f"edge probability {tail:.3e} exceeds {_TAIL_MASS_LIMIT:.0e}; widen the sample span"
+            )
+        out = _transform(self, np.asarray(r, float), np.asarray(p, float))
+        return out if out.ndim else float(out)
 
+    @property
+    def centroid(self) -> tuple[float, float]:
+        dx = self.x[1] - self.x[0]
+        prob = np.abs(self.psi) ** 2 * dx
+        r0 = float(np.sum(self.x * prob))
+        if not self.psi.imag.any():
+            return (r0, 0.0)  # exactly: the spectral sum reads about 1e-17 here
+        # <p> of the samples' trigonometric interpolant, sum k |F_k|^2 / sum |F_k|^2;
+        # a finite difference reads sin(p dx) / dx for e^{i p x}
+        power = np.abs(np.fft.fft(self.psi)) ** 2
+        k = 2.0 * np.pi * np.fft.fftfreq(self.x.size, dx)
+        return (r0, float(np.sum(k * power) / np.sum(power)))
+
+    @property
+    def momentum_limit(self) -> float:
+        """pi / (2 h) for the lattice step h = (x[-1] - x[0]) / (2 x.size):
+        Simpson's 4, 2 weights repeat every 2 h, so the sum at p also
+        carries its images p -+ pi / h, and from |p| = pi / (2 h) on one of
+        them lies as near the origin as p or nearer."""
+        x = self.x
+        return math.pi / (2.0 * ((x[-1] - x[0]) / (2 * x.size)))
+
+
+# Each answers for its kind: wigner(r, p) (see evaluate), centroid, the
+# phase-space centroid (r0, p0) of its signed mass, and momentum_limit, the
+# |p| from which its Wigner function is not resolved, infinite if closed.
 StateSpec = FockState | CatState | CoherentState | SampledState
 
 
@@ -464,26 +522,15 @@ def transform_bound(state: SampledState, r):
     return (4.0 * step / (3.0 * math.pi)) * pairs[np.clip(k, 0, pairs.size - 1).astype(np.intp)]
 
 
-def momentum_limit(state: SampledState) -> float:
-    """pi / (2 h), the |p| from which the transform of a SampledState
-    aliases, h = (x[-1] - x[0]) / (2 x.size) being its lattice step (see
-    _lattice). Simpson's alternating 4, 2 weights repeat every 2 h, so the
-    sum at p also carries the integral at its images p - pi/h and p + pi/h;
-    from |p| = pi / (2 h) on, one image lies as near the origin as p or
-    nearer."""
-    x = state.x
-    return math.pi / (2.0 * ((x[-1] - x[0]) / (2 * x.size)))
-
-
 def refuse_unresolved_momentum(state: StateSpec, p, what="p"):
     """MomentumUnresolved naming the p of largest |p|, and the limit, when
-    it reaches momentum_limit of a SampledState; closed forms resolve
-    every p."""
-    if not isinstance(state, SampledState):
+    it reaches the state's momentum_limit; a closed form's is infinite, and
+    it resolves every p, a non-finite one too."""
+    limit = state.momentum_limit
+    if limit == math.inf:
         return
     p = np.ravel(p)
     worst = float(p[np.argmax(np.abs(p))])
-    limit = momentum_limit(state)
     if not abs(worst) < limit:
         raise MomentumUnresolved(
             f"{what} = {worst:.6g} reaches |p| >= {limit:.6g} = pi / (2 h), past which the "
@@ -639,42 +686,4 @@ def evaluate(state: StateSpec, r, p):
     see), or for an r outside the span. The transform takes every p, but
     aliases from momentum_limit on; callers that take a p from outside
     check it with refuse_unresolved_momentum first."""
-    if isinstance(state, FockState):
-        return eval_fock(state.m, r, p)
-    if isinstance(state, CatState):
-        return eval_cat(state.delta_alpha, r, p)
-    if isinstance(state, CoherentState):
-        return eval_coherent(state.alpha, r, p)
-    if isinstance(state, SampledState):
-        k = max(1, round(_TAIL_FRACTION * state.x.size))
-        prob = np.abs(state.psi) ** 2 * (state.x[1] - state.x[0])
-        tail = max(float(np.sum(prob[:k])), float(np.sum(prob[-k:])))
-        if tail > _TAIL_MASS_LIMIT:
-            raise QuadratureSpanTooSmall(
-                f"edge probability {tail:.3e} exceeds {_TAIL_MASS_LIMIT:.0e}; widen the sample span"
-            )
-        out = _transform(state, np.asarray(r, float), np.asarray(p, float))
-        return out if out.ndim else float(out)
-    raise TypeError(f"unsupported state: {type(state)!r}")
-
-
-def state_centroid(state: StateSpec) -> tuple[float, float]:
-    """Analytic phase-space centroid (r0, p0) of the state's signed mass."""
-    if isinstance(state, FockState):
-        return (0.0, 0.0)
-    if isinstance(state, CatState):
-        return (state.delta_alpha.real, state.delta_alpha.imag)
-    if isinstance(state, CoherentState):
-        return (state.alpha.real, state.alpha.imag)
-    if isinstance(state, SampledState):
-        dx = state.x[1] - state.x[0]
-        prob = np.abs(state.psi) ** 2 * dx
-        r0 = float(np.sum(state.x * prob))
-        if not state.psi.imag.any():
-            return (r0, 0.0)  # exactly: the spectral sum reads about 1e-17 here
-        # <p> of the samples' trigonometric interpolant, sum k |F_k|^2 / sum |F_k|^2;
-        # a finite difference reads sin(p dx) / dx for e^{i p x}
-        power = np.abs(np.fft.fft(state.psi)) ** 2
-        k = 2.0 * np.pi * np.fft.fftfreq(state.x.size, dx)
-        return (r0, float(np.sum(k * power) / np.sum(power)))
-    raise TypeError(f"unsupported state: {type(state)!r}")
+    return state.wigner(r, p)

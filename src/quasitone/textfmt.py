@@ -52,7 +52,13 @@ def json_value(value) -> str:
 
 
 class _Temporary(str):
-    """A temporary path that an open written() block gave; a nested block writes it in place."""
+    """The temporary path + ".part" that an open written() block gave for
+    path, its target; a nested block writes it in place."""
+
+    def __new__(cls, path):
+        temp = super().__new__(cls, f"{path}.part")
+        temp.target = str(path)
+        return temp
 
 
 @contextlib.contextmanager
@@ -60,16 +66,23 @@ def written(*paths):
     """Temporaries path + ".part" for the block to write: each replaces its
     path, the first path last, when the block ends; all are removed if it
     raises. A temporary of an enclosing block, or a path that exists as no
-    regular file (a device, a pipe, a symlink), is written in place."""
+    regular file (a device, a pipe, a symlink), is written in place. An
+    OSError of a block of one path that names no file, as write() raises
+    past a file-size limit or on a full disk, is given the path the caller
+    named, not its temporary."""
     temps = [
         p if isinstance(p, _Temporary) or os.path.islink(p) or (os.path.exists(p) and not os.path.isfile(p))
-        else _Temporary(f"{p}.part") for p in paths
+        else _Temporary(p) for p in paths
     ]
-    own = {t: str(p) for p, t in zip(paths, temps) if t is not p}
+    own = {t: t.target for p, t in zip(paths, temps) if t is not p}
     try:
         yield temps
         for temp in reversed(own):
             os.replace(temp, own[temp])
+    except OSError as exc:
+        if exc.filename is None and exc.strerror is not None and len(paths) == 1:
+            exc.filename = getattr(paths[0], "target", str(paths[0]))
+        raise
     finally:
         for temp in filter(os.path.exists, own):
             os.remove(temp)

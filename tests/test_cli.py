@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 import math
 import os
@@ -346,6 +348,85 @@ class TestExitCodes:
             # sonify writes its WAV and its score, or neither
             assert not (tmp_path / "x.wav").exists()
 
+    @pytest.mark.parametrize(
+        "module, argv, named",
+        [
+            ("grids", ["field", "--state", "fock:0", "--out", "f.csv"], "f.csv"),
+            ("analysis", ["moments", "--field", "{field}", "--out", "m.json"], "m.json"),
+            ("score", ["score", *_SHORT_MAPPING, "--out", "s.json"], "s.json"),
+            ("render", ["sonify", *_SHORT_MAPPING, "--out", "x.wav", "--score", "s.json"], "x.wav"),
+            ("render", ["sonogram", "--audio", "{wav}", "--out", "s.csv"], "s.csv"),
+        ],
+        ids=["field", "moments", "score", "sonify", "sonogram"],
+    )
+    def test_file_too_large_names_the_output(self, module, argv, named, tmp_path, capsys, monkeypatch):
+        # past `ulimit -f` or on a full disk, write() raises an OSError that
+        # names no file; the error names the path given, not its temporary
+        from quasitone import analysis, grids, render, score
+        from quasitone.render import AudioBuffer, write_wav
+
+        field, wav = tmp_path / "in" / "f.csv", tmp_path / "in" / "in.wav"
+        field.parent.mkdir()
+        assert cli_main(["field", "--state", "fock:0", "--out", str(field)]) == 0
+        write_wav(AudioBuffer(np.zeros(4096), 8000), wav)
+        capsys.readouterr()
+
+        class FileTooLarge:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def write(self, data):
+                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+        def full_open(path, mode="r", *args, **kwargs):
+            return FileTooLarge() if "w" in mode else builtins.open(path, mode, *args, **kwargs)
+
+        modules = {"grids": grids, "analysis": analysis, "score": score, "render": render}
+        monkeypatch.setattr(modules[module], "open", full_open, raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([a.format(field=field, wav=wav) for a in argv]) == 4
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {named!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["sonify", *_SHORT_MAPPING, "--out", "a.wav", "--score", "a.wav"], "--out and --score"),
+            (["sonify", *_SHORT_MAPPING, "--out", "old.wav", "--score", "alias.wav"], "--out and --score"),
+            (["moments", "--field", "f.csv", "--out", "f.csv"], "--out and --field"),
+            (["moments", "--field", "f.csv", "--out", "f.csv.json"], "--out and the --field sidecar"),
+            (["sonogram", "--audio", "old.wav", "--out", "old.wav"], "--out and --audio"),
+            (["sweep", "--config", "m.cfg", "--out", "m.cfg"], "--out and --config"),
+            (["field", "--state", "psi:psi.csv", "--out", "psi.csv"], "--out and --state"),
+            (["field", "--state", "psi:f.json", "--out", "f"], "the --out sidecar and --state"),
+            (["score", *_SHORT_MAPPING, "--config", "m.cfg", "--out", "./sub/../m.cfg"], "--out and --config"),
+        ],
+        ids=[
+            "sonify-out-score", "sonify-symlink", "moments-field", "moments-sidecar",
+            "sonogram-audio", "sweep-config", "field-psi", "field-sidecar-psi", "score-config",
+        ],
+    )
+    def test_output_over_another_file_is_2_naming_both(self, argv, flags, tmp_path, capsys, monkeypatch):
+        from quasitone.render import AudioBuffer, write_wav
+
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["field", "--state", "fock:0", "--out", "f.csv"]) == 0
+        write_wav(AudioBuffer(np.zeros(4096), 8000), "old.wav")
+        os.symlink("old.wav", "alias.wav")
+        Path("m.cfg").write_text("n_osc=7\n")
+        (tmp_path / "sub").mkdir()
+        psi, _ = _valid_csv_input("psi", tmp_path)
+        Path("f.json").write_bytes(psi.read_bytes())
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {flags} name the same file ") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
     def test_score_fault_keeps_the_old_wav(self, tmp_path, capsys):
         # a --score file that cannot be written leaves the WAV already at
         # --out as it was, and no temporary
@@ -588,6 +669,30 @@ class TestRendersThatCannotBeHeld:
         assert (res.returncode, res.stdout) == (2, "")
         assert res.stderr.startswith(f"error: {refused}") and res.stderr.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, n_osc, refused",
+        [
+            (["sonify", "--state", "fock:1", "--method", "IV"], 1000000001,
+             "config: n_osc = 1000000001 exceeds the limit of 900 partials"),
+            # 3200 frames of 899 partials, more than 131072 frames of 21
+            (["sweep", "--segments", "0:-1:400"], 899,
+             "3200 frames of n_osc = 899 partials are 2876800 partials, above the limit of 2752512"),
+        ],
+        ids=["sonify-n-osc", "sweep-partials"],
+    )
+    def test_bank_is_2_naming_its_size(self, argv, n_osc, refused, tmp_path):
+        cfg, run = tmp_path / "map.cfg", tmp_path / "run"
+        cfg.write_text(f"n_osc={n_osc}\n")
+        run.mkdir()
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "quasitone.cli", *argv,
+             "--config", str(cfg), "--out", "x.wav"],
+            capture_output=True, text=True, cwd=run, env=_package_env(), timeout=120,
+            preexec_fn=_limited_address_space,
+        )
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {refused}\n")
+        assert list(run.iterdir()) == []
 
     def test_far_field_moments_is_4_leaving_no_file(self, tmp_path, capsys):
         # the outer cells of gauss:8:1e150 sit near +-3.5e149, where d**3 overflows

@@ -32,7 +32,6 @@ from quasitone import (
     read_field,
     require_coverage,
     sample_field,
-    state_centroid,
     write_field,
 )
 
@@ -181,7 +180,7 @@ class TestDefaultGridAndCoverage:
     def test_default_grid_centered_on_centroid(self):
         st_ = CatState(-3.0)
         g = default_grid(st_)
-        r0, p0 = state_centroid(st_)
+        r0, p0 = st_.centroid
         assert 0.5 * (g.bounds[0] + g.bounds[1]) == pytest.approx(r0, abs=1e-12)
         assert 0.5 * (g.bounds[2] + g.bounds[3]) == pytest.approx(p0, abs=1e-12)
 
@@ -413,7 +412,7 @@ class TestReferenceRowBound:
         ],
     )
     def test_skipped_rows_hold_less_than_their_budget(self, state, gaps):
-        r0, p0 = state_centroid(state)
+        r0, p0 = state.centroid
         half, cells = grids._REF_HALF, grids._REF_CELLS
         ref = build_regular(r0 - half, r0 + half, p0 - half, p0 + half, cells, cells)
         dense = np.sum(np.abs(sample_field(state, ref).values) * ref.cell_areas, axis=1)
@@ -432,7 +431,7 @@ class TestReferenceRowBound:
         # the closed-form path sums the dense window's row totals; the flat
         # sum of its cells differs in the last place for this cat
         for state in (CatState(-1.5 + 0.5j), CatState(0.05), FockState(3), FockState(8), CoherentState(0.8 - 0.6j)):
-            r0, p0 = state_centroid(state)
+            r0, p0 = state.centroid
             ref = build_regular(r0 - 10, r0 + 10, p0 - 10, p0 + 10, 512, 512)
             dense = np.abs(sample_field(state, ref).values) * ref.cell_areas
             assert grids._reference_abs_mass.__wrapped__(state) == np.sum(np.sum(dense, axis=1))

@@ -510,6 +510,16 @@ class TestRenderSizeLimits:
         with pytest.raises(ValueError, match=r"^frame of 1e\+305 s at 8000 Hz is inf samples"):
             render_sweep(traj, sample_rate=8000, frame_seconds=1e305)
 
+    def test_sweep_partials(self, monkeypatch):
+        # 40 frames of 21 partials
+        traj = SweepTrajectory(((0j, -1 + 0j, 1.0),))
+        monkeypatch.setattr(render, "MAX_SWEEP_PARTIALS", 840)
+        assert render_sweep(traj, sample_rate=8000, frame_seconds=0.05).samples.shape == (8000, 1)
+        monkeypatch.setattr(render, "_frame_moments", None)
+        refused = r"^40 frames of n_osc = 23 partials are 920 partials, above the limit of 840$"
+        with pytest.raises(ValueError, match=refused):
+            render_sweep(traj, cfg=MapConfig(n_osc=23), sample_rate=8000, frame_seconds=0.05)
+
     def test_byte_rate_a_wav_header_cannot_hold(self, tmp_path, monkeypatch):
         # 268435455 Hz is the highest rate whose 4-channel byte rate fits
         # the header's 32 bits; one hertz more is refused before any render

@@ -56,6 +56,11 @@ class TestMapConfig:
         with pytest.raises(ValueError):
             MapConfig(freq_axis="q")
 
+    def test_n_osc_is_at_most_max_partials(self):
+        assert MapConfig(n_osc=MAX_PARTIALS - 1).n_osc == MAX_PARTIALS - 1
+        with pytest.raises(ValueError, match=r"^n_osc = 901 exceeds the limit of 900 partials$"):
+            MapConfig(n_osc=MAX_PARTIALS + 1)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("key", ["f_lo", "f_hi", "ref_pitch"])
     def test_nonfinite_rejected(self, key, value):

@@ -31,7 +31,6 @@ from quasitone import (
     harmonic_eigenstate,
     laguerre,
     sample_field,
-    state_centroid,
 )
 from quasitone import grids, states
 from quasitone.states import (
@@ -43,7 +42,7 @@ from quasitone.states import (
     _p_lattice,
     _spline_at,
     _spline_coefficients,
-    momentum_limit,
+    refuse_unresolved_momentum,
     transform_bound,
 )
 
@@ -404,6 +403,12 @@ def _normalized(x, psi):
     return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]))
 
 
+def _sampled_ground(alpha):
+    """The displaced ground state on the benchmark's 257 samples over +-10.5."""
+    x = np.linspace(-10.5, 10.5, 257)
+    return SampledState(x, _normalized(x, _displaced_ground(x, alpha)))
+
+
 class TestClosedFormsMatchTransform:
     """Each closed form against the transform of its own wavefunction.
 
@@ -462,7 +467,7 @@ class TestChirpZRows:
     @pytest.mark.parametrize("cells, half_width, rows", [(64, 5.0, 64), (512, 10.0, 6)])
     def test_rows_match_dense_product(self, nodes, span, cells, half_width, rows):
         state = self._state(nodes, span)
-        r0, p0 = state_centroid(state)
+        r0, p0 = state.centroid
         grid = build_regular(
             r0 - half_width, r0 + half_width, p0 - half_width, p0 + half_width, cells, cells
         )
@@ -660,14 +665,14 @@ class TestMomentumLimit:
         return SampledState(x, _normalized(x, harmonic_eigenstate(n, x)))
 
     def test_limit_of_the_benchmark_states(self):
-        assert momentum_limit(self._fock(0, 257)) == pytest.approx(38.4471, abs=1e-4)
-        assert momentum_limit(self._fock(0, 193)) == pytest.approx(28.8727, abs=1e-4)
+        assert self._fock(0, 257).momentum_limit == pytest.approx(38.4471, abs=1e-4)
+        assert self._fock(0, 193).momentum_limit == pytest.approx(28.8727, abs=1e-4)
 
     @pytest.mark.parametrize("nodes, n", [(257, 0), (257, 1), (257, 2), (257, 3), (193, 0), (193, 1)])
     def test_agrees_with_the_closed_form_just_inside_the_limit(self, nodes, n):
         # the benchmark's states, each within 1e-6 of its closed form
         state = self._fock(n, nodes)
-        limit = momentum_limit(state)
+        limit = state.momentum_limit
         r = np.linspace(-3.0, 3.0, 7)[:, None]
         for p in (0.5 * limit, 0.999 * limit, -0.999 * limit):
             assert np.max(np.abs(evaluate(state, r, p) - eval_fock(n, r, p))) < 1e-6
@@ -781,10 +786,33 @@ class TestEvaluateAndCentroid:
             eval_cat(-2.0, -2.0, 0.0), rel=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FockState(2),
+            lambda: CatState(-1.0 + 0.5j),
+            lambda: CoherentState(0.8 - 0.6j),
+            lambda: _sampled_ground(0.5 + 1j),
+        ],
+        ids=["fock", "cat", "coherent", "psi"],
+    )
+    def test_evaluate_is_the_state_wigner(self, make):
+        state = make()
+        r, p = np.linspace(-3.0, 3.0, 9)[:, None], np.linspace(-2.0, 2.0, 11)
+        assert np.array_equal(evaluate(state, r, p), state.wigner(r, p))
+        value = evaluate(state, 0.3, -0.4)
+        assert type(value) is float and value == state.wigner(0.3, -0.4)
+        if isinstance(state, SampledState):
+            with pytest.raises(MomentumUnresolved, match=r"^p = 1e\+300 reaches"):
+                refuse_unresolved_momentum(state, [1e300])
+        else:
+            assert state.momentum_limit == math.inf
+            refuse_unresolved_momentum(state, [1e300, math.inf, math.nan])
+
     def test_centroids(self):
-        assert state_centroid(FockState(3)) == (0.0, 0.0)
-        assert state_centroid(CoherentState(1.0 + 2.0j)) == (1.0, 2.0)
-        r0, p0 = state_centroid(CatState(-1.0))
+        assert FockState(3).centroid == (0.0, 0.0)
+        assert CoherentState(1.0 + 2.0j).centroid == (1.0, 2.0)
+        r0, p0 = CatState(-1.0).centroid
         assert r0 == pytest.approx(-1.0, abs=1e-12)
         assert p0 == pytest.approx(0.0, abs=1e-12)
 
@@ -795,7 +823,7 @@ class TestEvaluateAndCentroid:
         shifted = shifted / np.sqrt(np.sum(np.abs(shifted) ** 2) * dx)
         boosted = shifted * np.exp(1.5j * x)
         state = SampledState(x, boosted)
-        r0, p0 = state_centroid(state)
+        r0, p0 = state.centroid
         assert r0 == pytest.approx(2.0, abs=1e-3)
         # the momentum is read from the samples' spectrum, not a derivative
         assert p0 == pytest.approx(1.5, abs=1e-12)
@@ -805,12 +833,12 @@ class TestEvaluateAndCentroid:
         # a central difference reads sin(p dx) / dx: 11.47 for 15, 12.14 for 20
         x = np.linspace(-10.5, 10.5, 257)
         state = SampledState(x, np.exp(-x * x / 2.0 + 1j * p0 * x) / np.pi**0.25)
-        assert abs(state_centroid(state)[1] - p0) <= 1e-14
+        assert abs(state.centroid[1] - p0) <= 1e-14
 
     def test_real_wavefunction_has_momentum_exactly_zero(self):
         # the spectral sum alone reads about 1e-17, which would move grids
         x = np.linspace(-10.5, 10.5, 257)
-        p0 = state_centroid(SampledState(x, harmonic_eigenstate(1, x)))[1]
+        p0 = SampledState(x, harmonic_eigenstate(1, x)).centroid[1]
         assert p0 == 0.0 and math.copysign(1.0, p0) == 1.0
 
 
