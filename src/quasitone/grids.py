@@ -30,7 +30,7 @@ from .states import (
     state_from_description,
     transform_bound,
 )
-from .textfmt import csv_row_line, json_value, read_csv_table, written
+from .textfmt import csv_row_line, fmt17_column, json_value, read_csv_table, written
 
 KIND_REGULAR = "regular"
 KIND_GAUSSIAN = "gaussian"
@@ -382,8 +382,9 @@ def write_field(field: WignerField, path) -> None:
     bad = field.values[~np.isfinite(field.values)]
     if bad.size:
         raise ValueError(f"non-finite value cannot be serialized: {float(bad[0])!r}")
-    r, p = _center_columns(grid)
-    cells = zip(r.tolist(), p.tolist(), field.values.ravel().tolist())
+    # one %-format per row of cells, whose r and p centers are text already
+    row = "".join(f"\0,{p},%.17g\n" for p in fmt17_column(grid.p_centers))
+    rows = zip(fmt17_column(grid.r_centers), field.values.tolist())
     sidecar = {
         "kind": grid.kind,
         "r_edges": [float(e) for e in grid.r_edges],
@@ -393,7 +394,7 @@ def write_field(field: WignerField, path) -> None:
     with written(path, sidecar_path(path)) as (csv_tmp, side_tmp):
         # a nested block per file, so that a failed write names its file
         with written(csv_tmp), open(csv_tmp, "w", encoding="utf-8") as fh:
-            fh.write("r,p,value\n" + "".join(map("%.17g,%.17g,%.17g\n".__mod__, cells)))
+            fh.write("r,p,value\n" + "".join(row.replace("\0", r) % tuple(v) for r, v in rows))
         with written(side_tmp), open(side_tmp, "w", encoding="utf-8") as side:
             side.write(json_value(sidecar) + "\n")
 

@@ -4,11 +4,16 @@ synth and render_sweep go through one oscillator kernel, _accumulate,
 which takes banks' frequency, amplitude and triangle-flag arrays with any
 leading axes: synth passes one bank, render_sweep a chunk of frames' banks
 at once. Each partial becomes sine components (a triangle becomes its odd
-harmonics below Nyquist), and the components are summed by block phasor
-rotation in float64, a fixed chunk of components at a time, with the
-in-block sines and cosines built in two levels; the mix is cast to float32
-at the very end. The summation order depends only on the input, so the
-same input renders to the same bytes on every run.
+harmonics below Nyquist). The components of a bank at exactly one
+frequency sum to one sinusoid, and a bank whose gain rows are all equal
+renders one column, scaled into its channels afterwards: mapping I's 900
+partials sit on a few dozen frequencies, and every mapping II-IV bank and
+sweep frame pans as one. The sinusoids are summed by block phasor
+rotation in float64, a fixed chunk of them at a time, with the in-block
+sines and cosines and the block-start phasors both built in two levels by
+one helper; the mix is cast to float32 at the very end. The summation
+order depends only on the input, so the same input renders to the same
+bytes on every run.
 
 render_sweep takes each frame's field, moments and envelope bank as arrays
 over its frames, so every frame is known before any audio is rendered.
@@ -145,14 +150,16 @@ class AudioBuffer:
 # === additive synthesis ===
 
 
-# Oscillators render in blocks of _BLOCK = _FINE**2 samples. Taking _CHUNK
-# sine components and _SPAN samples (256 blocks) at a time bounds the
-# kernel's working set to O(_CHUNK * _BLOCK * channels) arrays per bank,
-# whatever the bank size or note length. Of 128, 256 and 512 for each, 256
-# and 256 rendered 0.4 s and 4 s notes of 21 to 4600 components fastest
-# (2-core x86-64 host, one BLAS thread).
-_FINE = 16
-_BLOCK = _FINE * _FINE
+# Oscillators render in blocks of _BLOCK samples. Taking _CHUNK sinusoids
+# and _SPAN samples (256 blocks) at a time bounds the kernel's working set
+# to O(_CHUNK * _BLOCK * channels) arrays per bank, whatever the bank size
+# or note length. Of 128, 256 and 512 samples per block, 128, 256 and 512
+# sinusoids per chunk, and 128 and 256 blocks per span, 256, 256 and 256
+# rendered the benchmark gallery's 25 notes of 0.4 s fastest, 0.052 s
+# against 0.053 to 0.073 s; three 4 s notes of 21 to 900 partials took
+# 0.030 s there and 0.028 s at 512 samples per block (best of 5, 2-core
+# x86-64 host, one BLAS thread).
+_BLOCK = 256
 _CHUNK = 256
 _SPAN = 256 * _BLOCK
 
@@ -188,24 +195,71 @@ def _components(freq, amp, triangle, phases, sample_rate):
     return owner, omega, amps, phases[owner] * j
 
 
-def _block_table(w):
-    """Rows sin(w_k i) for every component k, then rows cos(w_k i), over
-    i = 0 .. _BLOCK - 1: shape (..., 2 m, _BLOCK) for radians per sample
-    w (..., m).
+def _sinusoids(bank, omega, phi, weights):
+    """The distinct sinusoids of components with bank index, radians per
+    sample, starting phase and weights (n, columns): the same four, one
+    entry per sinusoid, banks and their components in the order given.
 
-    Built in two levels, e^{i w (_FINE a + b)} = e^{i w _FINE a} e^{i w b},
-    from the sines and cosines of 2 _FINE angles per component instead of
-    _BLOCK.
+    Components of one bank at exactly equal radians per sample sum to one
+    sinusoid, sum_k g_k e^{i phi_k} for weights g_k, rendered as at most
+    two: phase 0 with weights sum_k g_k cos(phi_k) and phase pi/2 with
+    weights sum_k g_k sin(phi_k), each dropped where all its weights are
+    0, at the place of the group's first component. A component with no
+    twin passes unchanged, and when no bank has a twin the input is
+    returned as it is.
     """
-    m = w.shape[-1]
-    steps = np.arange(_FINE, dtype=float)
-    coarse, fine = w[..., None] * (_FINE * steps), w[..., None] * steps
+    order = np.lexsort((omega, bank))  # stable: a group's first component leads it
+    twin = (omega[order[1:]] == omega[order[:-1]]) & (bank[order[1:]] == bank[order[:-1]])
+    if not twin.any():
+        return bank, omega, phi, weights
+    starts = np.flatnonzero(np.concatenate(([True], ~twin)))
+    first = order[starts]
+    alone = (np.diff(np.append(starts, order.size)) == 1)[:, None]
+    g, p = weights[order], phi[order]
+    # per group, the component itself or the phase-0 sum, then the phase-pi/2 sum
+    pair_weights = np.stack(
+        [
+            np.where(alone, weights[first], np.add.reduceat(g * np.cos(p)[:, None], starts)),
+            np.add.reduceat(g * np.sin(p)[:, None], starts),
+        ],
+        axis=1,
+    )
+    pair_phi = np.stack([np.where(alone[:, 0], phi[first], 0.0), np.full(first.size, 0.5 * math.pi)], axis=1)
+    keep = np.where(alone, [True, False], (pair_weights != 0.0).any(axis=-1))
+    place = np.argsort(first)  # the groups in the order of their first components
+    keep = keep[place].ravel()
+    return (
+        np.repeat(bank[first[place]], 2)[keep],
+        np.repeat(omega[first[place]], 2)[keep],
+        pair_phi[place].ravel()[keep],
+        pair_weights[place].reshape(-1, weights.shape[1])[keep],
+    )
+
+
+def _phasors(w, step, count, start=0, offset=None):
+    """Sines, then cosines, of offset + w (start + step i) over i = 0 ..
+    count - 1: shape (..., 2, m, count) for radians per sample w (..., m)
+    and an offset of w's shape (none for 0).
+
+    Built in two levels, e^{i w step (q a + b)} = e^{i w step q a}
+    e^{i w step b} with q = ceil(sqrt(count)), from the sines and cosines
+    of about 2 sqrt(count) angles per component instead of count; the
+    start and the offset go into the coarse angles.
+    """
+    q = math.isqrt(count - 1) + 1
+    n_coarse = -(-count // q)
+    steps = np.arange(q, dtype=float)
+    coarse = w[..., None] * (start + step * q * steps[:n_coarse])
+    if offset is not None:
+        coarse += offset[..., None]
+    fine = w[..., None] * (step * steps)
     sa, ca = np.sin(coarse), np.cos(coarse)
-    # per component, [sa ca; ca -sa] @ [cos(w b); sin(w b)]: the sine rows
-    # sa cb + ca sb, then the cosine rows ca cb - sa sb
+    # per component, [sa ca; ca -sa] @ [cos(fine); sin(fine)]: the sines
+    # sa cb + ca sb, then the cosines ca cb - sa sb
     left = np.stack([np.stack([sa, ca], axis=-1), np.stack([ca, -sa], axis=-1)], axis=-4)
     right = np.stack([np.cos(fine), np.sin(fine)], axis=-2)[..., None, :, :, :]
-    return (left @ right).reshape(w.shape[:-1] + (2 * m, _BLOCK))
+    out = (left @ right).reshape(w.shape[:-1] + (2, w.shape[-1], n_coarse * q))
+    return out[..., :count]
 
 
 def _accumulate(freq, amp, triangle, phases, gains, out, sample_rate):
@@ -215,47 +269,54 @@ def _accumulate(freq, amp, triangle, phases, gains, out, sample_rate):
     Partial k of a bank plays at freq[..., k] Hz and amplitude amp[..., k],
     as a triangle where triangle[..., k] is true. It starts at
     phases[..., k] radians and reaches channel c with gains[..., k, c],
-    which broadcasts. Every sine component renders by block phasor
-    rotation: sample b * _BLOCK + i is Im(sum_k exp(i w_k i) * C[k, b, c])
-    with C[k, b, c] = a_k g_kc exp(i (w_k b _BLOCK + phi_k)). The
-    block-start phases are computed directly, so no rounding error builds
-    up from block to block. Each bank's components are padded with silent
-    ones to the longest bank's count, so that the sum over a chunk of
-    components is one real matrix product per bank. Raises
+    which broadcasts. When every bank's gain rows are all equal, the banks
+    render one column each, scaled into the channels afterwards. The
+    components of a bank at one frequency render as one sinusoid
+    (_sinusoids), and every sinusoid renders by block phasor rotation:
+    sample b * _BLOCK + i is Im(sum_k exp(i w_k i) * C[k, b, c]) with
+    C[k, b, c] = g_kc exp(i (w_k b _BLOCK + phi_k)). The block-start
+    phasors are built in two levels from directly computed angles, so no
+    rounding error builds up from block to block. Each bank's sinusoids
+    are padded with silent ones to the longest bank's count, so that the
+    sum over a chunk of them is one real matrix product per bank. Raises
     NyquistViolation before anything is added.
     """
     *lead, n, n_ch = out.shape
+    n_banks = math.prod(lead)
     owner, omega, amps, phi = _components(
         freq.ravel(), amp.ravel(), triangle.ravel(), phases.ravel(), sample_rate
     )
-    if owner.size == 0:
+    gains = np.broadcast_to(gains, freq.shape + (n_ch,)).reshape(n_banks, -1, n_ch)
+    mono = n_ch > 1 and bool((gains == gains[:, :1]).all())
+    weights = amps[:, None] if mono else amps[:, None] * gains.reshape(-1, n_ch)[owner]
+    bank, omega, phi, weights = _sinusoids(owner // freq.shape[-1], omega, phi, weights)
+    if bank.size == 0:
         return
-    gains = np.broadcast_to(gains, freq.shape + (n_ch,)).reshape(-1, n_ch)
-    n_banks = math.prod(lead)
-    bank = owner // freq.shape[-1]
+    n_cols = weights.shape[1]
     counts = np.bincount(bank, minlength=n_banks)
-    slot = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    slot = np.arange(bank.size) - np.repeat(np.cumsum(counts) - counts, counts)
     width = int(counts.max())
     w, theta0 = np.zeros((2, n_banks, width))
-    weights = np.zeros((n_banks, n_ch, width))
+    table_weights = np.zeros((n_banks, n_cols, width))
     w[bank, slot], theta0[bank, slot] = omega, phi
-    weights[bank, :, slot] = amps[:, None] * gains[owner]
+    table_weights[bank, :, slot] = weights
     for lo in range(0, width, _CHUNK):
         w_c, theta0_c = w[:, lo : lo + _CHUNK], theta0[:, lo : lo + _CHUNK]
         m = w_c.shape[-1]
-        table = _block_table(w_c)
+        table = _phasors(w_c, 1, _BLOCK).reshape(n_banks, 2 * m, _BLOCK)
         # Im(e^{i w i} A e^{i theta}) = A (sin(w i) cos(theta) + cos(w i) sin(theta))
-        coef_weights = np.concatenate([weights[..., lo : lo + _CHUNK]] * 2, axis=-1)[:, None]
+        coef_weights = np.concatenate([table_weights[..., lo : lo + _CHUNK]] * 2, axis=-1)[:, None]
         for start in range(0, n, _SPAN):
             stop = min(start + _SPAN, n)
-            theta = np.arange(start, stop, _BLOCK)[:, None] * w_c[:, None]
-            theta += theta0_c[:, None]
-            trig = np.empty(theta.shape[:-1] + (2 * m,))
-            np.cos(theta, out=trig[..., :m])
-            np.sin(theta, out=trig[..., m:])
+            n_blocks = -(-(stop - start) // _BLOCK)
+            # the cosines of the block-start angles, then their sines
+            trig = _phasors(w_c, _BLOCK, n_blocks, start, theta0_c)[:, ::-1]
+            trig = trig.reshape(n_banks, 2 * m, n_blocks).swapaxes(-1, -2)
             coef = (trig[:, :, None, :] * coef_weights).reshape(n_banks, -1, 2 * m)
-            block = (coef @ table).reshape(n_banks, -1, n_ch, _BLOCK).swapaxes(-1, -2)
-            block = block.reshape(n_banks, -1, n_ch)[:, : stop - start]
+            block = (coef @ table).reshape(n_banks, -1, n_cols, _BLOCK).swapaxes(-1, -2)
+            block = block.reshape(n_banks, -1, n_cols)[:, : stop - start]
+            if mono:
+                block = block * gains[:, :1]
             out[..., start:stop, :] += block.reshape(*lead, stop - start, n_ch)
 
 

@@ -22,7 +22,7 @@ from .sonify import (
     spatial_gains,
     technique_tag,
 )
-from .textfmt import written
+from .textfmt import fmt17_column, written
 
 # the per-event columns in JSON key order; gains follows as a list
 _COLUMNS = ("onset", "duration", "pitch_index", "freq_hz", "dynamic", "technique")
@@ -142,11 +142,18 @@ def score_to_json(score: Score) -> str:
     if not len(score):
         return "[]\n"
     row = (
-        '  {"onset": %.17g, "duration": %.17g, "pitch_index": %d, "freq_hz": %.17g, '
+        '  {"onset": %s, "duration": %s, "pitch_index": %d, "freq_hz": %s, '
         '"dynamic": %.17g, "technique": "%s", "gains": ['
-        + ", ".join(["%.17g"] * score.gains.shape[1]) + "]}"
+        + ", ".join(["%s"] * score.gains.shape[1]) + "]}"
     )
-    rows = zip(*(getattr(score, name).tolist() for name in _COLUMNS), *score.gains.T.tolist())
+    # onset, duration, freq_hz and the gains repeat from event to event
+    # (one duration, a few dozen lattice pitches): they go in as text,
+    # formatted once per distinct value
+    columns = [
+        fmt17_column(getattr(score, name)) if name in ("onset", "duration", "freq_hz")
+        else getattr(score, name).tolist() for name in _COLUMNS
+    ]
+    rows = zip(*columns, *map(fmt17_column, score.gains.T))
     return "[\n" + ",\n".join(map(row.__mod__, rows)) + "\n]\n"
 
 

@@ -2,12 +2,13 @@
 reader of numeric CSV files.
 
 Every exported float of a field, moments or score file has 17 significant
-digits, through fmt17 or the row formats ("%.17g", finiteness checked per
-array) of fields and scores, so two runs with the same inputs produce
-byte-identical files and a parse of the text recovers the exact float64
-bits. The one exception is the sonogram CSV (render.write_sonogram_csv):
-it writes "%.9g", nine significant digits, which is deterministic too but
-not lossless.
+digits, through fmt17, fmt17_column (a column formatted once per distinct
+value) or the row formats ("%.17g", finiteness checked per array) of
+fields and scores, so two runs with the same inputs produce byte-identical
+files and a parse of the text recovers the exact float64 bits. The one
+exception is the sonogram CSV (render.write_sonogram_csv): it writes
+"%.9g", nine significant digits, which is deterministic too but not
+lossless.
 
 read_csv_table reads the field CSV (r,p,value) and the wavefunction CSV
 (x,re,im) alike: one parse of the whole text, and a line-by-line rescan
@@ -30,6 +31,20 @@ def fmt17(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"non-finite value cannot be serialized: {x!r}")
     return format(float(x), ".17g")
+
+
+def fmt17_column(values) -> list[str]:
+    """"%.17g" of each value of a float64 array, in order. Each distinct
+    bit pattern is formatted once, so a value that repeats along a column
+    costs one format, and -0.0 still prints -0. Raises ValueError for a
+    non-finite value, as fmt17 does."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    bad = distinct[~np.isfinite(distinct)]
+    if bad.size:
+        raise ValueError(f"non-finite value cannot be serialized: {float(bad[0])!r}")
+    text = np.array(("%.17g " * distinct.size % tuple(distinct.tolist())).split(), dtype=object)
+    return text[inverse.ravel()].tolist()
 
 
 def json_value(value) -> str:
@@ -67,9 +82,9 @@ def written(*paths):
     path, the first path last, when the block ends; all are removed if it
     raises. A temporary of an enclosing block, or a path that exists as no
     regular file (a device, a pipe, a symlink), is written in place. An
-    OSError of a block of one path that names no file, as write() raises
-    past a file-size limit or on a full disk, is given the path the caller
-    named, not its temporary."""
+    OSError that names a temporary, or one of a block of one path that
+    names no file, as write() raises past a file-size limit or on a full
+    disk, is given the path the caller named instead."""
     temps = [
         p if isinstance(p, _Temporary) or os.path.islink(p) or (os.path.exists(p) and not os.path.isfile(p))
         else _Temporary(p) for p in paths
@@ -80,6 +95,9 @@ def written(*paths):
         for temp in reversed(own):
             os.replace(temp, own[temp])
     except OSError as exc:
+        targets = {t: t.target for t in temps if isinstance(t, _Temporary)}
+        if exc.filename in targets:  # a new error, as os.replace's names a second file
+            raise type(exc)(exc.errno, exc.strerror, targets[exc.filename]) from exc
         if exc.filename is None and exc.strerror is not None and len(paths) == 1:
             exc.filename = getattr(paths[0], "target", str(paths[0]))
         raise

@@ -12,7 +12,7 @@ import pytest
 
 import quasitone
 from oracles import psi_grid
-from quasitone import read_field, read_wav
+from quasitone import read_field, read_wav, textfmt
 from quasitone.cli import cli_main, parse_grid, parse_state
 from quasitone.states import CatState, CoherentState, FockState, SampledState
 
@@ -436,9 +436,22 @@ class TestExitCodes:
         argv = ["sonify", "--state", "fock:1", "--method", "IV", "--duration", "0.2", "--out", str(wav)]
         assert cli_main([*argv, "--score", str(tmp_path / "missing" / "s.json")]) == 4
         err = capsys.readouterr().err
-        # the score's temporary is named, not a temporary of a temporary
-        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("s.json.part'\n")
+        # the score's path is named, not its temporary
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("s.json'\n")
         assert [p.name for p in tmp_path.iterdir()] == ["x.wav"] and wav.read_bytes() == old
+
+    def test_failed_rename_names_the_path(self, tmp_path, monkeypatch):
+        # os.replace(temporary, path) names both; the error names the path alone
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, "Permission denied", src, None, dst)
+
+        path = tmp_path / "s.json"
+        monkeypatch.setattr(textfmt.os, "replace", refuse)
+        with pytest.raises(PermissionError) as refused:
+            with textfmt.written(str(path)) as (tmp,), open(tmp, "w") as fh:
+                fh.write("[]\n")
+        assert str(refused.value) == f"[Errno {errno.EACCES}] Permission denied: '{path}'"
+        assert list(tmp_path.iterdir()) == []
 
     def test_field_sidecar_fault_leaves_no_csv(self, tmp_path, capsys):
         # field writes its CSV and its sidecar, or neither

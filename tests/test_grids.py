@@ -309,6 +309,23 @@ class TestFieldIo:
         assert str(refused.value).startswith(f"{side}: malformed sidecar: ")
         assert "no carrier alpha, got [0.0, -0.5]" in str(refused.value)
 
+    @pytest.mark.parametrize("kind", ["regular", "gauss"])
+    def test_csv_matches_per_row_format(self, tmp_path, fock0_field, kind):
+        # the writer formats each center once; the text is what one
+        # "%.17g,%.17g,%.17g" format per cell writes
+        if kind == "regular":
+            g = build_regular(-4, 4, -3, 5, 9, 7)  # odd counts: a center at 0
+        else:
+            g = build_gaussian(compute_moments(fock0_field), 12, 10)
+        f = sample_field(CatState(-0.5 + 0.25j), g)
+        path = tmp_path / "f.csv"
+        write_field(f, path)
+        n_r, n_p = g.shape
+        r, p = np.repeat(g.r_centers, n_p), np.tile(g.p_centers, n_r)
+        cells = zip(r.tolist(), p.tolist(), f.values.ravel().tolist())
+        want = "r,p,value\n" + "".join("%.17g,%.17g,%.17g\n" % cell for cell in cells)
+        assert path.read_text(encoding="utf-8") == want
+
     def test_round_trip_gaussian_kind(self, tmp_path, fock0_field):
         m = compute_moments(fock0_field)
         g = build_gaussian(m, 6, 6)

@@ -19,7 +19,9 @@ from quasitone import (
     compute_moments,
     default_grid,
     default_trajectory,
+    method1_grid,
     method4_moments,
+    partial_gains,
     read_wav,
     render_sweep,
     sample_field,
@@ -191,6 +193,22 @@ def random_bank(rng, n_partials, waveform, f_lo, f_hi):
     )
 
 
+@pytest.fixture
+def sinusoids(monkeypatch):
+    """Per _accumulate call, the number of components it was given and the
+    (sinusoids, columns) shape of the weights it renders."""
+    calls = []
+    real = render._sinusoids
+
+    def counted(bank, omega, phi, weights):
+        out = real(bank, omega, phi, weights)
+        calls.append((bank.size, out[3].shape))
+        return out
+
+    monkeypatch.setattr(render, "_sinusoids", counted)
+    return calls
+
+
 class TestOscillatorKernel:
     """_accumulate against one np.sin per partial and harmonic."""
 
@@ -246,7 +264,8 @@ class TestOscillatorKernel:
         w = np.random.default_rng(3).uniform(0.0, math.pi, 900)
         wi = np.outer(w, np.arange(render._BLOCK, dtype=float))
         direct = np.concatenate([np.sin(wi), np.cos(wi)])
-        assert float(np.max(np.abs(render._block_table(w) - direct))) <= 1e-12
+        table = render._phasors(w, 1, render._BLOCK).reshape(1800, render._BLOCK)
+        assert float(np.max(np.abs(table - direct))) <= 1e-12
 
     def test_frame_axis_matches_one_bank_at_a_time(self):
         # three banks of different component counts, padded to one width
@@ -260,6 +279,91 @@ class TestOscillatorKernel:
         for k, bank in enumerate(banks):
             ref = reference_bank(bank, phases[k], gains[k], 1500, 8000)
             assert float(np.max(np.abs(out[k] - ref))) <= 1e-9
+
+    def test_twins_render_as_one_sinusoid(self, sinusoids):
+        # 440 Hz three times with other phases and per-channel gains, 700 Hz
+        # twice at phase 0 (no quadrature part), and two triangles on one
+        # clipped fundamental, whose odd harmonics coincide one for one
+        sr = 8000
+        rng = np.random.default_rng(21)
+        freq = np.array([440.0, 300.0, 440.0, 700.0, 55.0, 440.0, 700.0, 55.0])
+        triangle = np.array([0, 0, 0, 0, 1, 0, 0, 1], dtype=bool)
+        phases = rng.uniform(0.0, 2 * math.pi, 8)
+        phases[[3, 6]] = 0.0
+        bank = PartialBank(freq, rng.uniform(0.2, 1.0, 8), phases, triangle, 0.5, False)
+        gains = rng.uniform(0.0, 1.0, (8, 3))
+        out = np.zeros((3000, 3))
+        render._accumulate(bank.freq, bank.amp, bank.triangle, phases, gains, out, sr)
+        assert float(np.max(np.abs(out - reference_bank(bank, phases, gains, 3000, sr)))) <= 1e-9
+        # 6 sines and 2 x 36 harmonics, on 1 + 1 + 1 + 36 frequencies: 440 Hz
+        # as two sinusoids, 700 Hz as one, each harmonic pair as at most two
+        ((given, (rendered, columns)),) = sinusoids
+        assert (given, columns) == (78, 3)
+        assert 1 + 2 + 1 + 36 <= rendered <= 1 + 2 + 1 + 2 * 36
+
+    @pytest.mark.parametrize("channels", [2, 4])
+    def test_bank_that_pans_as_one_renders_one_column(self, channels, sinusoids):
+        sr = 8000
+        rng = np.random.default_rng(channels)
+        bank = random_bank(rng, 6, "mixed", 40.0, 1500.0)
+        gains = np.tile(rng.uniform(0.1, 1.0, channels), (6, 1))
+        out = np.zeros((2500, channels))
+        render._accumulate(bank.freq, bank.amp, bank.triangle, bank.phase, gains, out, sr)
+        ref = reference_bank(bank, bank.phase, gains, 2500, sr)
+        assert float(np.max(np.abs(out - ref))) <= 1e-9
+        # one row that differs renders every channel
+        gains[3, 0] *= 0.5
+        render._accumulate(bank.freq, bank.amp, bank.triangle, bank.phase, gains, out, sr)
+        assert [shape[1] for _, shape in sinusoids] == [1, channels]
+
+    def test_frame_axis_with_one_gain_row_per_frame(self, sinusoids):
+        # as render_sweep calls it: gains (frames, 1, channels), a pan per frame
+        rng = np.random.default_rng(12)
+        banks = [random_bank(rng, 5, "mixed", 60.0 * (k + 1), 900.0) for k in range(3)]
+        freq, amp, triangle, phases = (
+            np.stack([getattr(b, k) for b in banks]) for k in ("freq", "amp", "triangle", "phase")
+        )
+        gains = spatial_gains(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3), (-1, 1, -1, 1), 4)
+        out = np.zeros((3, 1500, 4))
+        render._accumulate(freq, amp, triangle, phases, gains[:, None, :], out, 8000)
+        for k, bank in enumerate(banks):
+            ref = reference_bank(bank, phases[k], np.tile(gains[k], (5, 1)), 1500, 8000)
+            assert float(np.max(np.abs(out[k] - ref))) <= 1e-9
+        assert [shape[1] for _, shape in sinusoids] == [1]
+
+    def test_two_level_block_starts_match_direct(self):
+        # radians per sample and offsets on a 2**-10 lattice, so that every
+        # angle here is exact in float64 and only the two-level product of
+        # sines and cosines can differ from those of the angle itself
+        rng = np.random.default_rng(5)
+        w = rng.integers(1, 3217, (3, 40)) / 1024.0
+        offset = rng.integers(0, 6434, (3, 40)) / 1024.0
+        for count, start in ((1, 0), (2, 0), (75, 0), (256, 0), (200, 3 * render._SPAN)):
+            got = render._phasors(w, render._BLOCK, count, start, offset)
+            angle = offset[..., None] + w[..., None] * (start + render._BLOCK * np.arange(count))
+            assert got.shape == (3, 2, 40, count)
+            assert float(np.max(np.abs(got[:, 0] - np.sin(angle)))) <= 1e-12
+            assert float(np.max(np.abs(got[:, 1] - np.cos(angle)))) <= 1e-12
+
+    def test_work_counts_of_mappings_I_and_IV(self, sinusoids):
+        sr = 16000
+        field = sample_field(FockState(0), default_grid(FockState(0)))
+        bank = method1_grid(field, MapConfig())
+        out = np.zeros((1200, 1))
+        render._accumulate(bank.freq, bank.amp, bank.triangle, bank.phase, np.ones((1, 1)), out, sr)
+        ref = reference_bank(bank, bank.phase, np.ones((900, 1)), 1200, sr)
+        assert float(np.max(np.abs(out - ref))) <= 1e-9
+        # 900 partials on a few dozen distinct frequencies
+        distinct = np.unique(bank.freq).size
+        ((given, (rendered, columns)),) = sinusoids
+        assert given == 900 and distinct < 50 and rendered <= 2 * distinct
+        cfg = MapConfig(waveform="triangle")
+        bank = method4_moments(compute_moments(field), cfg)
+        gains = partial_gains(bank, field, 4)
+        out = np.zeros((1200, 4))
+        render._accumulate(bank.freq, bank.amp, bank.triangle, bank.phase, gains, out, sr)
+        assert float(np.max(np.abs(out - reference_bank(bank, bank.phase, gains, 1200, sr)))) <= 1e-9
+        assert sinusoids[1][1][1] == 1
 
     def test_renders_are_byte_identical(self):
         rng = np.random.default_rng(7)

@@ -25,7 +25,7 @@ from quasitone import (
 )
 from quasitone import score as score_module
 from quasitone.sonify import quarter_tone_freq
-from quasitone.textfmt import json_value
+from quasitone.textfmt import fmt17_column, json_value
 
 
 def _columns(**changes):
@@ -291,6 +291,32 @@ _FIELDS = {
 
 
 class TestRowWriter:
+    def test_negative_zero_gains_match_per_row_format(self):
+        # -0.0 and 0.0 share a value but not a bit pattern: each keeps its text
+        gains = [[0.0, -0.0], [-0.0, 1.0], [0.0, -0.0], [0.25, 0.0]]
+        score = Score(**_columns(
+            onset=[0.0, 0.0, 0.5, 0.5], duration=[1.5] * 4, pitch_index=[0, 2, 0, -3],
+            dynamic=[0.5, 1.0, 0.5, 0.125], technique=["ordinario"] * 4, gains=gains,
+        ))
+        row = (
+            '  {"onset": %.17g, "duration": %.17g, "pitch_index": %d, "freq_hz": %.17g, '
+            '"dynamic": %.17g, "technique": "%s", "gains": [%.17g, %.17g]}'
+        )
+        columns = [getattr(score, name).tolist() for name in score_module._COLUMNS]
+        want = "[\n" + ",\n".join(row % (*event, *g) for *event, g in zip(*columns, gains)) + "\n]\n"
+        got = score_to_json(score)
+        assert got == want
+        assert '"gains": [0, -0]' in got and '"gains": [-0, 1]' in got
+
+    def test_fmt17_column(self):
+        values = np.array([[0.1, -0.0, 0.0], [0.1, 1e300, -0.0]])
+        assert fmt17_column(values) == [
+            "0.10000000000000001", "-0", "0", "0.10000000000000001", "1.0000000000000001e+300", "-0"
+        ]
+        assert fmt17_column(np.zeros(0)) == []
+        with pytest.raises(ValueError, match="non-finite"):
+            fmt17_column(np.array([1.0, np.inf]))
+
     @pytest.mark.parametrize("arpeggiate", [False, True], ids=["chord", "arpeggio"])
     @pytest.mark.parametrize("channels", [1, 2, 4])
     @pytest.mark.parametrize("method", ["I", "II", "III", "IV"])
