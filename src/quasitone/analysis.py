@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateMoments, DegenerateRange, MassTooLow
+from .errors import DegenerateMoments, DegenerateRange, MassTooLow, refuse
 from .grids import WignerField, edge_areas, edge_centers
 from .textfmt import json_value, written
 
@@ -51,13 +51,9 @@ def _axis_stats(weights, coords, total):
         m2 = np.sum(weights * d2, axis=-1) / total
         m3 = np.sum(weights * (d2 * d), axis=-1) / total
         m4 = np.sum(weights * (d2 * d2), axis=-1) / total
-    bad = np.asarray(m2)[~(np.isfinite(m2) & (m2 > 0))]
-    if bad.size:
-        raise DegenerateMoments(f"second central moment {float(bad[0])!r} is not positive")
+    refuse(m2, np.isfinite(m2) & (m2 > 0), DegenerateMoments, "second central moment {!r} is not positive")
     for order, m in (("third", m3), ("fourth", m4)):
-        bad = np.asarray(m)[~np.isfinite(m)]
-        if bad.size:
-            raise DegenerateMoments(f"{order} central moment {float(bad[0])!r} is not finite")
+        refuse(m, np.isfinite(m), DegenerateMoments, order + " central moment {!r} is not finite")
     # float_power goes through libm pow, as a Python float ** does
     return mean, np.sqrt(m2), m3 / np.float_power(m2, 1.5), m4 / np.float_power(m2, 2)
 
@@ -72,9 +68,8 @@ def stacked_moments(values, r_edges, p_edges) -> MomentSet:
     areas = edge_areas(r_edges, p_edges)
     weights = values * areas
     total = np.sum(weights, axis=(-2, -1))
-    bad = np.asarray(total)[~(np.isfinite(total) & (total > MASS_FLOOR))]
-    if bad.size:
-        raise MassTooLow(f"signed mass {float(bad[0]):.4f} is at or below {MASS_FLOOR}")
+    refuse(total, np.isfinite(total) & (total > MASS_FLOOR), MassTooLow,
+           f"signed mass {{:.4f}} is at or below {MASS_FLOOR}")
     r = _axis_stats(weights.sum(axis=-1), edge_centers(r_edges), total)
     p = _axis_stats(weights.sum(axis=-2), edge_centers(p_edges), total)
     negative = np.maximum(np.negative(values, out=weights), 0.0, out=weights)

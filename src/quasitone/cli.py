@@ -35,7 +35,10 @@ from .grids import (
     write_field,
 )
 from .render import (
+    DEFAULT_FRAME_SECONDS,
+    DEFAULT_HOP,
     DEFAULT_SAMPLE_RATE,
+    DEFAULT_WINDOW,
     SweepTrajectory,
     read_wav,
     render_sweep,
@@ -206,15 +209,15 @@ def _build_parser():
     p = sub.add_parser("sweep", help="render a shift trajectory to WAV")
     p.add_argument("--out", required=True)
     p.add_argument("--sr", type=int, default=DEFAULT_SAMPLE_RATE)
-    p.add_argument("--frame", type=float, default=0.25)
+    p.add_argument("--frame", type=float, default=DEFAULT_FRAME_SECONDS)
     p.add_argument("--channels", type=int, default=1, choices=[1, 2, 4])
     p.add_argument("--segments", help="<start>:<end>:<seconds>[;...] with complex endpoints re[,im]")
 
     p = sub.add_parser("sonogram", help="short-time spectrum of a WAV as CSV")
     p.add_argument("--audio", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=2048)
-    p.add_argument("--hop", type=int, default=512)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--hop", type=int, default=DEFAULT_HOP)
 
     p = mapping("score", "transcribe one mapping of a state to JSON events", channels=2)
     p.add_argument("--arpeggiate", action="store_true", help="stagger method I's cell events by p column")

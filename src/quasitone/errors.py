@@ -8,6 +8,20 @@ written raises the standard OSError instead, which names its path.
 
 from __future__ import annotations
 
+import numpy as np
+
+
+def refuse(values, ok, error, message):
+    """Raise error(message.format(v)) for the first element v of values,
+    as a Python scalar, where ok is false; return when ok holds everywhere.
+
+    Every array check of the package refuses through this, so each
+    refusal names the first value it refused.
+    """
+    bad = np.asarray(values)[~np.asarray(ok)]
+    if bad.size:
+        raise error(message.format(bad.flat[0].item()))
+
 
 class QuasitoneError(Exception):
     """Base class for all errors raised by this package."""

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateShift,
     InvalidBounds,
     QuadratureSpanTooSmall,
+    refuse,
 )
 from .states import (
     SampledState,
@@ -95,10 +96,9 @@ class GridSpec:
             e = np.asarray(getattr(self, name), dtype=float)
             if e.ndim != 1 or e.size < 2:
                 raise InvalidBounds(f"{name} needs at least two edge values")
-            if not np.all(np.isfinite(e)):
-                raise InvalidBounds(f"{name} contains non-finite values")
-            if not np.all(e[1:] > e[:-1]):
-                raise InvalidBounds(f"{name} must increase strictly")
+            refuse(e, np.isfinite(e), InvalidBounds, name + " contains non-finite value {!r}")
+            refuse(e[1:], e[1:] > e[:-1], InvalidBounds,
+                   name + " must increase strictly, got {!r} at or below the edge before it")
             _check_width(e[0], e[-1], name)
             object.__setattr__(self, name, e)
         # every cell is at most as wide as its axis, so these diffs are finite
@@ -379,9 +379,7 @@ def write_field(field: WignerField, path) -> None:
     sidecar records the grid kind, both edge arrays, and the source state.
     """
     grid = field.grid
-    bad = field.values[~np.isfinite(field.values)]
-    if bad.size:
-        raise ValueError(f"non-finite value cannot be serialized: {float(bad[0])!r}")
+    refuse(field.values, np.isfinite(field.values), ValueError, "non-finite value cannot be serialized: {!r}")
     # one %-format per row of cells, whose r and p centers are text already
     row = "".join(f"\0,{p},%.17g\n" for p in fmt17_column(grid.p_centers))
     rows = zip(fmt17_column(grid.r_centers), field.values.tolist())

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import compute_moments, stacked_moments
-from .errors import BufferTooShort, NyquistViolation, UnsupportedFormat
+from .errors import BufferTooShort, NyquistViolation, UnsupportedFormat, refuse
 from .grids import DEFAULT_HALF_WIDTH, default_edges, default_grid, edge_centers, sample_field
 from .sonify import TAU, WAVE_TRIANGLE, MapConfig, PartialBank, envelope, spatial_gains
 from .states import EPS_SHIFT, FockState, eval_cat, squared_shift
@@ -45,6 +45,8 @@ from .textfmt import written
 from .sonify import method4_moments  # noqa: F401, E402
 
 DEFAULT_SAMPLE_RATE = 48000
+DEFAULT_FRAME_SECONDS = 0.25
+DEFAULT_WINDOW, DEFAULT_HOP = 2048, 512
 
 # Master peak after normalization: -1 dBFS.
 TARGET_PEAK = 10.0 ** (-1.0 / 20.0)
@@ -74,6 +76,13 @@ MAX_SWEEP_FRAMES = 1 << 17
 # Most partials, frames times n_osc, a sweep's banks may hold: as many as
 # MAX_SWEEP_FRAMES frames of the default 21, the size measured above.
 MAX_SWEEP_PARTIALS = MAX_SWEEP_FRAMES * 21
+
+# Most sine components one render call may form: 2**20. A triangle partial
+# is one per odd harmonic below Nyquist, so one far below the rate's audible
+# range is millions, refused before any array of them exists; 900 triangle
+# partials at 55 Hz reach the limit at about 256 kHz. One partial of 2**20
+# components renders 0.01 s in 1 s and peaks at 74 MB RSS (same host).
+MAX_COMPONENTS = 1 << 20
 
 # float64 values per chunk of the in-place float32 cast of a mix.
 _CAST_CHUNK = 1 << 16
@@ -182,8 +191,18 @@ def _components(freq, amp, triangle, phases, sample_rate):
     """
     _check_nyquist(freq, sample_rate)
     nyquist = 0.5 * sample_rate
-    # enough odd j to pass Nyquist; the exact cut is the f * j test below
-    counts = np.where(triangle, (np.floor(nyquist / freq).astype(int) + 2) // 2, 1)
+    # enough odd j to pass Nyquist, floor(nyquist / f) // 2 + 1; the exact
+    # cut is the f * j test below. Counted in float64, which holds the count
+    # of a partial at any frequency, as inf at worst.
+    with np.errstate(over="ignore"):
+        counts = np.where(triangle, np.floor(nyquist / freq / 2.0) + 1.0, 1.0)
+    total = float(np.sum(counts))
+    if not total <= MAX_COMPONENTS:
+        raise ValueError(
+            f"partials down to {float(freq.min()):.6g} Hz at {sample_rate} Hz make {total:.6g} sine "
+            f"components, above the limit of {MAX_COMPONENTS}"
+        )
+    counts = counts.astype(int)
     owner = np.repeat(np.arange(freq.size), counts)
     first = np.repeat(np.cumsum(counts) - counts, counts)
     j = 2 * (np.arange(owner.size) - first) + 1
@@ -279,7 +298,8 @@ def _accumulate(freq, amp, triangle, phases, gains, out, sample_rate):
     rounding error builds up from block to block. Each bank's sinusoids
     are padded with silent ones to the longest bank's count, so that the
     sum over a chunk of them is one real matrix product per bank. Raises
-    NyquistViolation before anything is added.
+    NyquistViolation, or ValueError past MAX_COMPONENTS, before anything
+    is added.
     """
     *lead, n, n_ch = out.shape
     n_banks = math.prod(lead)
@@ -358,7 +378,8 @@ def synth(bank: PartialBank, sample_rate=DEFAULT_SAMPLE_RATE, gains=None) -> Aud
     10 ms raised-cosine ramps at both ends and a master normalization to
     peak 0.891 (-1 dBFS). Raises NyquistViolation if any partial reaches
     half the sample rate, and ValueError, before any sample exists, if the
-    note's samples times channels exceed MAX_SAMPLES.
+    note's samples times channels exceed MAX_SAMPLES, or its sine
+    components, with a triangle's harmonics, MAX_COMPONENTS.
     """
     sample_rate = _whole_rate(sample_rate)
     n_partials = bank.freq.size
@@ -368,9 +389,7 @@ def synth(bank: PartialBank, sample_rate=DEFAULT_SAMPLE_RATE, gains=None) -> Aud
         gains = np.asarray(gains, dtype=float)
         if gains.shape[0] != n_partials or gains.ndim != 2:
             raise ValueError(f"gains must be (n_partials, channels), got {gains.shape}")
-        bad = gains[~np.isfinite(gains)]
-        if bad.size:
-            raise ValueError(f"gains must be finite, got {float(bad[0])!r}")
+        refuse(gains, np.isfinite(gains), ValueError, "gains must be finite, got {!r}")
     n = _sample_count("note", bank.duration, sample_rate, gains.shape[1])
     if n < 1:
         raise ValueError("bank too short to render a single sample")
@@ -464,7 +483,7 @@ def render_sweep(
     trajectory: SweepTrajectory | None = None,
     cfg: MapConfig | None = None,
     sample_rate=DEFAULT_SAMPLE_RATE,
-    frame_seconds=0.25,
+    frame_seconds=DEFAULT_FRAME_SECONDS,
     channels=1,
 ) -> AudioBuffer:
     """Render a trajectory as overlapped envelope-bank frames.
@@ -573,8 +592,8 @@ class SonogramStream:
     """
 
     buffer: AudioBuffer
-    window: int = 2048
-    hop: int = 512
+    window: int
+    hop: int
 
     def __post_init__(self):
         if self.window < 8 or self.hop < 1:
@@ -629,7 +648,7 @@ class SonogramStream:
             yield times[lo:hi], db
 
 
-def stft_sonogram(buffer: AudioBuffer, window=2048, hop=512) -> SonogramStream:
+def stft_sonogram(buffer: AudioBuffer, window=DEFAULT_WINDOW, hop=DEFAULT_HOP) -> SonogramStream:
     """Hann-windowed short-time spectrum of the buffer, channels averaged,
     as a SonogramStream, checked as SonogramStream checks it.
 

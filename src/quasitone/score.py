@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 
 from .analysis import compute_moments
+from .errors import refuse
 from .grids import WignerField
 from .sonify import (
     TECHNIQUES,
@@ -47,9 +48,8 @@ class Score:
 
     def __post_init__(self):
         pitch = np.array(self.pitch_index, dtype=float)  # the int64 cast below truncates
-        big = pitch[~(np.abs(pitch) < 2.0**63)]
-        if big.size:
-            raise ValueError(f"pitch_index must be finite and within int64, got {big.flat[0].item()!r}")
+        refuse(pitch, np.abs(pitch) < 2.0**63, ValueError,
+               "pitch_index must be finite and within int64, got {!r}")
         dtypes = {"pitch_index": np.int64, "technique": str}
         given = ("onset", "duration", "pitch_index", "dynamic", "technique", "gains")
         for name in given:
@@ -73,8 +73,7 @@ class Score:
             ("gains must be finite", self.gains, np.isfinite(self.gains)),
             (f"technique must be one of {TECHNIQUES}", tech, np.isin(tech, TECHNIQUES)),
         ):
-            if not ok.all():
-                raise ValueError(f"{message}, got {values[~ok].flat[0].item()!r}")
+            refuse(values, ok, ValueError, message + ", got {!r}")
 
     def __len__(self) -> int:
         return self.onset.size

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateMoments, DegenerateRange, EmptyField, OutOfBounds
+from .errors import DegenerateMoments, DegenerateRange, EmptyField, OutOfBounds, refuse
 from .grids import WignerField
 from .analysis import MomentSet, segment_four
 from .states import PEAK_BOUND
@@ -176,15 +176,10 @@ class PartialBank:
         shapes = {name: getattr(self, name).shape for name in names}
         if self.freq.ndim != 1 or len(set(shapes.values())) != 1:
             raise ValueError(f"partial arrays must be 1-D of one length, got {shapes}")
-        bad = self.freq[~(np.isfinite(self.freq) & (self.freq > 0))]
-        if bad.size:
-            raise ValueError(f"frequency must be positive and finite, got {float(bad[0])!r}")
-        bad = self.phase[~np.isfinite(self.phase)]
-        if bad.size:
-            raise ValueError(f"phase must be finite, got {float(bad[0])!r}")
-        bad = self.amp[~((self.amp >= 0.0) & (self.amp <= 1.0))]
-        if bad.size:
-            raise ValueError(f"amplitude must lie in [0, 1], got {float(bad[0])!r}")
+        f, phase, amp = self.freq, self.phase, self.amp
+        refuse(f, np.isfinite(f) & (f > 0), ValueError, "frequency must be positive and finite, got {!r}")
+        refuse(phase, np.isfinite(phase), ValueError, "phase must be finite, got {!r}")
+        refuse(amp, (amp >= 0.0) & (amp <= 1.0), ValueError, "amplitude must lie in [0, 1], got {!r}")
 
     @property
     def partials(self) -> tuple[Partial, ...]:
@@ -308,20 +303,29 @@ def envelope(r0, sigma_r, cfg: MapConfig):
     """Mapping IV's partial frequencies and amplitudes, (..., n_osc) each,
     for arrays r0 and sigma_r of one shape (see method4_moments)."""
     r0, sigma_r = np.asarray(r0, dtype=float), np.asarray(sigma_r, dtype=float)
-    bad = sigma_r[~(np.isfinite(sigma_r) & (sigma_r > 0))]
-    if bad.size:
-        raise DegenerateMoments(f"sigma_r = {float(bad[0])!r} cannot shape an envelope")
+    refuse(sigma_r, np.isfinite(sigma_r) & (sigma_r > 0), DegenerateMoments,
+           "sigma_r = {!r} cannot shape an envelope")
     n = cfg.n_osc
-    sigma_f = cfg.q_slope * sigma_r[..., None]
     anchor = r0 if cfg.f0_mode == "r0" else sigma_r
-    f0 = cfg.f0_base + cfg.f0_slope * anchor[..., None]
-    spacing = 6.0 * sigma_f / max(n - 1, 1)
-    offset = (np.arange(n) - (n - 1) // 2) * spacing
-    freq = np.clip(f0 + offset, cfg.f_lo, cfg.f_hi)
-    # float_power squares through libm pow, as a Python float ** 2 does; the
-    # correctly rounded offset**2 differs from it in the last bit of some
-    # offsets, which would move a sweep's samples
-    amp = np.exp(-np.float_power(offset, 2) / (2.0 * np.float_power(sigma_f, 2)))
+    # a config's extreme constants can overflow these: a center or width
+    # float64 cannot hold is refused below, and a position past float64
+    # clips to the band as any other position outside it does
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_f = cfg.q_slope * sigma_r[..., None]
+        f0 = cfg.f0_base + cfg.f0_slope * anchor[..., None]
+        spacing = 6.0 * sigma_f / max(n - 1, 1)
+        offset = (np.arange(n) - (n - 1) // 2) * spacing
+        freq = np.clip(f0 + offset, cfg.f_lo, cfg.f_hi)
+        # float_power squares through libm pow, as a Python float ** 2 does; the
+        # correctly rounded offset**2 differs from it in the last bit of some
+        # offsets, which would move a sweep's samples
+        square, twice_var = np.float_power(offset, 2), 2.0 * np.float_power(sigma_f, 2)
+    refuse(f0, np.isfinite(f0), ValueError,
+           f"envelope center f0_base + f0_slope * {cfg.f0_mode} = {{!r}} is not finite")
+    # offset[..., 0] is the largest in size
+    refuse(sigma_f, np.isfinite(square[..., :1]) & np.isfinite(twice_var) & (twice_var > 0), ValueError,
+           "envelope width q_slope * sigma_r = {!r} is too narrow or too wide to square in float64")
+    amp = np.exp(-square / twice_var)
     return freq, amp
 
 
@@ -352,9 +356,7 @@ def quarter_tone_index(freq, ref_pitch=440.0):
     Exact midpoints round up, toward the higher pitch.
     """
     f = np.asarray(freq, dtype=float)
-    bad = f[~(np.isfinite(f) & (f > 0))]
-    if bad.size:
-        raise ValueError(f"frequency must be positive and finite, got {float(bad[0])!r}")
+    refuse(f, np.isfinite(f) & (f > 0), ValueError, "frequency must be positive and finite, got {!r}")
     _check_ref_pitch(ref_pitch)
     idx = np.floor(24.0 * np.log2(f / ref_pitch) + 0.5).astype(int)
     return idx if idx.ndim else int(idx)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateShift, MomentumUnresolved, QuadratureSpanTooSmall
+from .errors import DegenerateShift, MomentumUnresolved, QuadratureSpanTooSmall, refuse
 
 # |W| can never exceed this bound in the units used here.
 PEAK_BOUND = 1.0 / math.pi
@@ -182,13 +182,13 @@ class SampledState:
         psi = np.array(self.psi, dtype=complex)
         if x.ndim != 1 or psi.shape != x.shape or x.size < 8:
             raise ValueError("x and psi must be equal-length 1-d arrays of 8+ samples")
-        if not (np.isfinite(x).all() and np.isfinite(psi).all()):
-            raise ValueError("x and psi must be finite")
+        refuse(x, np.isfinite(x) & np.isfinite(psi), ValueError,
+               "x and psi must be finite, but the sample at x = {!r} is not")
         dx = np.diff(x)
-        if not np.all(dx > 0):
-            raise ValueError("sample grid must be strictly increasing")
-        if np.max(np.abs(dx - dx[0])) > 1e-9 * dx[0]:
-            raise ValueError("sample grid must be uniform")
+        refuse(x[1:], dx > 0, ValueError,
+               "sample grid must be strictly increasing, got {!r} at or below the x before it")
+        refuse(dx, np.abs(dx - dx[0]) <= 1e-9 * dx[0], ValueError,
+               f"sample grid must be uniform, got a step of {{!r}} after a first step of {float(dx[0])!r}")
         norm = float(np.sum(np.abs(psi) ** 2) * dx[0])
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"wavefunction norm is {norm:.12f}, expected 1 within 1e-9")
@@ -638,10 +638,8 @@ def _transform(state, r, p):
     (rs, row), (ps, col) = (np.unique(v, return_inverse=True) for v in (r, p))
     row, col = np.broadcast_arrays(row.reshape(r.shape), col.reshape(p.shape))  # flat in numpy 1.x
     half_span = np.minimum(x[-1] - rs, rs - x[0])
-    if np.any(half_span <= 0):
-        raise QuadratureSpanTooSmall(
-            f"evaluation point r = {rs[half_span <= 0][0]:.4g} lies outside the sample span"
-        )
+    refuse(rs, half_span > 0, QuadratureSpanTooSmall,
+           "evaluation point r = {:.4g} lies outside the sample span")
     y, reach = _lattice(x, half_span[:, None])
     lattice = _p_lattice(ps) if rs.size * ps.size <= row.size else None
     if lattice:  # first[i]: the chunk units, rows or dense cells, before row i

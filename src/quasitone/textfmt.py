@@ -25,6 +25,8 @@ import os
 
 import numpy as np
 
+from .errors import refuse
+
 
 def fmt17(x: float) -> str:
     """Render a float with 17 significant digits (lossless for float64)."""
@@ -40,9 +42,7 @@ def fmt17_column(values) -> list[str]:
     non-finite value, as fmt17 does."""
     bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True)
     distinct = bits.view(np.float64)
-    bad = distinct[~np.isfinite(distinct)]
-    if bad.size:
-        raise ValueError(f"non-finite value cannot be serialized: {float(bad[0])!r}")
+    refuse(distinct, np.isfinite(distinct), ValueError, "non-finite value cannot be serialized: {!r}")
     text = np.array(("%.17g " * distinct.size % tuple(distinct.tolist())).split(), dtype=object)
     return text[inverse.ravel()].tolist()
 

@@ -1,19 +1,26 @@
 import builtins
 import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasitone
 from oracles import psi_grid
 from quasitone import read_field, read_wav, textfmt
 from quasitone.cli import cli_main, parse_grid, parse_state
+from quasitone.sonify import _CONFIG_TYPES
 from quasitone.states import CatState, CoherentState, FockState, SampledState
 
 
@@ -683,6 +690,20 @@ class TestRendersThatCannotBeHeld:
         assert res.stderr.startswith(f"error: {refused}") and res.stderr.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_triangle_far_below_the_rate_is_2_naming_the_count(self, tmp_path, capsys):
+        # mapping III's lowest partial sits on f_lo; its harmonic count was
+        # cast to int with a RuntimeWarning
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text("f_lo=1e-300\nwaveform=triangle\n")
+        out = tmp_path / "x.wav"
+        argv = ["sonify", "--state", "fock:1", "--method", "III", "--duration", "0.05", "--config", str(cfg)]
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: partials down to 1e-300 Hz at 48000 Hz make 1.2e+304 sine components, "
+            "above the limit of 1048576\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, n_osc, refused",
         [
@@ -1233,6 +1254,21 @@ class TestGrammar:
         assert seen == [{"command": command, **values}]
         assert all(type(seen[0][k]) is type(v) for k, v in values.items())
 
+    def test_defaults_are_the_library_s(self, monkeypatch):
+        import inspect
+
+        from quasitone import cli
+        from quasitone.render import render_sweep, stft_sonogram
+
+        seen = []
+        monkeypatch.setattr(cli, "_run", lambda args: seen.append(vars(args)) or 0)
+        for command in ("sweep", "sonogram"):
+            assert cli_main([command, *_GRAMMAR[command][0]]) == 0
+        sweep, sonogram = seen
+        frame = inspect.signature(render_sweep).parameters["frame_seconds"].default
+        window, hop = (inspect.signature(stft_sonogram).parameters[k].default for k in ("window", "hop"))
+        assert (sweep["frame"], sonogram["window"], sonogram["hop"]) == (frame, window, hop)
+
     @pytest.mark.parametrize("command", sorted(_REQUIRED))
     def test_required_flags(self, command, capsys):
         assert cli_main([command]) == 2
@@ -1252,6 +1288,132 @@ class TestGrammar:
         out = capsys.readouterr().out
         assert out.startswith("usage: quasitone " + command)
         assert all(f"--{flag}" in out for flag in _GRAMMAR[command][1])
+
+
+# Well-formed, then malformed pieces of each flag's value. Every size stays
+# small or past a limit, so that an example runs in milliseconds: grids of
+# at most 16 cells a side, notes of at most 0.05 s, paths of at most 0.5 s,
+# at most 101 oscillators and rates of at most 48 kHz, or a count that the
+# program refuses before any array of its size exists. "{name}" is a file
+# of _fuzz_inputs, and "{dir}" the example's own directory.
+_PIECES = {
+    "state": (
+        ["fock:0", "fock:1", "fock:3", "fock:12", "cat:0.5", "cat:-1,0.5", "cat:2.5,-1", "coherent:1,-0.5",
+         "coherent:3,4", "psi:{psi}"],
+        ["fock:-1", "fock:x", "fock:1e3", "fock:288", "fock", "cat:0", "cat:1e-6", "cat:nan", "cat:1,2,3",
+         "cat:1e200", "coherent:inf", "coherent:1e200", "squeezed:1", "psi:{uneven_psi}", "psi:{missing}",
+         "psi:{config}"],
+    ),
+    "grid": (
+        ["regular:8:-5:5", "regular:16:-6:6", "regular:1:-5:5", "regular:4:-1:1", "gauss:8:4", "gauss:16:6"],
+        ["regular:0:-5:5", "regular:8:5:-5", "regular:8:-inf:5", "regular:64:-1e308:1e308",
+         "regular:100000:-5:5", "regular:16:-1e150:1e150", "regular:8", "gauss:8:0", "gauss:8:nan",
+         "gauss:8:1e308", "gauss:16:1e150", "gauss:x:3", "hex:8"],
+    ),
+    "method": (["I", "II", "III", "IV"], ["V", "iv"]),
+    "duration": (["0.05", "0.001", "1e-5"], ["0", "-1", "1e-300", "nan", "inf", "1e7", "x"]),
+    "sr": (["8000", "48000", "1000", "1"], ["0", "-8000", "8000.5", "2147483648", "4294967295", "x"]),
+    "channels": (["1", "2", "4"], ["3", "x"]),
+    "frame": (["0.25", "0.05", "0.3", "2"], ["1e-5", "1e-300", "0", "-0.25", "nan", "1e305", "x"]),
+    "segments": (
+        ["0:-1:0.5", "0,0.5:-1:0.3;-1:-1.5:0.2", "0:0:0.5", "-2:2:0.4", "0:1e-8:0.5"],
+        ["0:-1:0", "0:-1:-1", "0:-1:nan", "0:-1:1e-300", "0:-1:1e7", "0:nan:0.5", "0:1e300:0.5",
+         "1e154:0:0.5", "0:1,1e154:0.5", "0:-1", "a:b:c", ""],
+    ),
+    "window": (["256", "2048", "8", "9", "4000"], ["7", "0", "4001", "100000", "x"]),
+    "hop": (["128", "512", "4000"], ["0", "-1", "4001", "1e3", "x"]),
+    "r": (["0", "1.5", "-3", "40", "1e8"], ["nan", "inf", "1e154", "-1e200", "1e308", "x"]),
+    "p": (["0", "-1.5", "3", "-40", "1e8"], ["-inf", "1e154", "1e308", "x"]),
+    "out": (["{dir}/out"], ["{dir}", "{dir}/missing/out", "{config}"]),
+    "score": (["{dir}/score.json"], ["{dir}/out", "{dir}/missing/score.json"]),
+    "field": (["{field}"], ["{nan_edge_field}", "{missing}", "{dir}", "{wav}"]),
+    "audio": (["{wav}"], ["{missing}", "{config}", "{dir}"]),
+    "config": (["{config}"], ["{missing}", "{dir}"]),
+}
+
+# Well-formed, then malformed values of each config key, by its type.
+_CONFIG_VALUES = {
+    "int": (["21", "1", "3", "101"], ["0", "2", "-1", "1000000001", "1.5", "x"]),
+    "float": (["55", "110", "440", "1000", "7040"], ["0", "-1", "1e-300", "-1e308", "nan", "inf", "1e308", "x"]),
+    "str": (["r0", "sigma_r", "r", "p", "sine", "triangle", "ricochet", "sul_ponticello"], ["x", ""]),
+}
+
+
+def _draw_piece(draw, good_bad):
+    """One well-formed piece five times in six, else one malformed piece."""
+    good, bad = good_bad
+    return draw(st.sampled_from(good if draw(st.integers(0, 5)) else bad))
+
+
+@pytest.fixture(scope="module")
+def _fuzz_inputs(tmp_path_factory):
+    """The files the pieces name, made once: a field and its sidecar, the
+    same with a NaN edge, a 0.5 s WAV, a psi CSV and one whose x column is
+    not uniform."""
+    d = tmp_path_factory.mktemp("fuzz")
+    files = {name: str(d / name) for name in ("field", "nan_edge_field", "wav", "psi", "uneven_psi", "missing")}
+    for name in ("field", "nan_edge_field"):
+        assert cli_main(["field", "--state", "fock:0", "--grid", "regular:16:-5:5", "--out", files[name]]) == 0
+    side = json.loads(Path(files["nan_edge_field"] + ".json").read_text())
+    side["r_edges"][3] = math.nan
+    Path(files["nan_edge_field"] + ".json").write_text(json.dumps(side))
+    assert cli_main(["sweep", "--segments", "0:-1:0.5", "--sr", "8000", "--out", files["wav"]]) == 0
+    rows = _psi_csv(Path(files["psi"]), 0, 257).read_text().splitlines()
+    x, rest = rows[5].split(",", 1)
+    rows[5] = f"{float(x) + 0.01!r},{rest}"
+    Path(files["uneven_psi"]).write_text("\n".join(rows) + "\n")
+    return files
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A command, then each of its flags from _GRAMMAR drawn or left out,
+    in drawn order, a required one rarely left out, and now and then a
+    stray argument; returns (argv, config text)."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    required = _REQUIRED[command].replace("--", "").split(", ")
+    # sonify's note and sweep's path default to seconds of audio
+    always = {"sonify": ["duration"], "sweep": ["segments"]}.get(command, [])
+    flags = [
+        flag for flag in _GRAMMAR[command][1]
+        if flag in always or draw(st.integers(0, 9)) < (9 if flag in required else 5)
+    ]
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv += [f"--{flag}"] if flag == "arpeggiate" else [f"--{flag}", _draw_piece(draw, _PIECES[flag])]
+    if draw(st.integers(0, 19)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "stray", "--sr=8000"])))
+    keys = draw(st.lists(st.sampled_from([*_CONFIG_TYPES, "loudness", "# note", "no equals sign"]), max_size=3))
+    config = "".join(
+        f"{key}={_draw_piece(draw, _CONFIG_VALUES[_CONFIG_TYPES[key]])}\n" if key in _CONFIG_TYPES else key + "\n"
+        for key in keys
+    )
+    return argv, config
+
+
+class TestGrammarFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn=_fuzz_argv())
+    def test_every_argv_exits_through_the_table(self, drawn, _fuzz_inputs):
+        argv, config = drawn
+        with tempfile.TemporaryDirectory() as d:
+            Path(d, "config").write_text(config)
+            names = {**_fuzz_inputs, "dir": d, "config": str(Path(d, "config"))}
+            argv = [piece.format(**names) for piece in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = cli_main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == "", (argv, err)
+        elif err.startswith("usage: quasitone"):
+            assert code == 2 and ": error: " in err.splitlines()[-1], (argv, err)
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)], argv
 
 
 class TestOneParser:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -596,6 +597,24 @@ class TestRenderSizeLimits:
             synth(one_partial_bank(duration=0.1001), sample_rate=8000, gains=gains)
         with pytest.raises(ValueError, match=r"^note of 1e\+305 s at 8000 Hz is inf samples"):
             synth(one_partial_bank(duration=1e305), sample_rate=8000, gains=gains)
+
+    def test_synth_components(self, monkeypatch):
+        # a triangle at f counts floor(4000 / f / 2) + 1 odd harmonics at 8 kHz
+        monkeypatch.setattr(render, "MAX_COMPONENTS", 2)
+        buf = synth(one_partial_bank(freq=1001.0, waveform="triangle", duration=0.1), sample_rate=8000)
+        assert buf.samples.shape == (800, 1)
+        refused = r"^partials down to 1000 Hz at 8000 Hz make 3 sine components, above the limit of 2$"
+        with pytest.raises(ValueError, match=refused):
+            synth(one_partial_bank(freq=1000.0, waveform="triangle", duration=0.1), sample_rate=8000)
+
+    @pytest.mark.parametrize("freq, count", [(1e-300, "2e+303"), (5e-324, "inf")])
+    def test_triangle_far_below_the_rate_refused_without_warning(self, freq, count):
+        # its harmonic count was cast to int with a RuntimeWarning, or formed
+        # millions of components until memory ran out
+        bank = one_partial_bank(freq=freq, waveform="triangle", duration=0.1)
+        message = f"partials down to {freq:.6g} Hz at 8000 Hz make {count} sine components, above the limit of 1048576"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            synth(bank, sample_rate=8000)
 
     def test_sweep_samples_and_frames(self, monkeypatch):
         traj = SweepTrajectory(((0j, -1 + 0j, 1.0),))

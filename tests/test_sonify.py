@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -323,6 +324,27 @@ class TestMethod4:
                 assert np.array_equal(freq[k], bank.freq) and np.array_equal(amp[k], bank.amp)
         with pytest.raises(DegenerateMoments, match="sigma_r = -0.5"):
             envelope(r0[:3], np.array([1.0, -0.5, 0.0]), MapConfig())
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"f0_slope": -1e308}, "envelope center f0_base + f0_slope * r0 = inf is not finite"),
+            ({"f0_slope": 1e308, "f0_mode": "sigma_r"}, "envelope center f0_base + f0_slope * sigma_r = inf"),
+            ({"q_slope": 1e308}, "envelope width q_slope * sigma_r = 1e+308 is too narrow or too wide"),
+            ({"q_slope": 1e-300}, "envelope width q_slope * sigma_r = 1e-300 is too narrow or too wide"),
+            ({"q_slope": 1e154, "n_osc": 1}, "envelope width q_slope * sigma_r = 1e+154 is too narrow"),
+        ],
+    )
+    def test_center_or_width_past_float64_refused_without_warning(self, config, message):
+        # the config's extremes overflowed to an inf center, clipped into the
+        # band, or an amplitude of 0 or NaN, with a RuntimeWarning
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            envelope(np.array([0.5, -3.0]), np.array([1.0, 2.0]), MapConfig(**config))
+
+    def test_extreme_widths_float64_holds_still_render(self):
+        freq, amp = envelope(-1.0, 1.0, MapConfig(q_slope=1e153))
+        assert np.isfinite(amp).all() and amp[0] == pytest.approx(math.exp(-4.5), rel=1e-12)
+        assert freq[0] == MapConfig().f_lo and freq[-1] == MapConfig().f_hi
 
     def test_degenerate_sigma_rejected(self, cfg):
         class M:

@@ -384,6 +384,13 @@ class TestWignerTransform:
         with pytest.raises(QuadratureSpanTooSmall):
             evaluate(SampledState(x, psi / norm), 0.0, 0.0)
 
+    def test_nan_r_refused_as_outside_the_span(self):
+        # its half span was NaN, and the lattice cast it to an int with a
+        # RuntimeWarning
+        state = SampledState(psi_grid(), harmonic_eigenstate(0, psi_grid()))
+        with pytest.raises(QuadratureSpanTooSmall, match="^evaluation point r = nan lies outside the sample span$"):
+            evaluate(state, np.array([0.0, np.nan]), 0.0)
+
     def test_scalar_and_array_agree(self):
         x = psi_grid()
         psi = harmonic_eigenstate(1, x)
