@@ -34,6 +34,8 @@ from .grids import (
     COVERAGE_MIN,
     KIND_GAUSSIAN,
     KIND_REGULAR,
+    RESOLUTION_MAX,
+    Coverage,
     GridSpec,
     WignerField,
     build_gaussian,

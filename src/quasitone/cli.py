@@ -9,8 +9,8 @@ exception class:
   2  ValueError: an argument, grammar, config or out-of-range value,
      including a non-finite one, or a psi: or --config file that cannot
      be read (UsageFault is a ValueError)
-  3  CoverageError: the grid captures too little of the state, or a
-     mass of the gate is not finite
+  3  CoverageError: the grid holds too little of the state's W^2 or does
+     not resolve it, or a sum of the gate is not finite
   4  any other QuasitoneError, or an OSError: numeric or I/O failures
 """
 
@@ -278,7 +278,7 @@ def _run(args) -> int:
         field = _sampled_field(args)
         cov = coverage(field)
         write_field(field, args.out)
-        print(f"coverage {cov:.6f}")
+        print(f"coverage {cov.share:.6f}")
         # the files stay for inspection; the gate still sets the exit code
         require_coverage(cov)
         return 0

@@ -76,4 +76,4 @@ class UnsupportedFormat(QuasitoneError):
 
 
 class CoverageError(QuasitoneError):
-    """Grid captures too little of the state's absolute mass."""
+    """Grid holds too little of the state's W^2, or does not resolve it."""

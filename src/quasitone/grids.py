@@ -12,63 +12,39 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CoverageError,
-    DegenerateMoments,
-    DegenerateShift,
-    InvalidBounds,
-    QuadratureSpanTooSmall,
-    refuse,
-)
-from .states import (
-    SampledState,
-    StateSpec,
-    evaluate,
-    refuse_unresolved_momentum,
-    state_from_description,
-    transform_bound,
-)
-from .textfmt import csv_row_line, fmt17_column, json_value, read_csv_table, written
+from .errors import CoverageError, DegenerateMoments, DegenerateShift, InvalidBounds, refuse
+from .states import StateSpec, evaluate, refuse_unresolved_momentum, state_from_description
+from .textfmt import csv_row_line, fmt17_column, json_value, read_csv_table, read_text, written
 
 KIND_REGULAR = "regular"
 KIND_GAUSSIAN = "gaussian"
 
-# Minimum share of a state's absolute mass a grid must capture before the
-# command line front end agrees to render from it.
+# Least share of the state's W^2 (2 pi times its integral is 1 for every
+# pure state) a grid must hold, and most that share may move when each cell
+# is split 2 x 2, before the command line front end agrees to render from
+# the grid (see coverage).
 COVERAGE_MIN = 0.99
+RESOLUTION_MAX = 3e-3
 
 # Cells per axis and half width of the default grid around a centroid.
 DEFAULT_CELLS = 64
 DEFAULT_HALF_WIDTH = 5.0
 
 # Most cells a built grid may hold: 1024 x 1024, 8 MB per float64 array of
-# its field. `field` on a grid this size peaks at about 310 MB RSS, most of
-# it the CSV text; the 512 x 512 coverage reference is the largest grid the
-# package builds for itself.
+# its field. `field` on a grid this size peaks at about 180 MB RSS, most of
+# it the CSV text; coverage splits its cells 2 x 2 but evaluates the split
+# grid a block of rows at a time.
 MAX_CELLS = 1024 * 1024
 
-# Reference window for the coverage denominator: a half-width 10 square
-# around the state centroid at 512 cells per axis captures all but a
-# negligible sliver of every state this package evaluates. A sampled
-# wavefunction's span must cover the centroid +- 10 in r, or the reference
-# is refused.
-_REF_HALF = 10.0
-_REF_CELLS = 512
-
-# Most absolute mass, by their bounds, that the reference rows skipped for
-# a sampled state may hold in all.
-_SKIP_BUDGET = 1e-9
-
-# Reference rows per evaluate call: 32 rows of 512 cells, 128 kB per
-# float64 array, which stay in cache. Fock 5's reference took 9.6, 7.2,
-# 6.2, 6.0 and 16.7 ms in blocks of 8, 16, 32, 64 and 512 rows (fastest of
-# 25 interleaved runs, 2-core x86-64 host). A 257-node sampled state's took
-# 34-43 ms at every size from 16 rows up, within the host's noise, but its
-# traced peak grows with the block: 3.6 MB at 32 rows against 6.8 MB at 64.
-_REF_BLOCK_ROWS = 32
+# Rows of the split grid per evaluate call in coverage: 32 rows of a
+# default grid's 128 split columns, or of a 1024-cell grid's 2048, 0.5 MB
+# per float64 array. The whole 128 x 128 split in one call raised the peak
+# RSS of the benchmark's sampled-state commands from 40.1 to 41.0 MB.
+_SPLIT_BLOCK_ROWS = 32
 
 
 def edge_centers(edges):
@@ -263,98 +239,105 @@ def default_grid(state: StateSpec) -> GridSpec:
     return GridSpec(KIND_REGULAR, *default_edges(*state.centroid))
 
 
-def _row_budgets(state: SampledState, ref: GridSpec) -> np.ndarray:
-    """Upper bound on the absolute mass of each reference row of a sampled
-    state: the transform's bound on |W| at the row's r, for every p, times
-    the window's p width and the row's height.
-    """
-    width = ref.p_edges[-1] - ref.p_edges[0]
-    return transform_bound(state, ref.r_centers) * width * np.diff(ref.r_edges)
+class Coverage(NamedTuple):
+    """What coverage() measures of a field: share, the state's W^2 that
+    the grid's cells split 2 x 2 hold, and resolution, how far the sum on
+    the grid's own cells lies from it."""
+
+    share: float
+    resolution: float
 
 
-def _counted_rows(state: SampledState, ref: GridSpec) -> np.ndarray:
-    """Indices, in order, of the reference rows that coverage evaluates.
-
-    Rows are skipped from the smallest budget up while the skipped budgets
-    sum below _SKIP_BUDGET. A window with a row center outside the sample
-    span, or a column center at the state's momentum limit or past it, is
-    refused before anything is evaluated.
-    """
-    x, r = state.x, ref.r_centers
-    if not (x[0] < r[0] and r[-1] < x[-1]):
-        raise QuadratureSpanTooSmall(
-            f"coverage reference window r in [{ref.r_edges[0]:.4g}, {ref.r_edges[-1]:.4g}] "
-            f"(centroid +- {_REF_HALF:g}) reaches outside the sample span "
-            f"[{x[0]:.4g}, {x[-1]:.4g}]; widen the sample span"
-        )
-    refuse_unresolved_momentum(
-        state, ref.p_centers, f"coverage reference window (centroid +- {_REF_HALF:g}) p"
-    )
-    budget = _row_budgets(state, ref)
-    order = np.argsort(budget, kind="stable")
-    return np.sort(order[np.cumsum(budget[order]) >= _SKIP_BUDGET])
+def _split_edges(edges):
+    """The edges with each cell's midpoint added between its own two."""
+    split = np.empty(2 * edges.size - 1)
+    split[0::2], split[1::2] = edges, edge_centers(edges)
+    return split
 
 
-@functools.lru_cache(maxsize=16)
-def _reference_abs_mass(state: StateSpec) -> float:
-    r0, p0 = state.centroid
-    ref = build_regular(
-        r0 - _REF_HALF, r0 + _REF_HALF, p0 - _REF_HALF, p0 + _REF_HALF, _REF_CELLS, _REF_CELLS
-    )
-    rows = _counted_rows(state, ref) if isinstance(state, SampledState) else np.arange(_REF_CELLS)
-    r, p = ref.r_centers, ref.p_centers
-    heights, widths = np.diff(ref.r_edges), np.diff(ref.p_edges)
-    totals = np.empty(rows.size)
-    for lo in range(0, rows.size, _REF_BLOCK_ROWS):
-        block = rows[lo : lo + _REF_BLOCK_ROWS]
-        values = evaluate(state, r[block, None], p)
-        np.abs(values, out=values)
-        values *= heights[block, None] * widths  # the block's cell areas
-        totals[lo : lo + block.size] = values.sum(axis=1)
-    return float(np.sum(totals))
+def _row_sums(values, widths):
+    """Sum over each row of W^2 times the column widths, in a new array; a
+    square that overflows is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        squares = np.square(np.asarray(values, dtype=float))
+        squares *= widths
+    return squares.sum(axis=1)
 
 
-def coverage(field: WignerField) -> float:
-    """Share of the state's absolute mass captured by the field's grid.
+# Never called. perfbench/layers.py reads this name's cache_info() around
+# every traced coverage call, from when coverage divided by a cached
+# reference mass; ROADMAP item 1 drops that read, and with it this name.
+@functools.lru_cache(maxsize=1)
+def _reference_abs_mass(state):
+    raise NotImplementedError("coverage needs no reference")
 
-    Both numerator and denominator are cell-center Riemann sums of |W|;
-    the denominator comes from a wide fixed reference window, 512 x 512
-    cells over the state centroid +- 10, evaluated and summed in blocks of
-    rows: each row's total first, then the sum of the row totals, so its
-    value does not depend on the block size. A mass that is not finite,
-    the field's or the reference's, raises CoverageError naming the grid's
-    bounds. Clamped to [0, 1].
 
-    For a SampledState the denominator skips reference rows whose mass is
-    provably negligible. states.transform_bound(state, r) bounds |W(r, p)|
-    over every p by the spline the state holds and the transform evaluates,
-    not its samples: a per-interval bound on the spline's modulus, convolved
-    with itself, with the factor 4/3 by which Simpson's 4, 2 weights can
-    exceed the integral on one interval. Rows are skipped from the smallest
-    bound times row area up while those sum below 1e-9 of absolute mass.
-    A row whose center lies outside the sample span is never skipped: such
-    a window raises QuadratureSpanTooSmall before any evaluation, so the
-    span must cover the centroid +- 10 in r.
+def coverage(field: WignerField) -> Coverage:
+    """The share of the state's W^2 that the field's grid holds, and how
+    well the grid resolves it; neither is clamped.
+
+    Every state of this package is pure, so 2 pi Integral W^2 dr dp = 1
+    (Hillery, O'Connell, Scully & Wigner, Phys. Rep. 106, 121, 1984) and a
+    window's sum of W^2 needs no reference. P = 2 pi sum W^2 dA is the
+    midpoint sum on the grid's own cells, from the values the field holds;
+    P2 is the same sum with every cell split 2 x 2 at its midpoints,
+    evaluated in blocks of rows: each row's total first, then the sum of
+    the row totals, so no array of the whole split grid is held and the
+    value does not depend on the block size. share is P2 and resolution is
+    |P - P2|, about three quarters of P's own error.
+
+    require_coverage asks share >= COVERAGE_MIN = 0.99 and resolution <=
+    RESOLUTION_MAX = 3e-3. Where a midpoint sum's error goes as the cell
+    area, P2's own error is a third of the resolution, so the share is then
+    known to a tenth of the 0.01 that it may miss. On the default grids of
+    Fock 0 to 10, of criterion 06's cats, coherent states and sampled
+    eigenstate and of the benchmark's sampled eigenstates, resolution is at
+    most 2.5e-5 (Fock 10); 16 cells over +-5 read 1.8e-3 for Fock 1, and
+    8 cells over Fock 8's rings on [-4, 4] read 0.12.
+
+    The split cells' outer centers lie a quarter cell beyond the grid's
+    own. For a SampledState their p is refused as a grid's is, by
+    refuse_unresolved_momentum before anything is evaluated, and an r
+    outside the sample span by evaluate. A sum that is not finite raises
+    CoverageError naming the grid's bounds.
     """
     if field.state is None:
         raise ValueError("field has no state attached; coverage needs the source state")
-    mass, ref = field.abs_mass, _reference_abs_mass(field.state)
-    if not (math.isfinite(mass) and math.isfinite(ref)):
-        r_lo, r_hi, p_lo, p_hi = field.grid.bounds
+    grid = field.grid
+    r_edges, p_edges = _split_edges(grid.r_edges), _split_edges(grid.p_edges)
+    r, p = edge_centers(r_edges), edge_centers(p_edges)
+    refuse_unresolved_momentum(field.state, p, "p of the coverage grid's cells split 2 x 2")
+    heights, widths = np.diff(r_edges), np.diff(p_edges)
+    totals = np.empty(r.size)
+    for lo in range(0, r.size, _SPLIT_BLOCK_ROWS):
+        block = slice(lo, lo + _SPLIT_BLOCK_ROWS)
+        totals[block] = _row_sums(evaluate(field.state, r[block, None], p), widths)
+    own = _row_sums(field.values, np.diff(grid.p_edges))
+    with np.errstate(over="ignore"):
+        whole = 2.0 * math.pi * float(np.sum(own * np.diff(grid.r_edges)))
+        split = 2.0 * math.pi * float(np.sum(totals * heights))
+    if not (math.isfinite(whole) and math.isfinite(split)):
+        r_lo, r_hi, p_lo, p_hi = grid.bounds
         raise CoverageError(
-            f"absolute mass {mass!r} of the grid on r in [{r_lo:.6g}, {r_hi:.6g}], "
-            f"p in [{p_lo:.6g}, {p_hi:.6g}], against the reference {ref!r}: both must be finite"
+            f"W^2 sums {whole!r} of the grid on r in [{r_lo:.6g}, {r_hi:.6g}], "
+            f"p in [{p_lo:.6g}, {p_hi:.6g}], and {split!r} of its cells split 2 x 2: both must be finite"
         )
-    if ref <= 0:
-        return 0.0
-    return float(min(1.0, mass / ref))
+    return Coverage(split, abs(whole - split))
 
 
-def require_coverage(cov: float) -> None:
-    """CoverageError when a coverage value, as coverage() returns it, is
-    below COVERAGE_MIN."""
-    if cov < COVERAGE_MIN:
-        raise CoverageError(f"grid captures {cov:.4f} of the state's absolute mass; need >= {COVERAGE_MIN}")
+def require_coverage(cov: Coverage) -> None:
+    """CoverageError naming each measure of a coverage() value that fails:
+    a share below COVERAGE_MIN, a resolution above RESOLUTION_MAX."""
+    failed = []
+    if not cov.share >= COVERAGE_MIN:
+        failed.append(f"window share {cov.share:.6f} of the state's W^2 is below {COVERAGE_MIN}")
+    if not cov.resolution <= RESOLUTION_MAX:
+        failed.append(
+            f"resolution {cov.resolution:.6g} (the W^2 sum's change when each cell is split "
+            f"2 x 2) exceeds {RESOLUTION_MAX:g}"
+        )
+    if failed:
+        raise CoverageError("grid does not hold the state: " + "; ".join(failed))
 
 
 # === CSV + sidecar I/O ===
@@ -406,11 +389,10 @@ def read_field(path) -> WignerField:
     """
     side = sidecar_path(path)
     table = read_csv_table(path, "r,p,value")
-    with open(side, "r", encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{side}: not JSON: {exc}") from exc
+    try:
+        sidecar = json.loads(read_text(side))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{side}: not JSON: {exc}") from exc
     try:
         grid = GridSpec(
             sidecar["kind"],

@@ -392,7 +392,9 @@ def synth(bank: PartialBank, sample_rate=DEFAULT_SAMPLE_RATE, gains=None) -> Aud
         refuse(gains, np.isfinite(gains), ValueError, "gains must be finite, got {!r}")
     n = _sample_count("note", bank.duration, sample_rate, gains.shape[1])
     if n < 1:
-        raise ValueError("bank too short to render a single sample")
+        raise ValueError(
+            f"a note of {bank.duration!r} s gives {n} samples at {sample_rate} Hz; it needs at least 1"
+        )
     out = np.zeros((n, gains.shape[1]), dtype=float)
     _accumulate(bank.freq, bank.amp, bank.triangle, bank.phase, gains, out, sample_rate)
     _fade(out, sample_rate)
@@ -524,7 +526,10 @@ def render_sweep(
             f"a frame needs at least 4"
         )
     if n_total < n_frame:
-        raise ValueError("trajectory shorter than a single frame")
+        raise ValueError(
+            f"a trajectory of {trajectory.total_seconds!r} s gives {n_total} samples at "
+            f"{sample_rate} Hz, fewer than the {n_frame} of one frame"
+        )
     hop = n_frame // 2
     starts = range(0, n_total, hop)
     if len(starts) > MAX_SWEEP_FRAMES:
@@ -596,8 +601,10 @@ class SonogramStream:
     hop: int
 
     def __post_init__(self):
-        if self.window < 8 or self.hop < 1:
-            raise ValueError("window must be >= 8 samples and hop >= 1")
+        if self.window < 8:
+            raise ValueError(f"window must be >= 8 samples, got {self.window!r}")
+        if self.hop < 1:
+            raise ValueError(f"hop must be >= 1 sample, got {self.hop!r}")
         n = self.buffer.samples.shape[0]
         if n < self.window:
             raise BufferTooShort(f"{n} samples but the window needs {self.window}")

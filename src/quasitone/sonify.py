@@ -29,6 +29,7 @@ from .errors import DegenerateMoments, DegenerateRange, EmptyField, OutOfBounds,
 from .grids import WignerField
 from .analysis import MomentSet, segment_four
 from .states import PEAK_BOUND
+from .textfmt import read_text
 
 # Cap on simultaneous partials for the per-cell mapping.
 MAX_PARTIALS = 900
@@ -82,15 +83,18 @@ class MapConfig:
             raise ValueError(f"need 0 < f_lo < f_hi, both finite, got [{self.f_lo}, {self.f_hi}]")
         if not (np.isfinite(self.q_slope) and self.q_slope > 0):
             raise ValueError(f"q_slope must be positive, got {self.q_slope!r}")
-        if not (np.isfinite(self.f0_base) and np.isfinite(self.f0_slope)):
-            raise ValueError("f0_base and f0_slope must be finite")
+        for name in ("f0_base", "f0_slope"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_osc < 1 or self.n_osc % 2 == 0:
             raise ValueError(f"n_osc must be odd and positive, got {self.n_osc}")
         if self.n_osc > MAX_PARTIALS:
             raise ValueError(f"n_osc = {self.n_osc} exceeds the limit of {MAX_PARTIALS} partials")
         _check_ref_pitch(self.ref_pitch)
         if self.negative_technique not in _NEGATIVE_TECHNIQUES:
-            raise ValueError(f"negative_technique must be one of {_NEGATIVE_TECHNIQUES}")
+            raise ValueError(
+                f"negative_technique must be one of {_NEGATIVE_TECHNIQUES}, got {self.negative_technique!r}"
+            )
         if self.waveform not in (WAVE_SINE, WAVE_TRIANGLE):
             raise ValueError(f"waveform must be 'sine' or 'triangle', got {self.waveform!r}")
         if self.freq_axis not in ("r", "p"):
@@ -109,23 +113,22 @@ def load_map_config(path, base: MapConfig | None = None) -> MapConfig:
     rejected so typos fail loudly instead of silently keeping a default.
     """
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = _CONFIG_TYPES[key]
-            try:
-                overrides[key] = int(value) if kind == "int" else float(value) if kind == "float" else value
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: {key} must be {kind}, got {value!r}") from None
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        kind = _CONFIG_TYPES[key]
+        try:
+            overrides[key] = int(value) if kind == "int" else float(value) if kind == "float" else value
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} must be {kind}, got {value!r}") from None
     return replace(base or MapConfig(), **overrides)
 
 

@@ -149,9 +149,9 @@ class CoherentState:
 class SampledState:
     """Wavefunction sampled on a uniform position grid, with the not-a-knot
     cubic spline through its samples, solved once here: read-only x, psi
-    and coef (see _spline_coefficients), which wigner and transform_bound
-    read. The samples must be finite and carry unit probability: sum
-    |psi|^2 dx = 1 within 1e-9.
+    and coef (see _spline_coefficients), which wigner reads. The samples
+    must be finite and carry unit probability: sum |psi|^2 dx = 1 within
+    1e-9.
 
     Its Wigner function is the transform of the spline, extended beyond the
     samples by its end cubics. Every r shares one y lattice, y_k = k h for
@@ -169,8 +169,11 @@ class SampledState:
     batched through numpy's FFT; otherwise each point gets the dense
     product with e^{-i p y}. The two agree to a few 1e-15 on this
     package's grids. Simpson's 4, 2 weights fold p onto p -+ pi / h, so
-    from |p| = pi / (2 h) on (momentum_limit) the sum aliases; the grids
-    and commands refuse such p (refuse_unresolved_momentum).
+    from |p| = pi / (2 h) on (momentum_limit) the sum aliases; a grid, the
+    coverage gate's split cells and eval refuse such p
+    (refuse_unresolved_momentum), and an r outside the sample span is
+    refused by evaluate. coverage evaluates the state only inside the
+    grid's own edges.
     """
 
     x: np.ndarray
@@ -492,34 +495,6 @@ def _spline_at(x, coef, t):
     u = t - x[i]
     c3, c2, c1, c0 = coef
     return ((c3[i] * u + c2[i]) * u + c1[i]) * u + c0[i]
-
-
-def transform_bound(state: SampledState, r):
-    """Upper bound on |W(r, p)| of a SampledState over every p, for each r
-    inside the sample span, exact up to rounding.
-
-    The transform's row at r sums Simpson weights times the spline at
-    r + y/2 times its conjugate at r - y/2. On the closed sample interval i
-    the spline's modulus is at most M_i = |c0| + |c1| dx + |c2| dx^2 +
-    |c3| dx^3. The nodes r + y/2 are h/2 apart, the lattice step being
-    h = (x[-1] - x[0]) / (2 N) = dx (N - 1) / (2 N) <= dx/2 for N samples,
-    so one interval holds at most 2 dx/h + 1 of them, whose weights (1, 4
-    or 2 times h/3, and 0 past the row's last node) sum to at most
-    2 dx + 4h/3 <= 8 dx/3. Their partners r - y/2 then lie in intervals
-    K - i - 1 and K - i, K = floor((2r - 2 x_0)/dx), so |W(r, p)| <=
-    (4 dx / (3 pi)) sum_i M_i G_{K-i} with G_j = max(M_{j-1}, M_j): one
-    convolution for all r. The spline rings past its last nonzero sample,
-    and M follows it there.
-    """
-    x = state.x
-    step = (x[-1] - x[0]) / (x.size - 1)
-    c3, c2, c1, c0 = state.coef
-    interval = ((np.abs(c3) * step + np.abs(c2)) * step + np.abs(c1)) * step + np.abs(c0)
-    edge = np.zeros(1)
-    knot = np.maximum(np.concatenate([edge, interval]), np.concatenate([interval, edge]))
-    pairs = np.convolve(interval, knot)  # at K: sum_i M_i G_{K-i}
-    k = np.floor(2.0 * (np.asarray(r, dtype=float) - x[0]) / step)
-    return (4.0 * step / (3.0 * math.pi)) * pairs[np.clip(k, 0, pairs.size - 1).astype(np.intp)]
 
 
 def refuse_unresolved_momentum(state: StateSpec, p, what="p"):

@@ -39,10 +39,11 @@ def fmt17_column(values) -> list[str]:
     """"%.17g" of each value of a float64 array, in order. Each distinct
     bit pattern is formatted once, so a value that repeats along a column
     costs one format, and -0.0 still prints -0. Raises ValueError for a
-    non-finite value, as fmt17 does."""
-    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True)
+    non-finite value, the first in column order, as fmt17 does."""
+    values = np.asarray(values, dtype=np.float64)
+    refuse(values, np.isfinite(values), ValueError, "non-finite value cannot be serialized: {!r}")
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     distinct = bits.view(np.float64)
-    refuse(distinct, np.isfinite(distinct), ValueError, "non-finite value cannot be serialized: {!r}")
     text = np.array(("%.17g " * distinct.size % tuple(distinct.tolist())).split(), dtype=object)
     return text[inverse.ravel()].tolist()
 
@@ -106,17 +107,27 @@ def written(*paths):
             os.remove(temp)
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, newlines translated as open() does.
+    Raises OSError when the file cannot be read, and ValueError naming it
+    when its bytes are not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_csv_table(path, header: str) -> np.ndarray:
     """The rows under the exact header line of a numeric CSV file, as a
     (rows, columns) float64 array; empty lines are skipped.
 
     Raises OSError when the file cannot be read, and ValueError naming
-    the file, and the line where there is one, for a wrong header, a row
-    whose width differs from the header's, or a cell that is not a finite
-    number.
+    the file, and the line where there is one, for text that is not UTF-8,
+    a wrong header, a row whose width differs from the header's, or a cell
+    that is not a finite number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}: expected header {header!r}")
     rows, width = lines[1:], header.count(",") + 1
@@ -134,8 +145,7 @@ def read_csv_table(path, header: str) -> np.ndarray:
 def csv_row_line(path, index) -> int:
     """Line number in path, from 1, of row `index` of the table that
     read_csv_table returns: the header is line 1, empty lines are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     return [n for n, line in enumerate(lines[1:], start=2) if line][index]
 
 

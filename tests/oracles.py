@@ -107,3 +107,32 @@ def psi_grid():
     """Sample points of the tests' wavefunctions: 2049 uniform nodes over
     +-12, wide enough for low oscillator states."""
     return np.linspace(-12.0, 12.0, 2049)
+
+
+def transform_bound(x, coef, r):
+    """Upper bound on |W(r, p)| over every p, for each r inside the span
+    of the uniform samples x, of the transform that SampledState takes of
+    the spline with coefficients coef (highest power first), exact up to
+    rounding.
+
+    The transform's row at r sums Simpson weights times the spline at
+    r + y/2 times its conjugate at r - y/2. On the closed sample interval i
+    the spline's modulus is at most M_i = |c0| + |c1| dx + |c2| dx^2 +
+    |c3| dx^3. The nodes r + y/2 are h/2 apart, the lattice step being
+    h = (x[-1] - x[0]) / (2 N) = dx (N - 1) / (2 N) <= dx/2 for N samples,
+    so one interval holds at most 2 dx/h + 1 of them, whose weights (1, 4
+    or 2 times h/3, and 0 past the row's last node) sum to at most
+    2 dx + 4h/3 <= 8 dx/3. Their partners r - y/2 then lie in intervals
+    K - i - 1 and K - i, K = floor((2r - 2 x_0)/dx), so |W(r, p)| <=
+    (4 dx / (3 pi)) sum_i M_i G_{K-i} with G_j = max(M_{j-1}, M_j): one
+    convolution for all r. The spline rings past its last nonzero sample,
+    and M follows it there.
+    """
+    step = (x[-1] - x[0]) / (x.size - 1)
+    c3, c2, c1, c0 = coef
+    interval = ((np.abs(c3) * step + np.abs(c2)) * step + np.abs(c1)) * step + np.abs(c0)
+    edge = np.zeros(1)
+    knot = np.maximum(np.concatenate([edge, interval]), np.concatenate([interval, edge]))
+    pairs = np.convolve(interval, knot)  # at K: sum_i M_i G_{K-i}
+    k = np.floor(2.0 * (np.asarray(r, dtype=float) - x[0]) / step)
+    return (4.0 * step / (3.0 * math.pi)) * pairs[np.clip(k, 0, pairs.size - 1).astype(np.intp)]

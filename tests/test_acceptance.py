@@ -15,6 +15,7 @@ import numpy as np
 from oracles import psi_grid
 from quasitone import (
     COVERAGE_MIN,
+    RESOLUTION_MAX,
     CatState,
     CoherentState,
     FockState,
@@ -129,9 +130,10 @@ def test_criterion_06_coverage_gate(tmp_path):
         CoherentState(0j), CoherentState(2.0 + 1.0j),
         SampledState(psi_grid(), harmonic_eigenstate(1, psi_grid())),
     ]
-    worst = 1.0
-    for state in states:
-        worst = min(worst, coverage(sample_field(state, default_grid(state))))
+    # every default grid must pass both measures of the gate: its window
+    # share of W^2 and its resolution
+    covs = [coverage(sample_field(state, default_grid(state))) for state in states]
+    worst, coarsest = min(c.share for c in covs), max(c.resolution for c in covs)
     wav = tmp_path / "gated.wav"
     code = cli_main(
         [
@@ -139,13 +141,14 @@ def test_criterion_06_coverage_gate(tmp_path):
             "--grid", "regular:8:-0.1:0.1", "--out", str(wav),
         ]
     )
-    ok = worst >= COVERAGE_MIN and code == 3 and not wav.exists()
+    ok = worst >= COVERAGE_MIN and coarsest <= RESOLUTION_MAX and code == 3 and not wav.exists()
     report(
         6, ok,
-        f"worst default-grid coverage {worst:.4f} over {len(states)} states; "
-        f"tiny window exit code {code}, audio written: {wav.exists()}",
+        f"worst default-grid coverage {worst:.4f} (resolution {coarsest:.2e}) over {len(states)} "
+        f"states; tiny window exit code {code}, audio written: {wav.exists()}",
     )
     assert worst >= COVERAGE_MIN
+    assert coarsest <= RESOLUTION_MAX
     assert code == 3
     assert not wav.exists()
 

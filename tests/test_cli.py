@@ -265,7 +265,7 @@ class TestExitCodes:
         assert cli_main(argv) == 3
         assert len(calls) == 1
         out, err = capsys.readouterr()
-        assert f"grid captures {float(out.split()[1]):.4f} of" in err
+        assert f"window share {out.split()[1]} of" in err
 
     def test_event_duration_is_an_unknown_key(self, tmp_path, capsys):
         # note length is --duration alone; the old config key is refused
@@ -279,17 +279,17 @@ class TestExitCodes:
     def test_field_row_off_its_cell_center_is_2(self, tmp_path, capsys):
         # a moved r once loaded silently and gave the original moments
         fp = tmp_path / "f.csv"
-        argv = ["field", "--state", "fock:1", "--grid", "regular:4:-4:4", "--out", str(fp)]
+        argv = ["field", "--state", "fock:1", "--grid", "regular:16:-4:4", "--out", str(fp)]
         assert cli_main(argv) == 0
         lines = fp.read_text().split("\n")
-        assert lines[2].startswith("-3,-1,")
-        lines[2] = "7.25" + lines[2][len("-3"):]
+        assert lines[2].startswith("-3.75,-3.25,")
+        lines[2] = "7.25" + lines[2][len("-3.75"):]
         fp.write_text("\n".join(lines))
         capsys.readouterr()
         assert cli_main(["moments", "--field", str(fp)]) == 2
         assert capsys.readouterr() == (
             "",
-            f"error: {fp}: line 3: (r, p) = (7.25, -1.0) is not the cell center (-3.0, -1.0) "
+            f"error: {fp}: line 3: (r, p) = (7.25, -3.25) is not the cell center (-3.75, -3.25) "
             "of the sidecar's grid\n",
         )
 
@@ -620,19 +620,23 @@ class TestGridsThatCannotBeHeld:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["field", "sonify"])
-    @pytest.mark.parametrize("broken", ["field", "reference"])
+    @pytest.mark.parametrize("broken", ["field", "split"])
     def test_mass_that_is_not_finite_is_3_naming_the_grid(self, command, broken, tmp_path, capsys, monkeypatch):
-        from quasitone import WignerField, cli, grids
+        from quasitone import WignerField, cli, eval_fock, grids
 
-        if broken == "field":
-            monkeypatch.setattr(cli, "sample_field", lambda s, g: WignerField(g, np.full(g.shape, np.nan), s))
-        else:
-            monkeypatch.setattr(grids, "_reference_abs_mass", lambda state: math.inf)
+        def field(state, grid):
+            if broken == "field":
+                return WignerField(grid, np.full(grid.shape, np.nan), state)
+            return WignerField(grid, eval_fock(1, grid.r_centers[:, None], grid.p_centers), state)
+
+        monkeypatch.setattr(cli, "sample_field", field)
+        if broken == "split":
+            monkeypatch.setattr(grids, "evaluate", lambda s, r, p: np.full(np.broadcast(r, p).shape, np.inf))
         argv = [command, "--state", "fock:1", "--grid", "regular:8:-5:5", "--out", str(tmp_path / "out")]
         assert cli_main(argv + (["--method", "IV"] if command == "sonify" else [])) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: absolute mass ") and err.count("\n") == 1
-        assert "of the grid on r in [-5, 5], p in [-5, 5]" in err
+        assert out == "" and err.startswith("error: W^2 sums ") and err.count("\n") == 1
+        assert "of the grid on r in [-5, 5], p in [-5, 5]" in err and "must be finite" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -995,9 +999,9 @@ def _psi_csv(path, n, nodes, span=10.5, cut=None):
     return path
 
 
-def _wavepacket_csv(path, p0):
-    """psi = e^{-x^2/2 + i p0 x} on 257 samples over +-10.5; returns the path."""
-    x = np.linspace(-10.5, 10.5, 257)
+def _wavepacket_csv(path, p0, nodes=257):
+    """psi = e^{-x^2/2 + i p0 x} on `nodes` samples over +-10.5; returns the path."""
+    x = np.linspace(-10.5, 10.5, nodes)
     psi = np.exp(-x * x / 2.0 + 1j * p0 * x)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * (x[1] - x[0]))
     rows = (f"{a!r},{b.real!r},{b.imag!r}\n" for a, b in zip(x.tolist(), psi.tolist()))
@@ -1005,65 +1009,129 @@ def _wavepacket_csv(path, p0):
     return path
 
 
+class TestCoverageGate:
+    """Grids that do not hold their state: each exits 3 naming the measure
+    that failed, and the command writes no score."""
+
+    @pytest.mark.parametrize(
+        "state, grid, named",
+        [
+            ("fock:120", "regular:512:-10:10", ["window share 0.519380 of"]),
+            ("fock:60", "regular:256:-10:10", ["window share 0.881905 of"]),
+            ("fock:3", "regular:3:-5:5", ["window share 0.711421 of", "resolution 6.37055 ("]),
+            ("cat:0.05", "regular:3:-5:5", ["resolution 5.66562 ("]),
+            ("fock:8", "regular:8:-4:4", ["window share 0.853042 of", "resolution 0.121078 ("]),
+        ],
+    )
+    def test_grid_that_does_not_hold_its_state_is_3(self, state, grid, named, tmp_path, capsys):
+        # the |W| ratio, clamped to 1, let each of these through
+        out = tmp_path / "s.json"
+        assert cli_main(["score", "--state", state, "--method", "II", "--grid", grid, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid does not hold the state: ") and err.count("\n") == 1
+        # every measure that fails is named, and no other
+        for measure in ("window share", "resolution"):
+            assert (measure in err) == any(n.startswith(measure) for n in named)
+        assert all(n in err for n in named)
+        assert not out.exists()
+
+    def test_fock_50_on_its_wide_grid_holds_its_share(self, tmp_path, capsys):
+        argv = ["field", "--state", "fock:50", "--grid", "regular:512:-10:10", "--out", str(tmp_path / "f.csv")]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr() == ("coverage 0.992761\n", "")
+
+
 class TestSampledCoverage:
-    """The coverage a psi: field prints, now that the reference skips rows
-    by a bound, and the refusal of a span too narrow for the reference."""
+    """The window share a psi: field prints, and the limits that the gate's
+    split cells share with a grid: the momentum limit and the sample span."""
 
     @pytest.mark.parametrize(
         "nodes, n, cut, grid, line",
         [
             (257, 0, None, None, "coverage 1.000000"),
-            (257, 1, None, None, "coverage 0.998682"),
-            (257, 2, None, None, "coverage 0.999553"),
-            (257, 3, None, None, "coverage 0.999543"),
-            (193, 0, None, None, "coverage 1.000000"),
-            (193, 1, None, None, "coverage 0.998682"),
-            (257, 0, None, "regular:40:-3:3", "coverage 0.999957"),
-            (257, 1, None, "regular:40:-3:3", "coverage 0.998614"),
-            (257, 2, None, "regular:40:-3:3", "coverage 0.993210"),
-            (257, 3, None, "regular:40:-3:3", "coverage 0.979586"),
+            (257, 1, None, None, "coverage 0.999999"),
+            (257, 2, None, None, "coverage 0.999998"),
+            (257, 3, None, None, "coverage 0.999995"),
+            (193, 0, None, None, "coverage 0.999999"),
+            (193, 1, None, None, "coverage 0.999997"),
+            (257, 0, None, "regular:40:-3:3", "coverage 1.000000"),
+            (257, 1, None, "regular:40:-3:3", "coverage 0.999998"),
+            (257, 2, None, "regular:40:-3:3", "coverage 0.999906"),
+            (257, 3, None, "regular:40:-3:3", "coverage 0.997776"),
             # samples that end in exact zeros, whose spline rings past the
             # last nonzero sample where the samples' |psi| * |psi| is 0
-            (257, 0, 1.5, None, "coverage 0.903607"),
-            (257, 2, 3.0, "regular:40:-3:3", "coverage 0.933602"),
-            (193, 2, 3.0, None, "coverage 0.962975"),
+            (257, 0, 1.5, None, "coverage 0.992976"),
+            (257, 2, 3.0, "regular:40:-3:3", "coverage 0.997706"),
+            (193, 2, 3.0, None, "coverage 0.998868"),
             # a Gaussian-quantile grid: the field takes the dense product
-            (257, 2, None, "gauss:64:3", "coverage 0.997151"),
+            (257, 2, None, "gauss:64:3", "coverage 0.999620"),
         ],
     )
     def test_printed_coverage_keeps_its_digits(self, nodes, n, cut, grid, line, tmp_path, capsys):
-        # each line as the dense 512 x 512 reference printed it
+        # each line the W^2 window share of the grid's cells split 2 x 2;
+        # every grid here resolves its state
         src = _psi_csv(tmp_path / "psi.csv", n, nodes, cut=cut)
         argv = ["field", "--state", f"psi:{src}", "--out", str(tmp_path / "f.csv")]
         code = cli_main(argv + (["--grid", grid] if grid else []))
         assert capsys.readouterr().out == line + "\n"
         assert code == (0 if float(line.split()[1]) >= 0.99 else 3)
 
-    def test_cut_state_coverage_is_near_its_converged_value(self, tmp_path):
-        # the cut psi is discontinuous, so its quadrature converges slowly;
-        # on 16 and 32 times the nodes, the y lattice and per-row Simpson
-        # nodes both give 0.90360778153 for the field's coverage
-        from quasitone import coverage, default_grid, sample_field
-
-        state = parse_state(f"psi:{_psi_csv(tmp_path / 'psi.csv', 0, 257, cut=1.5)}")
-        assert abs(coverage(sample_field(state, default_grid(state))) - 0.90360778153) < 1e-6
-
     @pytest.mark.parametrize("p0", [15.0, 20.0])
     def test_moving_wavepacket_is_covered(self, p0, tmp_path, capsys):
         # the default grid is centred on the spectral momentum; a finite
-        # difference read 11.47 for 15 (coverage 0.981634) and 12.14 for 20
-        src = _wavepacket_csv(tmp_path / "psi.csv", p0)
+        # difference read 11.47 for 15 and 12.14 for 20. On 1025 samples
+        # the spline through them holds the packet (see the next test)
+        src = _wavepacket_csv(tmp_path / "psi.csv", p0, nodes=1025)
         assert cli_main(["field", "--state", f"psi:{src}", "--out", str(tmp_path / "f.csv")]) == 0
-        assert capsys.readouterr().out == "coverage 1.000000\n"
+        assert capsys.readouterr().out == {15.0: "coverage 0.999949\n", 20.0: "coverage 0.999835\n"}[p0]
 
-    def test_wavepacket_past_the_reference_window_is_4(self, tmp_path, capsys):
-        # the reference window around p0 = 30 reaches p = 40, past 38.447
-        src = _wavepacket_csv(tmp_path / "psi.csv", 30.0)
+    @pytest.mark.parametrize("p0", [15.0, 20.0])
+    def test_wavepacket_its_spline_does_not_hold_is_3(self, p0, tmp_path, capsys):
+        # on 257 samples, 5 and 4 a period, the spline that the transform
+        # integrates has a norm below the samples' 1, and the window share
+        # of a grid that holds the packet is about that norm squared
+        from quasitone.states import _spline_at
+
+        src = _wavepacket_csv(tmp_path / "psi.csv", p0)
+        out = tmp_path / "f.csv"
+        assert cli_main(["field", "--state", f"psi:{src}", "--out", str(out)]) == 3
+        printed, err = capsys.readouterr()
+        share = float(printed.split()[1])
+        assert err.startswith(f"error: grid does not hold the state: window share {share:.6f} of")
+        state = parse_state(f"psi:{src}")
+        t = np.linspace(-10.5, 10.5, 200001)
+        norm = float(np.sum(np.abs(_spline_at(state.x, state.coef, t)) ** 2) * (t[1] - t[0]))
+        assert share < 0.99 and abs(share - norm * norm) < 1e-3
+        assert out.exists()  # field writes its files whatever the gate says
+
+    def test_split_cells_past_the_momentum_limit_are_4(self, tmp_path, capsys):
+        # the default grid around p0 = 33.5 ends at the p center 38.4219,
+        # inside 38.4471; its cells split 2 x 2 reach 38.4609
+        src = _wavepacket_csv(tmp_path / "psi.csv", 33.5)
         out = tmp_path / "f.csv"
         assert cli_main(["field", "--state", f"psi:{src}", "--out", str(out)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: coverage reference window (centroid +- 10) p = 39.98")
-        assert "38.4471" in err and err.count("\n") == 1
+        assert err.startswith("error: p of the coverage grid's cells split 2 x 2 = 38.4609 reaches |p| >= 38.4471")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_span_of_8_passes_on_its_default_grid(self, tmp_path, capsys):
+        # psi_0 over +-8 once exited 4: the gate needed samples out to the
+        # centroid +- 10
+        src = _psi_csv(tmp_path / "psi.csv", 0, 257, span=8.0)
+        out = tmp_path / "f.csv"
+        assert cli_main(["field", "--state", f"psi:{src}", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("coverage 1.000000\n", "")
+        assert out.exists()
+
+    def test_split_cells_outside_the_span_are_4(self, tmp_path, capsys):
+        # the grid's r centers +-7.2 lie inside +-8, its split cells' outer
+        # ones at +-8.4 do not
+        src = _psi_csv(tmp_path / "psi.csv", 0, 257, span=8.0)
+        out = tmp_path / "f.csv"
+        argv = ["field", "--state", f"psi:{src}", "--grid", "regular:4:-9.6:9.6", "--out", str(out)]
+        assert cli_main(argv) == 4
+        assert capsys.readouterr() == ("", "error: evaluation point r = -8.4 lies outside the sample span\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("p", ["77", "153", "-38.45"])
@@ -1077,17 +1145,6 @@ class TestSampledCoverage:
         assert err.startswith(f"error: p = {p} reaches |p| >= 38.4471")
         assert "257-sample" in err and "more finely" in err and err.count("\n") == 1
 
-    def test_span_narrower_than_the_reference_is_4_naming_both(self, tmp_path, capsys):
-        # the default grid lies inside +-8; the centroid +- 10 window does not
-        src = _psi_csv(tmp_path / "psi.csv", 1, 257, span=8.0)
-        out = tmp_path / "f.csv"
-        assert cli_main(["field", "--state", f"psi:{src}", "--out", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: coverage reference window r in [-10, 10]")
-        assert "sample span [-8, 8]" in err and err.count("\n") == 1
-        assert not out.exists()
-
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1097,8 +1154,8 @@ class TestSampledCoverage:
         ids=["field", "eval"],
     )
     def test_one_spline_solve_per_command(self, argv, tmp_path, monkeypatch, capsys):
-        # the state holds its spline: the field, its row bounds and its
-        # coverage reference all read the one solve made when it is parsed
+        # the state holds its spline: the field and its coverage gate both
+        # read the one solve made when it is parsed
         from quasitone import states
 
         solve, calls = states._spline_coefficients, []
@@ -1174,10 +1231,8 @@ class TestBenchmarkTracer:
 
     def test_one_coverage_span_per_gated_command(self, tmp_path):
         # field, sonify and score each gate once, through the coverage that
-        # cli imports; the state's reference is computed once and reused
-        from quasitone import grids
-
-        grids._reference_abs_mass.cache_clear()
+        # cli imports; the gate reads no cached reference, so the tracer's
+        # counts of one stay 0
         metrics, spans = _traced_metrics(
             ["field", "--state", "fock:1", "--out", str(tmp_path / "f.csv")],
             ["sonify", "--state", "fock:1", "--method", "IV", "--duration", "0.1", "--out", str(tmp_path / "x.wav")],
@@ -1192,7 +1247,7 @@ class TestBenchmarkTracer:
         roots = [i for i, span in enumerate(spans) if span[0] == "cli.main"]
         gates = [root(i) for i, span in enumerate(spans) if span[0] == "grids.coverage"]
         assert gates == roots and len(roots) == 3
-        assert (metrics["grids.coverage_ref_misses"], metrics["grids.coverage_ref_hits"]) == (1, 2)
+        assert (metrics["grids.coverage_ref_misses"], metrics["grids.coverage_ref_hits"]) == (0, 0)
 
 
 # A minimal valid argv of each command and every flag's parsed value.

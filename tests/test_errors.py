@@ -1,5 +1,7 @@
 """errors.refuse, the one path by which an array check names the first
-value it refused, and the bytes of every message that goes through it."""
+value it refused, and the bytes of every message that goes through it;
+the scalar refusals that name their value, and the files refused for
+bytes that are not UTF-8, named with their path."""
 
 import math
 import re
@@ -10,6 +12,7 @@ import pytest
 
 from oracles import psi_grid
 from quasitone import (
+    AudioBuffer,
     DegenerateMoments,
     GridSpec,
     InvalidBounds,
@@ -18,10 +21,13 @@ from quasitone import (
     PartialBank,
     SampledState,
     Score,
+    SonogramStream,
+    SweepTrajectory,
     WignerField,
     compute_moments,
     harmonic_eigenstate,
     quarter_tone_index,
+    render_sweep,
     synth,
     write_field,
 )
@@ -150,8 +156,8 @@ def _sampled(x):
     return SampledState(x, harmonic_eigenstate(0, psi_grid())[: x.size])
 
 
-# The five refusals that named no value: each names the first edge, sample
-# or step at fault.
+# The refusals that named no value, and one that named a value out of
+# column order: each names the first edge, sample, step or value at fault.
 _NAMED = {
     "grid edge not finite": (
         lambda: GridSpec("regular", np.array([0.0, 1.0, np.nan, -np.inf]), np.array([0.0, 1.0])),
@@ -172,6 +178,33 @@ _NAMED = {
     "samples not uniform": (
         lambda: _sampled([0.0, 0.5, 1.0, 1.5, 2.25, 2.5, 3.0, 3.5]),
         ValueError, "sample grid must be uniform, got a step of 0.75 after a first step of 0.5",
+    ),
+    # np.unique sorts NaN's bits before -inf's
+    "fmt17_column in column order": (
+        lambda: fmt17_column([1.0, -np.inf, np.nan]),
+        ValueError, "non-finite value cannot be serialized: -inf",
+    ),
+    "sonogram window": (
+        lambda: SonogramStream(AudioBuffer(np.zeros(64), 8000), 7, 2),
+        ValueError, "window must be >= 8 samples, got 7",
+    ),
+    "sonogram hop": (
+        lambda: SonogramStream(AudioBuffer(np.zeros(64), 8000), 8, 0),
+        ValueError, "hop must be >= 1 sample, got 0",
+    ),
+    "f0_base": (lambda: MapConfig(f0_base=math.nan), ValueError, "f0_base must be finite, got nan"),
+    "f0_slope": (lambda: MapConfig(f0_slope=-math.inf), ValueError, "f0_slope must be finite, got -inf"),
+    "negative_technique": (
+        lambda: MapConfig(negative_technique="x"),
+        ValueError, "negative_technique must be one of ('sul_ponticello', 'ricochet'), got 'x'",
+    ),
+    "note too short": (
+        lambda: synth(PartialBank([440.0], [1.0], [0.0], [False], duration=1e-5, negative=False), sample_rate=48000),
+        ValueError, "a note of 1e-05 s gives 0 samples at 48000 Hz; it needs at least 1",
+    ),
+    "trajectory too short": (
+        lambda: render_sweep(SweepTrajectory(((0j, -1 + 0j, 0.1),)), sample_rate=8000, frame_seconds=0.5),
+        ValueError, "a trajectory of 0.1 s gives 800 samples at 8000 Hz, fewer than the 4000 of one frame",
     ),
 }
 
@@ -211,3 +244,39 @@ class TestNamedOnTheCommandLine:
                 f"after a first step of {first!r}\n"
             )
         assert not (tmp_path / "f.csv").exists()
+
+
+class TestNotUtf8:
+    """A file whose bytes are not UTF-8 is refused naming its path, exit 2."""
+
+    BYTES = b"RIFF\xce\x00\x00\x00WAVEfmt "
+    DECODE = "not UTF-8 text: 'utf-8' codec can't decode byte 0xce in position 4: invalid continuation byte"
+
+    def test_field_csv(self, tmp_path, capsys):
+        bad = tmp_path / "s.wav"
+        bad.write_bytes(self.BYTES)
+        assert cli_main(["moments", "--field", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: {self.DECODE}\n")
+
+    def test_field_sidecar(self, tmp_path, capsys):
+        fp = tmp_path / "f.csv"
+        assert cli_main(["field", "--state", "fock:0", "--out", str(fp)]) == 0
+        Path(f"{fp}.json").write_bytes(self.BYTES)
+        capsys.readouterr()
+        assert cli_main(["moments", "--field", str(fp)]) == 2
+        assert capsys.readouterr() == ("", f"error: {fp}.json: {self.DECODE}\n")
+
+    def test_config(self, tmp_path, capsys):
+        bad = tmp_path / "s.wav"
+        bad.write_bytes(self.BYTES)
+        out = tmp_path / "x.wav"
+        argv = ["sonify", "--state", "fock:1", "--method", "IV", "--config", str(bad), "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: config: {bad}: {self.DECODE}\n")
+        assert not out.exists()
+
+    def test_psi_csv(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(self.BYTES)
+        assert cli_main(["eval", "--state", f"psi:{bad}", "--r", "0", "--p", "0"]) == 2
+        assert capsys.readouterr() == ("", f"error: state 'psi:{bad}': {bad}: {self.DECODE}\n")

@@ -1,13 +1,14 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from oracles import psi_grid, truncated_gaussian_edges
 from quasitone import grids
-from quasitone.grids import default_edges
+from quasitone.grids import RESOLUTION_MAX, Coverage, default_edges
 from quasitone import (
     COVERAGE_MIN,
     CatState,
@@ -204,32 +205,50 @@ class TestDefaultGridAndCoverage:
 
     def test_default_grids_cover_states(self):
         for st_ in [FockState(0), FockState(2), CatState(-1.0), CoherentState(2.0 + 1.0j)]:
-            f = sample_field(st_, default_grid(st_))
-            assert coverage(f) >= COVERAGE_MIN
+            require_coverage(coverage(sample_field(st_, default_grid(st_))))
 
     def test_tiny_window_fails(self):
         st_ = FockState(1)
         f = sample_field(st_, build_regular(-0.1, 0.1, -0.1, 0.1, 8, 8))
         cov = coverage(f)
-        assert cov < COVERAGE_MIN
-        with pytest.raises(CoverageError, match=f"^grid captures {cov:.4f} of"):
+        assert cov.share < COVERAGE_MIN
+        with pytest.raises(CoverageError, match=f"^grid does not hold the state: window share {cov.share:.6f} of"):
             require_coverage(cov)
-        require_coverage(COVERAGE_MIN)
+        require_coverage(Coverage(COVERAGE_MIN, RESOLUTION_MAX))
 
-    def test_coverage_clamped_to_one(self, fock0_field):
-        c = coverage(fock0_field)
-        assert 0.0 <= c <= 1.0
+    def test_coverage_is_not_clamped(self):
+        # three cells over a cat's fringes: the grid's own sum reads 7.06
+        cov = coverage(sample_field(CatState(0.05), build_regular(-5, 5, -5, 5, 3, 3)))
+        assert cov.share > 1.0 and cov.resolution > 5.0
 
-    @pytest.mark.parametrize("broken", ["field", "reference"])
+    def test_full_window_with_too_few_cells_fails_on_resolution_alone(self):
+        # 8 cells over +-4 hold Fock 1's W^2 but do not resolve it
+        cov = coverage(sample_field(FockState(1), build_regular(-4, 4, -4, 4, 8, 8)))
+        assert cov.share >= COVERAGE_MIN
+        with pytest.raises(CoverageError, match=r"^grid does not hold the state: resolution 0\.429115 \(") as exc:
+            require_coverage(cov)
+        assert "window share" not in str(exc.value)
+
+    def test_fine_grid_over_too_small_a_window_fails_on_window_share_alone(self):
+        cov = coverage(sample_field(FockState(1), build_regular(-0.5, 0.5, -0.5, 0.5, 64, 64)))
+        assert cov.resolution <= RESOLUTION_MAX
+        with pytest.raises(CoverageError, match=r"^grid does not hold the state: window share 0\.252789 of") as exc:
+            require_coverage(cov)
+        assert "resolution" not in str(exc.value)
+
+    @pytest.mark.parametrize("broken", ["field", "overflow", "split"])
     def test_mass_that_is_not_finite_is_refused_naming_the_grid(self, broken, monkeypatch):
-        # min(1.0, nan) is 1.0: a NaN mass once read as full coverage
+        # min(1.0, nan) is 1.0: a NaN mass once read as full coverage; a
+        # square that overflows is refused the same way, without a warning
         f = sample_field(FockState(1), build_regular(-5, 5, -4, 6, 8, 8))
-        if broken == "field":
-            f = WignerField(f.grid, np.full(f.grid.shape, np.nan), f.state)
+        if broken == "split":
+            monkeypatch.setattr(grids, "evaluate", lambda s, r, p: np.full(np.broadcast(r, p).shape, np.inf))
         else:
-            monkeypatch.setattr(grids, "_reference_abs_mass", lambda state: math.inf)
-        with pytest.raises(CoverageError, match=r"grid on r in \[-5, 5\], p in \[-4, 6\].*must be finite"):
-            coverage(f)
+            f = WignerField(f.grid, np.full(f.grid.shape, np.nan if broken == "field" else 1e200), f.state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoverageError, match=r"of the grid on r in \[-5, 5\], p in \[-4, 6\].*must be finite"):
+                coverage(f)
 
     def test_coverage_needs_state(self):
         g = build_regular(-1, 1, -1, 1, 4, 4)
@@ -395,63 +414,21 @@ def _sampled(psi_of_x, nodes, span=10.5):
     return SampledState(x, psi / np.sqrt(np.sum(np.abs(psi) ** 2) * (x[1] - x[0])))
 
 
-class TestReferenceRowBound:
-    """A sampled state's coverage reference skips rows by the bound on the
-    transform's spline; the dense 512 x 512 reference checks what the
-    skipped rows hold."""
+class TestCoverageSplit:
+    """coverage's second sum: the grid's cells split 2 x 2, evaluated a
+    block of rows at a time."""
 
-    @pytest.mark.parametrize(
-        "state, gaps",
-        [
-            *(
-                pytest.param(_sampled(lambda x, n=n: harmonic_eigenstate(n, x), nodes), False,
-                             id=f"n{n}-{nodes}")
-                for nodes in (257, 2049)
-                for n in range(4)
-            ),
-            # two narrow lobes at +-6: the rows between a lobe and the
-            # interference ridge at r = 0 are skipped, so the kept rows are
-            # not contiguous
-            pytest.param(
-                _sampled(lambda x: np.exp(-((x - 6.0) ** 2) / 0.5) + np.exp(-((x + 6.0) ** 2) / 0.5), 257),
-                True,
-                id="two-lobes",
-            ),
-            # samples that end in exact zeros: the spline is nonzero between
-            # the last nonzero knot and the zero after it, and rings beyond,
-            # where |psi| * |psi| of the samples is already 0
-            pytest.param(_sampled(lambda x: (np.abs(x) <= 2.0) * 1.0, 257), False, id="box"),
-            pytest.param(
-                _sampled(lambda x: harmonic_eigenstate(1, x) * (np.abs(x) <= 4.0), 257),
-                False,
-                id="n1-cut-at-4",
-            ),
-        ],
-    )
-    def test_skipped_rows_hold_less_than_their_budget(self, state, gaps):
-        r0, p0 = state.centroid
-        half, cells = grids._REF_HALF, grids._REF_CELLS
-        ref = build_regular(r0 - half, r0 + half, p0 - half, p0 + half, cells, cells)
-        dense = np.sum(np.abs(sample_field(state, ref).values) * ref.cell_areas, axis=1)
-        budget = grids._row_budgets(state, ref)
-        rows = grids._counted_rows(state, ref)
-        skipped = np.setdiff1d(np.arange(cells), rows)
-        assert skipped.size > 0
-        assert np.all(dense[skipped] <= budget[skipped])
-        assert np.sum(dense[skipped]) <= np.sum(budget[skipped]) < grids._SKIP_BUDGET
-        assert np.any(np.diff(rows) > 1) == gaps
-        got = grids._reference_abs_mass.__wrapped__(state)
-        assert got == np.sum(dense[rows])
-        assert abs(got - np.sum(dense)) <= np.sum(budget[skipped])
+    def test_split_of_a_regular_grid_is_the_grid_of_twice_the_cells(self):
+        state = CatState(-1.5 + 0.5j)
+        cov = coverage(sample_field(state, build_regular(-6, 4, -5, 5, 40, 40)))
+        fine = sample_field(state, build_regular(-6, 4, -5, 5, 80, 80))
+        assert cov.share == pytest.approx(2 * math.pi * np.sum(fine.values**2 * fine.grid.cell_areas), abs=1e-14)
 
-    def test_closed_forms_take_every_row(self):
-        # the closed-form path sums the dense window's row totals; the flat
-        # sum of its cells differs in the last place for this cat
-        for state in (CatState(-1.5 + 0.5j), CatState(0.05), FockState(3), FockState(8), CoherentState(0.8 - 0.6j)):
-            r0, p0 = state.centroid
-            ref = build_regular(r0 - 10, r0 + 10, p0 - 10, p0 + 10, 512, 512)
-            dense = np.abs(sample_field(state, ref).values) * ref.cell_areas
-            assert grids._reference_abs_mass.__wrapped__(state) == np.sum(np.sum(dense, axis=1))
+    def test_gaussian_edges_are_split_at_their_midpoints(self):
+        edges = build_gaussian(compute_moments(sample_field(FockState(1), default_grid(FockState(1)))), 8, 8).r_edges
+        split = grids._split_edges(edges)
+        assert np.array_equal(split[0::2], edges)
+        assert np.array_equal(split[1::2], 0.5 * (edges[:-1] + edges[1:]))
 
     @pytest.mark.parametrize(
         "state",
@@ -459,10 +436,11 @@ class TestReferenceRowBound:
         ids=["cat", "sampled-257"],
     )
     def test_value_does_not_depend_on_the_block_size(self, state, monkeypatch):
+        field = sample_field(state, build_regular(-5, 5, -5, 5, 40, 40))
         values = set()
         for rows in (1, 7, 32, 512):
-            monkeypatch.setattr(grids, "_REF_BLOCK_ROWS", rows)
-            values.add(grids._reference_abs_mass.__wrapped__(state))
+            monkeypatch.setattr(grids, "_SPLIT_BLOCK_ROWS", rows)
+            values.add(coverage(field))
         assert len(values) == 1
 
     @pytest.mark.parametrize(
@@ -470,24 +448,24 @@ class TestReferenceRowBound:
         [(FockState(8), 1), (_sampled(lambda x: harmonic_eigenstate(1, x), 257), 2)],
         ids=["fock8", "sampled-257"],
     )
-    def test_reference_holds_less_than_whole_window_arrays(self, state, arrays):
-        # one float64 array over the 512 x 512 window is 2 MB; the whole
-        # window in one call peaked at 14.7 and 8.0 MB for these states
-        grids._reference_abs_mass.__wrapped__(state)  # numpy's one-time allocations
+    def test_split_holds_less_than_whole_split_arrays(self, state, arrays):
+        # one float64 array over the 512 x 512 split of a 256 x 256 grid is
+        # 2 MB; the grid's own sum takes two arrays of a quarter of that
+        field = sample_field(state, build_regular(-5, 5, -5, 5, 256, 256))
+        coverage(field)  # numpy's one-time allocations
         tracemalloc.start()
         try:
-            grids._reference_abs_mass.__wrapped__(state)
+            coverage(field)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < arrays * grids._REF_CELLS**2 * 8
+        assert peak < arrays * 512**2 * 8
 
-    def test_window_outside_the_span_is_refused_before_evaluation(self, monkeypatch):
-        # an 8-wide span holds the state but not the centroid +- 10 window
+    def test_split_cells_outside_the_span_are_refused(self):
+        # psi_1 over +-8: the grid's r centers +-7.2 lie inside the span,
+        # the split cells' outer ones, a quarter cell further out at +-8.4,
+        # do not
         state = _sampled(lambda x: harmonic_eigenstate(1, x), 257, span=8.0)
-        field = sample_field(state, default_grid(state))
-        monkeypatch.setattr(grids, "evaluate", lambda *a: pytest.fail("evaluated"))
-        with pytest.raises(QuadratureSpanTooSmall, match=r"window r in \[-10, 10\].*span \[-8, 8\]"):
-            grids._reference_abs_mass.__wrapped__(state)
-        with pytest.raises(QuadratureSpanTooSmall):
+        field = sample_field(state, build_regular(-9.6, 9.6, -9.6, 9.6, 4, 4))
+        with pytest.raises(QuadratureSpanTooSmall, match=r"^evaluation point r = -8\.4 lies outside the sample span"):
             coverage(field)

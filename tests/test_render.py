@@ -666,7 +666,7 @@ class TestRenderSizeLimits:
         short = r"^frame_seconds 0.000375 gives 3 samples at 8000 Hz; a frame needs at least 4$"
         with pytest.raises(ValueError, match=short):
             render_sweep(traj, sample_rate=8000, frame_seconds=0.000375)
-        with pytest.raises(ValueError, match="^trajectory shorter than a single frame$"):
+        with pytest.raises(ValueError, match=r"^a trajectory of 0\.1 s gives 800 samples at 8000 Hz, fewer than the 4000 of one frame$"):
             render_sweep(SweepTrajectory(((0j, -1 + 0j, 0.1),)), sample_rate=8000, frame_seconds=0.5)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_regions, laguerre_exact, psi_grid
+from oracles import count_regions, laguerre_exact, psi_grid, transform_bound
 from quasitone import (
     EPS_SHIFT,
     PEAK_BOUND,
@@ -43,7 +43,6 @@ from quasitone.states import (
     _spline_at,
     _spline_coefficients,
     refuse_unresolved_momentum,
-    transform_bound,
 )
 
 
@@ -527,14 +526,16 @@ class TestTransformTable:
         sample_field(self.STATE, default_grid(self.STATE))
         assert calls == [64]
 
-    def test_one_lattice_decision_for_the_coverage_reference(self, monkeypatch):
-        # the reference evaluates its counted rows in blocks, one call each
+    def test_one_lattice_decision_per_block_of_the_coverage_split(self, monkeypatch):
+        # coverage evaluates the default grid's cells split 2 x 2 in blocks
+        # of rows, one call each, whose 128 split p centers are a lattice
+        field = sample_field(self.STATE, default_grid(self.STATE))
         calls = self._counted_lattice(monkeypatch)
         rows, evaluate = [], grids.evaluate
         monkeypatch.setattr(grids, "evaluate", lambda s, r, p: rows.append(r.size) or evaluate(s, r, p))
-        grids._reference_abs_mass.__wrapped__(self.STATE)
-        assert len(rows) > 1 and max(rows) == grids._REF_BLOCK_ROWS
-        assert calls == [512] * len(rows)
+        grids.coverage(field)
+        assert rows == [grids._SPLIT_BLOCK_ROWS] * 4
+        assert calls == [128] * 4
 
     def test_points_that_do_not_fill_the_table_take_the_dense_product(self, monkeypatch):
         # a diagonal of a 512-value lattice: chirp-z would sum 512^2 cells
@@ -694,11 +695,14 @@ class TestMomentumLimit:
         # a closed form resolves every p
         assert np.all(np.isfinite(sample_field(FockState(1), grid).values))
 
-    def test_reference_window_reaching_the_limit_is_refused(self):
+    def test_split_cells_reaching_the_limit_are_refused(self, monkeypatch):
+        # the grid's last p center, 38.05, lies inside 38.4471; the split
+        # cells' last, a quarter cell further out at 38.625, does not
         state = self._fock(1, 257)
-        ref = build_regular(-10.0, 10.0, 20.0, 40.0, 512, 512)
-        with pytest.raises(MomentumUnresolved, match="^coverage reference window"):
-            grids._counted_rows(state, ref)
+        field = sample_field(state, build_regular(-3.0, 3.0, 30.0, 39.2, 4, 4))
+        monkeypatch.setattr(grids, "evaluate", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(MomentumUnresolved, match=r"^p of the coverage grid's cells split 2 x 2 = 38\.625 "):
+            grids.coverage(field)
 
 
 class TestSpline:
@@ -755,8 +759,9 @@ class TestSpline:
 
 
 class TestTransformBound:
-    """transform_bound holds |W| over every p at each r, on the spline
-    the transform evaluates, including past a last nonzero sample."""
+    """The bound of oracles.transform_bound holds |W| over every p at each
+    r, on the spline the transform evaluates, including past a last
+    nonzero sample."""
 
     @pytest.mark.parametrize(
         "make",
@@ -778,7 +783,7 @@ class TestTransformBound:
         p = np.concatenate([np.zeros(2 * nodes - 3), rng.uniform(-30.0, 30.0, 400)])
         state = SampledState(x, psi)
         w = np.abs(evaluate(state, r, p))
-        bound = transform_bound(state, r)
+        bound = transform_bound(state.x, state.coef, r)
         assert np.all(w <= bound)
         assert np.all(w[bound == 0.0] == 0.0)
 
