@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 from .analysis import compute_moments, moments_to_json, write_moments
@@ -58,7 +59,7 @@ from .sonify import (
     method3_sections,
     method4_moments,
 )
-from .states import CatState, CoherentState, FockState, SampledState, refuse_unresolved_momentum
+from .states import CatState, CoherentState, FockState, SampledState
 from .textfmt import fmt17, read_csv_table, written
 
 
@@ -115,15 +116,18 @@ def _read_psi_csv(path):
 
 
 def parse_grid(text, state):
-    """Grid grammar: regular:<n>:<min>:<max> | gauss:<n>:<span_sigmas>."""
+    """Grid grammar: regular:<n>:<min>:<max> | gauss:<n>:<span_sigmas>; a
+    fault of the text is a UsageFault, and one of the state's default field,
+    whose moments shape a gauss: grid, the state's own."""
     parts = text.split(":")
+    gauss = parts[0] == "gauss" and len(parts) == 3
+    moments = compute_moments(sample_field(state, default_grid(state))) if gauss else None
     try:
         if parts[0] == "regular" and len(parts) == 4:
             n, lo, hi = int(parts[1]), float(parts[2]), float(parts[3])
             return build_regular(lo, hi, lo, hi, n, n)
-        if parts[0] == "gauss" and len(parts) == 3:
+        if gauss:
             n, span = int(parts[1]), float(parts[2])
-            moments = compute_moments(sample_field(state, default_grid(state)))
             return build_gaussian(moments, n, n, span_sigmas=span)
     except (ValueError, QuasitoneError) as exc:
         raise UsageFault(f"grid {text!r}: {exc}") from exc
@@ -225,6 +229,10 @@ def _build_parser():
     # only the commands that map a field to sound read a config
     for name in ("sonify", "sweep", "score"):
         sub.choices[name].add_argument("--config", help="key=value text file of mapping constants")
+    # every single-dash word but -h is a value (-inf, -1e-3, a path from a
+    # negative shift): argparse takes only plain decimals such as -1 for one
+    for parser in sub.choices.values():
+        parser._negative_number_matcher = re.compile(r"-[^-]")
     return top
 
 
@@ -270,7 +278,6 @@ def _run(args) -> int:
                 raise UsageFault(f"{flag} must be finite, got {value!r}")
         from .states import evaluate
 
-        refuse_unresolved_momentum(state, args.p)
         print(fmt17(float(evaluate(state, args.r, args.p))))
         return 0
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CoverageError, DegenerateMoments, DegenerateShift, InvalidBounds, refuse
-from .states import StateSpec, evaluate, refuse_unresolved_momentum, state_from_description
+from .states import StateSpec, evaluate, state_from_description
 from .textfmt import csv_row_line, fmt17_column, json_value, read_csv_table, read_text, written
 
 KIND_REGULAR = "regular"
@@ -207,10 +207,9 @@ def build_gaussian(moments, n_r, n_p, span_sigmas=3.0) -> GridSpec:
 
 
 def sample_field(state: StateSpec, grid: GridSpec) -> WignerField:
-    """Evaluate the state's Wigner function at every cell center; a
-    SampledState's grid must lie inside its momentum limit (see
-    SampledState.momentum_limit), or MomentumUnresolved names the p."""
-    refuse_unresolved_momentum(state, grid.p_centers)
+    """Evaluate the state's Wigner function at every cell center; a center
+    that evaluate refuses (for a SampledState, a p at or past its
+    momentum_limit or an r outside its samples) is refused here, named."""
     values = np.asarray(evaluate(state, grid.r_centers[:, None], grid.p_centers), dtype=float)
     return WignerField(grid, values, state)
 
@@ -296,17 +295,16 @@ def coverage(field: WignerField) -> Coverage:
     8 cells over Fock 8's rings on [-4, 4] read 0.12.
 
     The split cells' outer centers lie a quarter cell beyond the grid's
-    own. For a SampledState their p is refused as a grid's is, by
-    refuse_unresolved_momentum before anything is evaluated, and an r
-    outside the sample span by evaluate. A sum that is not finite raises
-    CoverageError naming the grid's bounds.
+    own; for a SampledState, evaluate refuses them as it refuses any point
+    it cannot answer (a p at or past momentum_limit, an r outside the
+    samples). A sum that is not finite raises CoverageError naming the
+    grid's bounds.
     """
     if field.state is None:
         raise ValueError("field has no state attached; coverage needs the source state")
     grid = field.grid
     r_edges, p_edges = _split_edges(grid.r_edges), _split_edges(grid.p_edges)
     r, p = edge_centers(r_edges), edge_centers(p_edges)
-    refuse_unresolved_momentum(field.state, p, "p of the coverage grid's cells split 2 x 2")
     heights, widths = np.diff(r_edges), np.diff(p_edges)
     totals = np.empty(r.size)
     for lo in range(0, r.size, _SPLIT_BLOCK_ROWS):

@@ -323,11 +323,12 @@ def envelope(r0, sigma_r, cfg: MapConfig):
         # correctly rounded offset**2 differs from it in the last bit of some
         # offsets, which would move a sweep's samples
         square, twice_var = np.float_power(offset, 2), 2.0 * np.float_power(sigma_f, 2)
-    refuse(f0, np.isfinite(f0), ValueError,
-           f"envelope center f0_base + f0_slope * {cfg.f0_mode} = {{!r}} is not finite")
+    refuse(anchor[..., None], np.isfinite(f0), ValueError, f"envelope center f0_base + f0_slope * "
+           f"{cfg.f0_mode} = {cfg.f0_base!r} + {cfg.f0_slope!r} * {{!r}} is not finite")
     # offset[..., 0] is the largest in size
-    refuse(sigma_f, np.isfinite(square[..., :1]) & np.isfinite(twice_var) & (twice_var > 0), ValueError,
-           "envelope width q_slope * sigma_r = {!r} is too narrow or too wide to square in float64")
+    refuse(sigma_r[..., None], np.isfinite(square[..., :1]) & np.isfinite(twice_var) & (twice_var > 0),
+           ValueError, f"envelope width q_slope * sigma_r = {cfg.q_slope!r} * {{!r}} is too narrow or too "
+           "wide to square in float64")
     amp = np.exp(-square / twice_var)
     return freq, amp
 

@@ -788,6 +788,26 @@ class TestArgumentChecks:
         assert capsys.readouterr().err.startswith("error: ")
         assert not any(tmp_path.glob("x.*")) and not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, code, printed",
+        [
+            (["eval", "--state", "fock:0", "--r", "-1e-3", "--p", "0"], 0, "0.31830956787406367\n"),
+            (["eval", "--state", "fock:0", "--r", "0", "--p", "-inf"], 2, "error: --p must be finite, got -inf\n"),
+            (["sonify", "--state", "fock:1", "--method", "IV", "--duration", "-1e-3", "--out", "x.wav"], 2,
+             "error: duration must be positive and finite, got -0.001\n"),
+            (["sweep", "--segments", "-1:-2:0.5", "--sr", "8000", "--out", "x.wav"], 0, ""),
+        ],
+        ids=["eval-r", "eval-p", "sonify-duration", "sweep-segments"],
+    )
+    def test_value_starting_with_a_dash_is_a_value(self, argv, code, printed, tmp_path, capsys, monkeypatch):
+        # argparse reads a dash word that is not a plain decimal as an
+        # unknown option, and said "--X: expected one argument" for each
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == code
+        out, err = capsys.readouterr()
+        assert (out + err) == printed
+        assert (tmp_path / "x.wav").exists() == (argv[0] == "sweep")
+
     def test_frame_too_short_is_2_naming_the_minimum(self, tmp_path, capsys, monkeypatch):
         # 1e-5 s is 0 samples at 48 kHz: the frame is too short, not the trajectory
         monkeypatch.chdir(tmp_path)
@@ -1111,7 +1131,7 @@ class TestSampledCoverage:
         out = tmp_path / "f.csv"
         assert cli_main(["field", "--state", f"psi:{src}", "--out", str(out)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: p of the coverage grid's cells split 2 x 2 = 38.4609 reaches |p| >= 38.4471")
+        assert err.startswith("error: p = 38.4609 reaches |p| >= 38.4471")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -1132,6 +1152,24 @@ class TestSampledCoverage:
         argv = ["field", "--state", f"psi:{src}", "--grid", "regular:4:-9.6:9.6", "--out", str(out)]
         assert cli_main(argv) == 4
         assert capsys.readouterr() == ("", "error: evaluation point r = -8.4 lies outside the sample span\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "make, refused",
+        [
+            (lambda path: _psi_csv(path, 0, 257, span=3.0), "edge probability 5.422e-05 exceeds 1e-06; "),
+            (lambda path: _wavepacket_csv(path, 36.0), "p = 38.5374 reaches |p| >= 38.4471 = pi / (2 h), "),
+        ],
+        ids=["tail-mass", "momentum"],
+    )
+    @pytest.mark.parametrize("grid", [[], ["--grid", "gauss:16:3"]], ids=["default", "gauss"])
+    def test_state_fault_is_4_on_any_grid(self, make, refused, grid, tmp_path, capsys):
+        # a gauss: grid samples the state's default field for its moments;
+        # the state's fault there is the state's, not the grid text's
+        src = make(tmp_path / "psi.csv")
+        out = tmp_path / "f.csv"
+        assert cli_main(["field", "--state", f"psi:{src}", *grid, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("error: " + refused)
         assert not out.exists()
 
     @pytest.mark.parametrize("p", ["77", "153", "-38.45"])
@@ -1394,10 +1432,16 @@ _CONFIG_VALUES = {
 }
 
 
+# Flags whose value is one number: a refusal of a malformed one names it.
+_ONE_NUMBER_FLAGS = ("duration", "sr", "frame", "window", "hop", "r", "p")
+
+
 def _draw_piece(draw, good_bad):
-    """One well-formed piece five times in six, else one malformed piece."""
+    """One well-formed piece five times in six, else one malformed piece;
+    returns the piece and whether it is malformed."""
     good, bad = good_bad
-    return draw(st.sampled_from(good if draw(st.integers(0, 5)) else bad))
+    malformed = not draw(st.integers(0, 5))
+    return draw(st.sampled_from(bad if malformed else good)), malformed
 
 
 @pytest.fixture(scope="module")
@@ -1424,7 +1468,9 @@ def _fuzz_inputs(tmp_path_factory):
 def _fuzz_argv(draw):
     """A command, then each of its flags from _GRAMMAR drawn or left out,
     in drawn order, a required one rarely left out, and now and then a
-    stray argument; returns (argv, config text)."""
+    stray argument; returns (argv, config text) and, when its one malformed
+    piece is the value of a one-number flag or a numeric config key, the
+    same example with that piece well-formed, and the piece."""
     command = draw(st.sampled_from(sorted(_GRAMMAR)))
     required = _REQUIRED[command].replace("--", "").split(", ")
     # sonify's note and sweep's path default to seconds of audio
@@ -1433,33 +1479,67 @@ def _fuzz_argv(draw):
         flag for flag in _GRAMMAR[command][1]
         if flag in always or draw(st.integers(0, 9)) < (9 if flag in required else 5)
     ]
-    argv = [command]
+    # the example and its copy with every piece well-formed, and the
+    # malformed pieces, each with whether it is one number
+    argv, fixed, malformed = [command], [command], []
+
+    def piece(good_bad, number):
+        value, bad = _draw_piece(draw, good_bad)
+        malformed.extend([(value, number)] if bad else [])
+        return value, good_bad[0][0]
+
     for flag in draw(st.permutations(flags)):
-        argv += [f"--{flag}"] if flag == "arpeggiate" else [f"--{flag}", _draw_piece(draw, _PIECES[flag])]
+        argv.append(f"--{flag}")
+        fixed.append(f"--{flag}")
+        if flag != "arpeggiate":
+            value, good = piece(_PIECES[flag], flag in _ONE_NUMBER_FLAGS)
+            argv.append(value)
+            fixed.append(good)
     if draw(st.integers(0, 19)) == 0:
-        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "stray", "--sr=8000"])))
+        at, stray = draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "stray", "--sr=8000"]))
+        argv.insert(at, stray)
+        fixed.insert(at, stray)
     keys = draw(st.lists(st.sampled_from([*_CONFIG_TYPES, "loudness", "# note", "no equals sign"]), max_size=3))
-    config = "".join(
-        f"{key}={_draw_piece(draw, _CONFIG_VALUES[_CONFIG_TYPES[key]])}\n" if key in _CONFIG_TYPES else key + "\n"
-        for key in keys
-    )
-    return argv, config
+    config, fixed_config = "", ""
+    for key in keys:
+        if key in _CONFIG_TYPES:
+            kind = _CONFIG_TYPES[key]
+            value, good = piece(_CONFIG_VALUES[kind], kind != "str")
+            config, fixed_config = config + f"{key}={value}\n", fixed_config + f"{key}={good}\n"
+        else:
+            config, fixed_config = config + key + "\n", fixed_config + key + "\n"
+    one_number = len(malformed) == 1 and malformed[0][1]
+    return argv, config, (fixed, fixed_config, malformed[0][0]) if one_number else None
+
+
+def _run_fuzz_example(argv, config, inputs):
+    """(exit code, stderr, warnings caught) of one example, run in its own
+    directory."""
+    with tempfile.TemporaryDirectory() as d:
+        Path(d, "config").write_text(config)
+        names = {**inputs, "dir": d, "config": str(Path(d, "config"))}
+        argv = [piece.format(**names) for piece in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli_main(argv)
+    return code, err.getvalue(), caught
+
+
+def _names_value(line, piece):
+    """Whether line names piece, as written or as its float's repr."""
+    try:
+        return piece in line or repr(float(piece)) in line
+    except ValueError:
+        return False
 
 
 class TestGrammarFuzz:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(drawn=_fuzz_argv())
     def test_every_argv_exits_through_the_table(self, drawn, _fuzz_inputs):
-        argv, config = drawn
-        with tempfile.TemporaryDirectory() as d:
-            Path(d, "config").write_text(config)
-            names = {**_fuzz_inputs, "dir": d, "config": str(Path(d, "config"))}
-            argv = [piece.format(**names) for piece in argv]
-            out, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
-                warnings.simplefilter("always")
-                code = cli_main(argv)
-        err = err.getvalue()
+        argv, config, rerun = drawn
+        code, err, caught = _run_fuzz_example(argv, config, _fuzz_inputs)
         assert code in (0, 2, 3, 4), (argv, code, err)
         assert "Traceback" not in err
         if code == 0:
@@ -1469,6 +1549,11 @@ class TestGrammarFuzz:
         else:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        # a refusal that the one malformed number alone causes names it
+        if code == 2 and rerun is not None:
+            fixed, fixed_config, piece = rerun
+            if _run_fuzz_example(fixed, fixed_config, _fuzz_inputs)[0] != 2:
+                assert _names_value(err.splitlines()[-1], piece), (argv, config, err)
 
 
 class TestOneParser:

@@ -328,11 +328,11 @@ class TestMethod4:
     @pytest.mark.parametrize(
         "config, message",
         [
-            ({"f0_slope": -1e308}, "envelope center f0_base + f0_slope * r0 = inf is not finite"),
-            ({"f0_slope": 1e308, "f0_mode": "sigma_r"}, "envelope center f0_base + f0_slope * sigma_r = inf"),
-            ({"q_slope": 1e308}, "envelope width q_slope * sigma_r = 1e+308 is too narrow or too wide"),
-            ({"q_slope": 1e-300}, "envelope width q_slope * sigma_r = 1e-300 is too narrow or too wide"),
-            ({"q_slope": 1e154, "n_osc": 1}, "envelope width q_slope * sigma_r = 1e+154 is too narrow"),
+            ({"f0_slope": -1e308}, "envelope center f0_base + f0_slope * r0 = 220.0 + -1e+308 * -3.0 is not finite"),
+            ({"f0_slope": 1e308, "f0_mode": "sigma_r"}, "envelope center f0_base + f0_slope * sigma_r = 220.0 + 1e+308 * 2.0 is"),
+            ({"q_slope": 1e308}, "envelope width q_slope * sigma_r = 1e+308 * 1.0 is too narrow or too wide"),
+            ({"q_slope": 1e-300}, "envelope width q_slope * sigma_r = 1e-300 * 1.0 is too narrow or too wide"),
+            ({"q_slope": 1e154, "n_osc": 1}, "envelope width q_slope * sigma_r = 1e+154 * 1.0 is too narrow"),
         ],
     )
     def test_center_or_width_past_float64_refused_without_warning(self, config, message):

@@ -42,7 +42,7 @@ from quasitone.states import (
     _p_lattice,
     _spline_at,
     _spline_coefficients,
-    refuse_unresolved_momentum,
+    _transform,
 )
 
 
@@ -664,8 +664,8 @@ class TestLattice:
 
 
 class TestMomentumLimit:
-    """Simpson's 4, 2 weights fold p onto p -+ pi/h; from pi / (2 h) on the
-    sampled state's p is refused where a command takes it."""
+    """Simpson's 4, 2 weights fold p onto p -+ pi/h; from pi / (2 h) on
+    evaluate refuses the sampled state's p, whoever asks."""
 
     @staticmethod
     def _fock(n, nodes):
@@ -695,14 +695,31 @@ class TestMomentumLimit:
         # a closed form resolves every p
         assert np.all(np.isfinite(sample_field(FockState(1), grid).values))
 
-    def test_split_cells_reaching_the_limit_are_refused(self, monkeypatch):
+    def test_split_cells_reaching_the_limit_are_refused(self):
         # the grid's last p center, 38.05, lies inside 38.4471; the split
         # cells' last, a quarter cell further out at 38.625, does not
         state = self._fock(1, 257)
         field = sample_field(state, build_regular(-3.0, 3.0, 30.0, 39.2, 4, 4))
-        monkeypatch.setattr(grids, "evaluate", lambda *a: pytest.fail("evaluated"))
-        with pytest.raises(MomentumUnresolved, match=r"^p of the coverage grid's cells split 2 x 2 = 38\.625 "):
+        with pytest.raises(MomentumUnresolved, match=r"^p = 38\.625 reaches \|p\| >= 38\.4471 "):
             grids.coverage(field)
+
+    @pytest.mark.parametrize(
+        "r, p, named",
+        [
+            (0.3, 77.0, "77"),
+            (np.linspace(-3.0, 3.0, 5)[:, None], np.linspace(-40.0, 40.0, 9), "-40"),
+            (np.array([0.1, -0.4, 1.2]), np.array([3.0, -38.45, 50.0]), "-38.45"),
+        ],
+        ids=["scalar", "grid", "scattered"],
+    )
+    def test_evaluate_refuses_the_first_unresolved_p(self, r, p, named):
+        # without the check, the sum at 77 folds onto 77 - 76.894 and reads
+        # -0.0765 at r = 0.3, where the closed form is 0
+        state = self._fock(1, 257)
+        assert float(_transform(state, np.asarray(0.3), np.asarray(77.0))) == pytest.approx(-0.0765, abs=1e-4)
+        message = rf"^p = {named} reaches \|p\| >= 38\.4471 = pi / \(2 h\), .* 257-sample wavefunction"
+        with pytest.raises(MomentumUnresolved, match=message):
+            evaluate(state, r, p)
 
 
 class TestSpline:
@@ -782,7 +799,8 @@ class TestTransformBound:
         r = np.concatenate([x[1:-1], 0.5 * (x[1:] + x[:-1]), rng.uniform(x[0], x[-1], 400)])
         p = np.concatenate([np.zeros(2 * nodes - 3), rng.uniform(-30.0, 30.0, 400)])
         state = SampledState(x, psi)
-        w = np.abs(evaluate(state, r, p))
+        # the raw sum: at 33 samples most of these p lie past momentum_limit
+        w = np.abs(_transform(state, r, p))
         bound = transform_bound(state.x, state.coef, r)
         assert np.all(w <= bound)
         assert np.all(w[bound == 0.0] == 0.0)
@@ -816,10 +834,10 @@ class TestEvaluateAndCentroid:
         assert type(value) is float and value == state.wigner(0.3, -0.4)
         if isinstance(state, SampledState):
             with pytest.raises(MomentumUnresolved, match=r"^p = 1e\+300 reaches"):
-                refuse_unresolved_momentum(state, [1e300])
-        else:
-            assert state.momentum_limit == math.inf
-            refuse_unresolved_momentum(state, [1e300, math.inf, math.nan])
+                evaluate(state, 0.3, 1e300)
+        else:  # a closed form answers every p
+            assert not hasattr(state, "momentum_limit")
+            assert evaluate(state, 0.3, 1e300) == 0.0
 
     def test_centroids(self):
         assert FockState(3).centroid == (0.0, 0.0)
