@@ -11,9 +11,9 @@ partials sit on a few dozen frequencies, and every mapping II-IV bank and
 sweep frame pans as one. The sinusoids are summed by block phasor
 rotation in float64, a fixed chunk of them at a time, with the in-block
 sines and cosines and the block-start phasors both built in two levels by
-one helper; the mix is cast to float32 at the very end. The summation
-order depends only on the input, so the same input renders to the same
-bytes on every run.
+one helper, in working arrays allocated once per call; the mix is cast to
+float32 at the very end. The summation order depends only on the input,
+so the same input renders to the same bytes on every run.
 
 render_sweep takes each frame's field, moments and envelope bank as arrays
 over its frames, so every frame is known before any audio is rendered.
@@ -159,18 +159,21 @@ class AudioBuffer:
 # === additive synthesis ===
 
 
-# Oscillators render in blocks of _BLOCK samples. Taking _CHUNK sinusoids
-# and _SPAN samples (256 blocks) at a time bounds the kernel's working set
-# to O(_CHUNK * _BLOCK * channels) arrays per bank, whatever the bank size
-# or note length. Of 128, 256 and 512 samples per block, 128, 256 and 512
-# sinusoids per chunk, and 128 and 256 blocks per span, 256, 256 and 256
-# rendered the benchmark gallery's 25 notes of 0.4 s fastest, 0.052 s
-# against 0.053 to 0.073 s; three 4 s notes of 21 to 900 partials took
-# 0.030 s there and 0.028 s at 512 samples per block (best of 5, 2-core
-# x86-64 host, one BLAS thread).
+# Oscillators render in blocks of _BLOCK samples, _CHUNK sinusoids and _SPAN
+# samples (256 blocks) at a time. One _accumulate call allocates its working
+# arrays once and reuses them for every chunk, span and output column: per
+# bank, in float64, a chunk's in-block table (2 _CHUNK by _BLOCK, 1 MiB), at
+# most as much again for the temporaries of _phasors, a span's block-start
+# phasors (2 _CHUNK by 256 blocks, 1 MiB) and coefficients (256 blocks by
+# 2 _CHUNK, 1 MiB), and its product (256 blocks by _BLOCK, 0.5 MiB). Banks
+# render in groups whose share of these fits _WORKING_SET, and one bank
+# always fits: a call holds at most _WORKING_SET bytes besides out and its
+# per-component arrays, whatever the partial count, note length, channel
+# count or bank count.
 _BLOCK = 256
 _CHUNK = 256
 _SPAN = 256 * _BLOCK
+_WORKING_SET = 9 << 19
 
 
 def _check_nyquist(freq, sample_rate):
@@ -255,7 +258,7 @@ def _sinusoids(bank, omega, phi, weights):
     )
 
 
-def _phasors(w, step, count, start=0, offset=None):
+def _phasors(w, step, count, start=0, offset=None, out=None):
     """Sines, then cosines, of offset + w (start + step i) over i = 0 ..
     count - 1: shape (..., 2, m, count) for radians per sample w (..., m)
     and an offset of w's shape (none for 0).
@@ -263,7 +266,9 @@ def _phasors(w, step, count, start=0, offset=None):
     Built in two levels, e^{i w step (q a + b)} = e^{i w step q a}
     e^{i w step b} with q = ceil(sqrt(count)), from the sines and cosines
     of about 2 sqrt(count) angles per component instead of count; the
-    start and the offset go into the coarse angles.
+    start and the offset go into the coarse angles. Written into the front
+    of out when given, a flat float64 array of at least 2 w.size q^2
+    values, and returned as a view of it.
     """
     q = math.isqrt(count - 1) + 1
     n_coarse = -(-count // q)
@@ -277,13 +282,15 @@ def _phasors(w, step, count, start=0, offset=None):
     # sa cb + ca sb, then the cosines ca cb - sa sb
     left = np.stack([np.stack([sa, ca], axis=-1), np.stack([ca, -sa], axis=-1)], axis=-4)
     right = np.stack([np.cos(fine), np.sin(fine)], axis=-2)[..., None, :, :, :]
-    out = (left @ right).reshape(w.shape[:-1] + (2, w.shape[-1], n_coarse * q))
-    return out[..., :count]
+    shape = w.shape[:-1] + (2, w.shape[-1], n_coarse, q)
+    full = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
+    np.matmul(left, right, out=full)
+    return full.reshape(shape[:-2] + (n_coarse * q,))[..., :count]
 
 
 def _accumulate(freq, amp, triangle, phases, gains, out, sample_rate):
-    """Add oscillator banks to out (..., n, channels), float64: one bank per
-    leading index of out, none for a 2-d out.
+    """Add oscillator banks to out (..., n, channels), float64 and
+    C-contiguous: one bank per leading index of out, none for a 2-d out.
 
     Partial k of a bank plays at freq[..., k] Hz and amplitude amp[..., k],
     as a triangle where triangle[..., k] is true. It starts at
@@ -297,7 +304,8 @@ def _accumulate(freq, amp, triangle, phases, gains, out, sample_rate):
     phasors are built in two levels from directly computed angles, so no
     rounding error builds up from block to block. Each bank's sinusoids
     are padded with silent ones to the longest bank's count, so that the
-    sum over a chunk of them is one real matrix product per bank. Raises
+    sum over a chunk of them is one real matrix product per bank and
+    column, added into out through a strided view. Raises
     NyquistViolation, or ValueError past MAX_COMPONENTS, before anything
     is added.
     """
@@ -320,24 +328,44 @@ def _accumulate(freq, amp, triangle, phases, gains, out, sample_rate):
     table_weights = np.zeros((n_banks, n_cols, width))
     w[bank, slot], theta0[bank, slot] = omega, phi
     table_weights[bank, :, slot] = weights
-    for lo in range(0, width, _CHUNK):
-        w_c, theta0_c = w[:, lo : lo + _CHUNK], theta0[:, lo : lo + _CHUNK]
-        m = w_c.shape[-1]
-        table = _phasors(w_c, 1, _BLOCK).reshape(n_banks, 2 * m, _BLOCK)
-        # Im(e^{i w i} A e^{i theta}) = A (sin(w i) cos(theta) + cos(w i) sin(theta))
-        coef_weights = np.concatenate([table_weights[..., lo : lo + _CHUNK]] * 2, axis=-1)[:, None]
-        for start in range(0, n, _SPAN):
-            stop = min(start + _SPAN, n)
-            n_blocks = -(-(stop - start) // _BLOCK)
-            # the cosines of the block-start angles, then their sines
-            trig = _phasors(w_c, _BLOCK, n_blocks, start, theta0_c)[:, ::-1]
-            trig = trig.reshape(n_banks, 2 * m, n_blocks).swapaxes(-1, -2)
-            coef = (trig[:, :, None, :] * coef_weights).reshape(n_banks, -1, 2 * m)
-            block = (coef @ table).reshape(n_banks, -1, n_cols, _BLOCK).swapaxes(-1, -2)
-            block = block.reshape(n_banks, -1, n_cols)[:, : stop - start]
-            if mono:
-                block = block * gains[:, :1]
-            out[..., start:stop, :] += block.reshape(*lead, stop - start, n_ch)
+    out = out.reshape(n_banks, n, n_ch)
+    # the working arrays of one bank, as counted beside _WORKING_SET; a
+    # span's block starts fill at most q^2 values per sinusoid (_phasors).
+    # A column scaled into the channels is scaled in the coefficients'
+    # buffer, free once the product is formed.
+    m = min(width, _CHUNK)
+    span_blocks = -(-min(n, _SPAN) // _BLOCK)
+    q = math.isqrt(span_blocks - 1) + 1
+    coef_size = 2 * m if n_cols == n_ch else max(2 * m, _BLOCK)
+    sizes = (2 * m * _BLOCK, 2 * m * q * q, span_blocks * coef_size, span_blocks * _BLOCK)
+    group = max(1, min(n_banks, _WORKING_SET // (8 * (sum(sizes) + 2 * m * _BLOCK))))
+    table_buf, starts_buf, coef_buf, prod_buf = (np.empty(group * size) for size in sizes)
+    for first in range(0, n_banks, group):
+        g = slice(first, first + group)
+        for lo in range(0, width, _CHUNK):
+            w_c, theta0_c = w[g, lo : lo + _CHUNK], theta0[g, lo : lo + _CHUNK]
+            n_g, k = w_c.shape
+            table = _phasors(w_c, 1, _BLOCK, out=table_buf).reshape(n_g, 2 * k, _BLOCK)
+            for start in range(0, n, _SPAN):
+                stop = min(start + _SPAN, n)
+                n_blocks = -(-(stop - start) // _BLOCK)
+                # Im(e^{i w i} A e^{i theta}) = A (sin(w i) cos(theta) + cos(w i) sin(theta)):
+                # per block, the cosines of its start angles, then their sines
+                trig = _phasors(w_c, _BLOCK, n_blocks, start, theta0_c, out=starts_buf)
+                trig = trig[:, ::-1].transpose(0, 3, 1, 2)
+                coef = coef_buf[: n_g * n_blocks * 2 * k].reshape(n_g, n_blocks, 2, k)
+                prod = prod_buf[: n_g * n_blocks * _BLOCK].reshape(n_g, n_blocks, _BLOCK)
+                samples = prod.reshape(n_g, -1)[:, : stop - start]
+                for c in range(n_cols):
+                    np.multiply(trig, table_weights[g, c, None, None, lo : lo + _CHUNK], out=coef)
+                    np.matmul(coef.reshape(n_g, n_blocks, 2 * k), table, out=prod)
+                    if n_cols == n_ch:
+                        out[g, start:stop, c] += samples
+                        continue
+                    scaled = coef_buf[: samples.size].reshape(samples.shape)
+                    for ch in range(n_ch):
+                        np.multiply(samples, gains[g, :1, ch], out=scaled)
+                        out[g, start:stop, ch] += scaled
 
 
 def _fade(out, sample_rate):
@@ -387,8 +415,8 @@ def synth(bank: PartialBank, sample_rate=DEFAULT_SAMPLE_RATE, gains=None) -> Aud
         gains = np.ones((n_partials, 1), dtype=float)
     else:
         gains = np.asarray(gains, dtype=float)
-        if gains.shape[0] != n_partials or gains.ndim != 2:
-            raise ValueError(f"gains must be (n_partials, channels), got {gains.shape}")
+        if gains.ndim != 2 or gains.shape[0] != n_partials or gains.shape[1] == 0:
+            raise ValueError(f"gains must be (n_partials, channels) with channels >= 1, got {gains.shape}")
         refuse(gains, np.isfinite(gains), ValueError, "gains must be finite, got {!r}")
     n = _sample_count("note", bank.duration, sample_rate, gains.shape[1])
     if n < 1:

@@ -1556,6 +1556,80 @@ class TestGrammarFuzz:
                 assert _names_value(err.splitlines()[-1], piece), (argv, config, err)
 
 
+# Every one-number flag of every command and every numeric config key, with
+# numbers malformed for it: nan, inf, or past its range. The rest of each
+# command is well-formed and small, so that only that number can refuse it.
+_SMALL_ARGV = {
+    "eval": ["--state", "fock:0", "--r", "0", "--p", "0"],
+    "sonify": ["--state", "fock:1", "--method", "IV", "--duration", "0.05", "--sr", "8000", "--out", "{dir}/out"],
+    "score": ["--state", "fock:1", "--method", "I", "--duration", "0.05", "--out", "{dir}/out"],
+    "sweep": ["--segments", "0:-1:0.5", "--sr", "8000", "--out", "{dir}/out"],
+    "sonogram": ["--audio", "{wav}", "--out", "{dir}/out"],
+}
+_MALFORMED_NUMBERS = {
+    "duration": ["0", "-1", "nan", "inf"],
+    "sr": ["0", "-8000", "8000.5", "2147483648", "nan", "inf"],
+    "channels": ["0", "3", "nan"],
+    "frame": ["0", "-0.25", "1e-300", "1e305", "nan", "inf"],
+    "window": ["7", "0", "nan", "inf"],
+    "hop": ["0", "-1", "nan", "inf"],
+    "r": ["nan", "inf", "-inf"],
+    "p": ["nan", "inf", "-inf"],
+}
+# a note too short for one sample, or longer than MAX_SAMPLES allows; a
+# score has no samples
+_MALFORMED_NOTES = ["1e-300", "1e7"]
+# mapping IV of coherent:3,4 (r0 = 3): f0_slope 1e308 overflows the envelope
+# center, and q_slope 1e-300 and 1e308 make a width too narrow or too wide
+# to square
+_MALFORMED_CONFIG = {
+    "f_lo": ["0", "-1", "7040", "nan", "inf"],
+    "f_hi": ["1", "nan", "inf"],
+    "f0_base": ["nan", "inf", "-inf"],
+    "f0_slope": ["1e308", "nan", "inf"],
+    "q_slope": ["0", "-1", "1e-300", "1e308", "nan", "inf"],
+    "n_osc": ["0", "2", "-1", "1000000001", "nan"],
+    "ref_pitch": ["0", "-1", "nan", "inf"],
+}
+_CONFIG_ARGV = ["sonify", "--state", "coherent:3,4", "--method", "IV", "--duration", "0.05", "--sr", "8000",
+                "--out", "{dir}/out", "--config", "{config}"]
+
+
+def _malformed_number_cases():
+    for command, argv in sorted(_SMALL_ARGV.items()):
+        for flag in sorted(set(_GRAMMAR[command][1]) & set(_MALFORMED_NUMBERS)):
+            notes = _MALFORMED_NOTES if (command, flag) == ("sonify", "duration") else []
+            for value in _MALFORMED_NUMBERS[flag] + notes:
+                if f"--{flag}" in argv:
+                    at = argv.index(f"--{flag}") + 1
+                    case = [command, *argv[:at], value, *argv[at + 1 :]]
+                else:
+                    case = [command, *argv, f"--{flag}", value]
+                yield pytest.param(case, "", value, id=f"{command}--{flag}={value}")
+    for key, values in _MALFORMED_CONFIG.items():
+        for value in values:
+            yield pytest.param(_CONFIG_ARGV, f"{key}={value}\n", value, id=f"config-{key}={value}")
+
+
+class TestMalformedNumbers:
+    def test_every_number_has_cases(self):
+        flags = {flag for command in _SMALL_ARGV for flag in _GRAMMAR[command][1]}
+        assert flags & set(_MALFORMED_NUMBERS) == set(_MALFORMED_NUMBERS) == {*_ONE_NUMBER_FLAGS, "channels"}
+        assert set(_GRAMMAR) - set(_SMALL_ARGV) == {"field", "moments"}  # no number among their flags
+        assert set(_MALFORMED_CONFIG) == {key for key, kind in _CONFIG_TYPES.items() if kind != "str"}
+
+    @pytest.mark.parametrize("argv", [[c, *a] for c, a in sorted(_SMALL_ARGV.items())] + [_CONFIG_ARGV])
+    def test_small_argv_runs(self, argv, _fuzz_inputs):
+        code, err, _ = _run_fuzz_example(argv, "n_osc=21\n", _fuzz_inputs)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("argv, config, value", _malformed_number_cases())
+    def test_refusal_names_the_number(self, argv, config, value, _fuzz_inputs):
+        code, err, _ = _run_fuzz_example(argv, config, _fuzz_inputs)
+        assert code == 2 and "Traceback" not in err, (argv, config, err)
+        assert _names_value(err.splitlines()[-1], value), (argv, config, err)
+
+
 class TestOneParser:
     def test_calls_in_one_process_do_not_leak(self, tmp_path, capsys):
         evaluation = ["eval", "--state", "fock:0", "--r", "0", "--p", "0"]

@@ -165,6 +165,12 @@ class TestSynth:
         with pytest.raises(ValueError):
             synth(one_partial_bank(), sample_rate=8000, gains=np.ones((3, 2)))
 
+    @pytest.mark.parametrize("gains", [np.ones((1, 0)), np.float64(1.0), np.ones(1)], ids=["no-channel", "scalar", "1-d"])
+    def test_gains_without_a_channel_axis_refused(self, gains):
+        # refused with the shape named, before the kernel sees them
+        with pytest.raises(ValueError, match=re.escape(f"got {np.shape(gains)}")):
+            synth(one_partial_bank(), sample_rate=8000, gains=gains)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_gain_refused(self, bad):
         # one such gain would fill the mix with NaN and inf samples
@@ -331,6 +337,29 @@ class TestOscillatorKernel:
             ref = reference_bank(bank, phases[k], np.tile(gains[k], (5, 1)), 1500, 8000)
             assert float(np.max(np.abs(out[k] - ref))) <= 1e-9
         assert [shape[1] for _, shape in sinusoids] == [1]
+
+    def test_many_short_banks_render_in_groups(self, monkeypatch):
+        # 2000 banks of 48 samples, as a sweep of 1 ms frames at 48 kHz makes
+        # them: each bank's in-block table is still a whole block, so the
+        # banks render in groups whose working arrays fit _WORKING_SET
+        rng = np.random.default_rng(4)
+        freq = rng.uniform(100.0, 3000.0, (2000, 5))
+        amp, phases = rng.uniform(0.0, 1.0, (2, 2000, 5))
+        triangle = np.zeros((2000, 5), dtype=bool)
+        gains = rng.uniform(0.0, 1.0, (2000, 1, 2))
+        out = np.zeros((2000, 48, 2))
+        tracemalloc.start()
+        try:
+            render._accumulate(freq, amp, triangle, phases, gains, out, 48000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < render._WORKING_SET
+        # banks one at a time add the same bytes
+        monkeypatch.setattr(render, "_WORKING_SET", 1)
+        alone = np.zeros((300, 48, 2))
+        render._accumulate(freq[:300], amp[:300], triangle[:300], phases[:300], gains[:300], alone, 48000)
+        assert alone.tobytes() == out[:300].tobytes()
 
     def test_two_level_block_starts_match_direct(self):
         # radians per sample and offsets on a 2**-10 lattice, so that every
@@ -827,6 +856,31 @@ class TestSonogram:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0] + (64 << 10)
+
+
+class TestKernelWorkingSet:
+    @pytest.mark.parametrize("seconds", [2.0, 8.0])
+    def test_synth_holds_its_output_and_the_working_set(self, seconds):
+        # 4-channel notes longer than one span: a bank that pans as one (21
+        # triangle partials, one column scaled into the channels) and mapping
+        # I's 900 panned partials (one column per channel). Past the float64
+        # mix, whose buffer the float32 samples share, synth holds at most
+        # the kernel's working set, however long the note
+        assert seconds * 48000 > render._SPAN
+        field = sample_field(FockState(5), default_grid(FockState(5)))
+        banks = (
+            method4_moments(compute_moments(field), MapConfig(waveform="triangle"), seconds),
+            method1_grid(field, MapConfig(), seconds),
+        )
+        for bank in banks:
+            gains = partial_gains(bank, field, 4)
+            tracemalloc.start()
+            try:
+                synth(bank, 48000, gains)
+                peak = tracemalloc.get_traced_memory()[1] - round(seconds * 48000) * 4 * 8
+            finally:
+                tracemalloc.stop()
+            assert peak < render._WORKING_SET, (bank.freq.size, peak)
 
 
 @dataclass(frozen=True, eq=False)
